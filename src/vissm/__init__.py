@@ -3,7 +3,8 @@
 Modules:
   tensor     float64 tensors with reverse-mode autodiff and FFT helpers
   ssm        classical LTI state space model (recurrence == FFT convolution)
-  selective  input-dependent scans: sequential, chunk-parallel, non-causal
+  selective  input-dependent scans: fused sequential (model path), chunked
+             oracle, non-causal
   scan2d     1D visitation orders over 2D patch grids
   blocks     patch embedding, the three block families, model + checkpoints
   data       procedural real-vs-generated image corpus

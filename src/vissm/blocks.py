@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import scan2d
 from . import tensor as T
 from .rng import SplitMix64, hash_combine
-from .selective import (
+# selective_scan_parallel stays bound: perfbench's SPANS table looks both scan routes up here
+from .selective import (  # noqa: F401
     SelectiveProjection,
     nc_ssd,
     selective_scan_parallel,
@@ -92,8 +93,7 @@ class ModelConfig:
     scan_merge: str = "sum"
     classes: int = 2
     overlap: bool = False
-    tie_directions: bool = False
-    chunk: int = 8  # chunked scan inside blocks; 0 = plain sequential
+    tie_directions: bool = False  # vim: one parameter set serves both directions
     preset: str = ""
 
     def __post_init__(self):
@@ -341,16 +341,13 @@ def _projection_from(params, prefix) -> SelectiveProjection:
     )
 
 
-def _scan_path(x, params, prefix, causal: bool, chunk: int):
-    """conv -> SiLU -> selective scan, the shared sequence core."""
+def _scan_path(x, params, prefix, causal: bool):
+    """conv -> SiLU -> selective scan (the fused sequential op), the shared sequence core."""
     xc = T.silu(conv1d_depthwise(x, params[f"{prefix}conv.weight"],
                                  params[f"{prefix}conv.bias"], causal=causal))
     proj = _projection_from(params, f"{prefix}proj.")
     a = T.neg(T.exp(params[f"{prefix}a_log"]))
-    d = params[f"{prefix}d"]
-    if chunk > 0:
-        return selective_scan_parallel(xc, proj, a, d, chunk)
-    return selective_scan_sequential(xc, proj, a, d)
+    return selective_scan_sequential(xc, proj, a, params[f"{prefix}d"])
 
 
 # -- directional plumbing --------------------------------------------------------------
@@ -406,8 +403,7 @@ def merged_update(streams, core_fn, scan, has_cls: bool):
 # -- block families ----------------------------------------------------------------------
 
 
-def vim_block(tokens, params, prefix="", scan=None, has_cls=False, chunk=0,
-              tie_directions=False):
+def vim_block(tokens, params, prefix="", scan=None, has_cls=False, tie_directions=False):
     """Gated bidirectional block.
 
     Both directions share the input and gate projections; the backward path
@@ -422,18 +418,15 @@ def vim_block(tokens, params, prefix="", scan=None, has_cls=False, chunk=0,
     back = "fwd." if tie_directions else "bwd."
 
     def core(xs_d, gate_d):
-        y_f = _scan_path(xs_d, params, f"{prefix}fwd.", causal=True, chunk=chunk)
-        y_b = T.flip(
-            _scan_path(T.flip(xs_d, -2), params, f"{prefix}{back}", causal=True, chunk=chunk),
-            -2,
-        )
+        y_f = _scan_path(xs_d, params, f"{prefix}fwd.", causal=True)
+        y_b = T.flip(_scan_path(T.flip(xs_d, -2), params, f"{prefix}{back}", causal=True), -2)
         return T.add(T.mul(y_f, gate_d), T.mul(y_b, gate_d))
 
     merged = merged_update([xs, gate], core, scan, has_cls)
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))
 
 
-def mamba_vision_mixer(tokens, params, prefix="", scan=None, has_cls=False, chunk=0):
+def mamba_vision_mixer(tokens, params, prefix="", scan=None, has_cls=False):
     """Two half-width branches with non-causal convolutions.
 
     Branch 1 carries the selective scan; branch 2 is purely convolutional.
@@ -445,7 +438,7 @@ def mamba_vision_mixer(tokens, params, prefix="", scan=None, has_cls=False, chun
     x2 = T.matmul(xh, params[f"{prefix}b2.w_in"])
 
     def core(x1_d, x2_d):
-        y1 = _scan_path(x1_d, params, f"{prefix}b1.", causal=False, chunk=chunk)
+        y1 = _scan_path(x1_d, params, f"{prefix}b1.", causal=False)
         y2 = T.silu(conv1d_depthwise(x2_d, params[f"{prefix}b2.conv.weight"],
                                      params[f"{prefix}b2.conv.bias"], causal=False))
         return T.concat([y1, y2], axis=-1)
@@ -540,42 +533,35 @@ def apply_block(model: Model, tokens, index: int, scan):
     prefix = f"blocks.{index}."
     if cfg.family == "vim":
         return vim_block(tokens, model.params, prefix, scan, has_cls=cfg.use_cls,
-                         chunk=cfg.chunk, tie_directions=cfg.tie_directions)
+                         tie_directions=cfg.tie_directions)
     if cfg.family == "mambavision":
-        return mamba_vision_mixer(tokens, model.params, prefix, scan,
-                                  has_cls=cfg.use_cls, chunk=cfg.chunk)
+        return mamba_vision_mixer(tokens, model.params, prefix, scan, has_cls=cfg.use_cls)
     return vssd_block(tokens, model.params, model.grid, prefix, scan, has_cls=False)
 
 
-def forward(model: Model, images) -> Tensor:
-    """Logits (B, classes)."""
-    seq = patch_embed(images, model.cfg.patch_cfg(), model.params)
-    tokens = seq.tokens
+def features(model: Model, images) -> Tensor:
+    """The classification layer's input (B, embed_dim): the normed class token,
+    or the mean normed token for families without one."""
+    tokens = patch_embed(images, model.cfg.patch_cfg(), model.params).tokens
     scan = model.scan()
     for i in range(model.cfg.depth):
         tokens = apply_block(model, tokens, i, scan)
     normed = rms_norm(tokens, model.params["final_norm.scale"])
     if model.cfg.use_cls:
-        head_in = T.select_index(normed, -2, 0)
-    else:
-        head_in = T.mean(normed, axis=-2)
-    return T.add(T.matmul(head_in, model.params["head.weight"]), model.params["head.bias"])
+        return T.select_index(normed, -2, 0)
+    return T.mean(normed, axis=-2)
+
+
+def forward(model: Model, images) -> Tensor:
+    """Logits (B, classes)."""
+    return T.add(T.matmul(features(model, images), model.params["head.weight"]),
+                 model.params["head.bias"])
 
 
 def penultimate(model: Model, images) -> np.ndarray:
     """Features from just before the classification layer (one row per image)."""
     with T.no_grad():
-        seq = patch_embed(images, model.cfg.patch_cfg(), model.params)
-        tokens = seq.tokens
-        scan = model.scan()
-        for i in range(model.cfg.depth):
-            tokens = apply_block(model, tokens, i, scan)
-        normed = rms_norm(tokens, model.params["final_norm.scale"])
-        if model.cfg.use_cls:
-            head_in = T.select_index(normed, -2, 0)
-        else:
-            head_in = T.mean(normed, axis=-2)
-        return head_in.data.copy()
+        return features(model, images).data.copy()
 
 
 def predict(model: Model, images) -> np.ndarray:
@@ -597,7 +583,19 @@ def config_to_json(cfg: ModelConfig) -> str:
 
 
 def config_from_json(text: str) -> ModelConfig:
-    return ModelConfig(**json.loads(text))
+    """Decode a config written by ``config_to_json``; ValueError if it does not fit."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError("model config must be a JSON object")
+    raw.pop("chunk", None)  # the removed chunked-scan option, still in older checkpoints
+    known = {f.name for f in fields(ModelConfig)}
+    for key in sorted(raw):
+        if key not in known:
+            raise ValueError(f"unknown model config key {key!r}")
+    try:
+        return ModelConfig(**raw)
+    except TypeError as exc:  # a missing key or a value of the wrong type
+        raise ValueError(f"bad model config: {exc}") from None
 
 
 def save_checkpoint(model: Model, path) -> None:

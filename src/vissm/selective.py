@@ -11,10 +11,15 @@ and a per-channel positive timescale dt (C,). The recurrence is
 with (*) elementwise over the (C, N) state. A holds negative reals so the
 decay factors stay inside (0, 1); callers parameterize it as -exp(A_log).
 
-Three evaluation routes are provided: a step-by-step loop, a chunk-parallel
-form built on composing affine maps h -> a (*) h + b, and the non-causal
-variant that collapses the recurrence into one global state shared by all
-tokens (order cannot matter there, by construction).
+Three evaluation routes are provided. The sequential route is the model
+path: one fused tensor op runs the recurrence step by step, keeps only the
+hidden states, and back-propagates through a hand-derived reverse-time
+adjoint that recomputes the decay factors (the recipe of Mamba, section 3.3).
+The chunked route composes affine maps h -> a (*) h + b and records every
+step on the tensor graph; it is the graph-recorded oracle the fused op is
+tested against. The non-causal variant collapses the recurrence into one
+global state shared by all tokens (order cannot matter there, by
+construction).
 
 All routes are differentiable through the tensor graph.
 """
@@ -100,39 +105,80 @@ def project_params(x, proj: SelectiveProjection):
     return b, c, dt
 
 
-def _step_terms(x, proj, a):
-    """Shared precomputation: decay factors and injections for every step.
+def _time_major(arr: np.ndarray) -> np.ndarray:
+    """(..., L, K) -> contiguous (L, ..., K)."""
+    return np.ascontiguousarray(np.moveaxis(arr, -2, 0))
 
-    Returns (a_exp, binj, c_proj, L) with a_exp and binj shaped
-    (..., L, C, N) and c_proj shaped (..., L, N).
+
+def _decay(dt_t: np.ndarray, a_t: np.ndarray) -> np.ndarray:
+    """exp(dt_t * A) for every step, laid out (L, ..., N, C); a_t is A transposed."""
+    out = np.multiply(dt_t[..., None, :], a_t)
+    return np.exp(out, out=out)
+
+
+def selective_recurrence(dt, a, u, b_proj, c_proj) -> Tensor:
+    """Fused op: y_t = h_t @ C_t with h_t = exp(dt_t * A) (*) h_{t-1} + outer(u_t, B_t).
+
+    dt and u are (..., L, C), b_proj and c_proj are (..., L, N), a is (C, N);
+    h_{-1} = 0 and the result is (..., L, C). The forward loop keeps the
+    hidden states; the backward pass runs the adjoint recurrence
+    dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1} in reverse time,
+    recomputing the decay factors rather than storing them. Raises
+    NumericError naming the first step whose hidden state is not finite.
+
+    Internally every per-step array is time-major with the state axis ahead
+    of the channel axis, (L, ..., N, C), so the elementwise work runs along
+    the longer channel axis.
     """
-    x = T.as_tensor(x)
-    a = T.as_tensor(a)
-    b_proj, c_proj, dt = project_params(x, proj)
-    a_exp = T.exp(T.mul(T.unsqueeze(dt, -1), a))          # (..., L, C, N)
-    dtx = T.mul(dt, x)                                    # (..., L, C)
-    binj = T.mul(T.unsqueeze(b_proj, -2), T.unsqueeze(dtx, -1))  # (..., L, C, N)
-    return a_exp, binj, c_proj, x.shape[-2]
+    dt, a, u, b_proj, c_proj = (T.as_tensor(t) for t in (dt, a, u, b_proj, c_proj))
+    if u.shape != dt.shape or b_proj.shape != c_proj.shape \
+            or b_proj.shape[:-1] != dt.shape[:-1]:
+        raise ShapeError(
+            f"scan operands disagree: dt {dt.shape}, u {u.shape}, "
+            f"B {b_proj.shape}, C {c_proj.shape}"
+        )
+    length, ch, n = dt.shape[-2], dt.shape[-1], b_proj.shape[-1]
+    a_t = np.ascontiguousarray(np.broadcast_to(a.data, (ch, n)).T)
+    dt_t, u_t, b_t, c_t = (_time_major(t.data) for t in (dt, u, b_proj, c_proj))
+    decay = _decay(dt_t, a_t)
+    hs = b_t[..., :, None] * u_t[..., None, :]  # the injections, then the states
+    for t in range(1, length):
+        hs[t] += np.multiply(decay[t], hs[t - 1], out=decay[t])
+    finite = np.isfinite(hs.reshape(length, -1)).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite hidden state at step {int(np.argmin(finite))}")
+    y = np.moveaxis(np.einsum("l...nc,l...n->l...c", hs, c_t), 0, -2)
+
+    def backward(g):
+        g_t = _time_major(g)
+        dh = c_t[..., :, None] * g_t[..., None, :]
+        decay = _decay(dt_t, a_t)
+        carry = np.empty_like(dh[0])
+        for t in range(length - 2, -1, -1):
+            dh[t] += np.multiply(decay[t + 1], dh[t + 1], out=carry)
+        T._accumulate(c_proj, np.moveaxis(np.einsum("l...c,l...nc->l...n", g_t, hs), 0, -2))
+        T._accumulate(b_proj, np.moveaxis(np.einsum("l...nc,l...c->l...n", dh, u_t), 0, -2))
+        T._accumulate(u, np.moveaxis(np.einsum("l...nc,l...n->l...c", dh, b_t), 0, -2))
+        if dt.requires_grad or a.requires_grad:
+            # gradient at z_t = dt_t * A: dh_t (*) h_{t-1} (*) exp(z_t), zero at t = 0
+            g_z = decay[1:]
+            g_z *= dh[1:]
+            g_z *= hs[:-1]
+            g_dt = np.zeros_like(dt_t)
+            g_dt[1:] = np.einsum("l...nc,nc->l...c", g_z, a_t)
+            T._accumulate(dt, np.moveaxis(g_dt, 0, -2))
+            g_a = np.einsum("knc,kc->cn", g_z.reshape(-1, n, ch), dt_t[1:].reshape(-1, ch))
+            T._accumulate(a, T._unbroadcast(g_a, a.shape))
+
+    return T._make(y, (dt, a, u, b_proj, c_proj), backward)
 
 
 def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
-    """Exact step-by-step evaluation of the selective recurrence."""
+    """Exact step-by-step evaluation of the selective recurrence (fused op)."""
     x = T.as_tensor(x)
     d = T.as_tensor(d)
-    a_exp, binj, c_proj, length = _step_terms(x, proj, a)
-    lead = x.shape[:-2]
-    h = Tensor(np.zeros(lead + (proj.channels, proj.state_dim)))
-    a_steps = T.unstack(a_exp, -3)
-    b_steps = T.unstack(binj, -3)
-    c_steps = T.unstack(c_proj, -2)
-    ys = []
-    for t in range(length):
-        h = T.add(T.mul(a_steps[t], h), b_steps[t])
-        if not np.all(np.isfinite(h.data)):
-            raise NumericError(f"non-finite hidden state at step {t}")
-        y_t = T.sum_(T.mul(h, T.unsqueeze(c_steps[t], -2)), axis=-1)
-        ys.append(y_t)
-    y = T.stack(ys, axis=-2)
+    b_proj, c_proj, dt = project_params(x, proj)
+    y = selective_recurrence(dt, a, T.mul(dt, x), b_proj, c_proj)
     return T.add(y, T.mul(d, x))
 
 
@@ -146,13 +192,17 @@ def selective_scan_parallel(x, proj: SelectiveProjection, a, d, chunk: int) -> T
     then a short sequential pass over chunk-boundary states.
 
     Semantically identical to the sequential route; with chunk >= L it
-    degenerates to the plain recurrence.
+    degenerates to the plain recurrence. Every step is recorded on the tensor
+    graph, which makes this the reference the fused op is tested against.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     x = T.as_tensor(x)
     d = T.as_tensor(d)
-    a_exp, binj, c_proj, length = _step_terms(x, proj, a)
+    b_proj, c_proj, dt = project_params(x, proj)
+    a_exp = T.exp(T.mul(T.unsqueeze(dt, -1), a))                       # (..., L, C, N)
+    binj = T.mul(T.unsqueeze(b_proj, -2), T.unsqueeze(T.mul(dt, x), -1))  # (..., L, C, N)
+    length = x.shape[-2]
     lead = x.shape[:-2]
     ch, n = proj.channels, proj.state_dim
 
@@ -220,8 +270,3 @@ def nc_ssd(x, proj: SelectiveProjection, d) -> Tensor:
     y = T.sum_(read, axis=-1)                                      # (..., L, C)
     return T.add(y, T.mul(d, x))
 
-
-def neg_exp_init(channels: int, state_dim: int) -> np.ndarray:
-    """A_log values whose -exp spans {1, ..., N} on every channel."""
-    row = np.log(np.arange(1, state_dim + 1, dtype=np.float64))
-    return np.tile(row, (channels, 1))

@@ -140,21 +140,19 @@ def test_criterion_3_ncssd_and_causality():
 
     # sequential path causality inside the gated bidirectional family's core
     cfg = B.ModelConfig(family="vim", image_h=8, image_w=8, patch=2, embed_dim=8,
-                        depth=1, state_dim=3, chunk=0)
+                        depth=1, state_dim=3)
     m = B.build_model(cfg, seed=1)
     prng = SplitMix64(304)
     for p in m.params.values():
         p.data[...] = prng.normal_array(p.data.shape) * 0.3
     xs = prng.normal_array((1, 12, 16))
     with T.no_grad():
-        base = B._scan_path(Tensor(xs), m.params, "blocks.0.fwd.", causal=True,
-                            chunk=0).data
+        base = B._scan_path(Tensor(xs), m.params, "blocks.0.fwd.", causal=True).data
     for cut in (3, 7, 11):
         xs2 = xs.copy()
         xs2[:, cut:] += 1.0
         with T.no_grad():
-            pert = B._scan_path(Tensor(xs2), m.params, "blocks.0.fwd.", causal=True,
-                                chunk=0).data
+            pert = B._scan_path(Tensor(xs2), m.params, "blocks.0.fwd.", causal=True).data
         assert np.array_equal(base[:, :cut], pert[:, :cut])
         assert not np.array_equal(base[:, cut:], pert[:, cut:])
     elapsed = time.time() - t0
@@ -301,7 +299,7 @@ def test_criterion_6_block_identities():
     x = Tensor(rng.normal_array((2, 16, 8)))
     for family in ("vim", "mambavision", "vssd"):
         cfg = B.ModelConfig(family=family, image_h=8, image_w=8, patch=2,
-                            embed_dim=8, depth=1, state_dim=3, chunk=0)
+                            embed_dim=8, depth=1, state_dim=3)
         m = B.build_model(cfg, seed=1)
         for p in m.params.values():
             p.data[...] = 0.0
@@ -314,7 +312,7 @@ def test_criterion_6_block_identities():
         assert np.array_equal(out.data, x.data)
 
     cfg = B.ModelConfig(family="vim", image_h=8, image_w=8, patch=2, embed_dim=8,
-                        depth=1, state_dim=3, chunk=0, tie_directions=True)
+                        depth=1, state_dim=3, tie_directions=True)
     m = B.build_model(cfg, seed=2)
     prng = SplitMix64(607)
     for p in m.params.values():

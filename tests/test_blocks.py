@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from vissm import blocks as B
 from vissm import scan2d
+from vissm import selective as S
 from vissm import tensor as T
 from vissm.blocks import (
     Model,
@@ -35,7 +39,7 @@ def random_params(model: Model, seed=77, scale=0.3) -> None:
 
 def tiny_cfg(family, **kw):
     base = dict(family=family, image_h=8, image_w=8, patch=2, embed_dim=8,
-                depth=1, state_dim=3, chunk=0)
+                depth=1, state_dim=3)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -139,7 +143,7 @@ def test_vim_single_token_directions_coincide():
     xh = B.rms_norm(x, p["blocks.0.norm.scale"])
     xs = T.matmul(xh, p["blocks.0.w_x"])
     gate = T.silu(T.matmul(xh, p["blocks.0.w_z"]))
-    y = B._scan_path(xs, p, "blocks.0.fwd.", causal=True, chunk=0)
+    y = B._scan_path(xs, p, "blocks.0.fwd.", causal=True)
     manual = T.add(T.matmul(T.mul(T.mul(y, gate), 2.0), p["blocks.0.w_out"]), x).data
     assert np.max(np.abs(out - manual)) < 1e-12
 
@@ -152,11 +156,11 @@ def test_vim_forward_path_is_causal():
     x = rng.normal_array((1, 12, 8))
     p = m.params
     xs = T.matmul(B.rms_norm(Tensor(x), p["blocks.0.norm.scale"]), p["blocks.0.w_x"])
-    y = B._scan_path(xs, p, "blocks.0.fwd.", causal=True, chunk=0).data
+    y = B._scan_path(xs, p, "blocks.0.fwd.", causal=True).data
     x2 = x.copy()
     x2[:, 9:] += 1.0
     xs2 = T.matmul(B.rms_norm(Tensor(x2), p["blocks.0.norm.scale"]), p["blocks.0.w_x"])
-    y2 = B._scan_path(xs2, p, "blocks.0.fwd.", causal=True, chunk=0).data
+    y2 = B._scan_path(xs2, p, "blocks.0.fwd.", causal=True).data
     assert np.array_equal(y[:, :9], y2[:, :9])
 
 
@@ -339,14 +343,30 @@ def test_mean_merge_matches_scaled_sum():
     assert np.max(np.abs((y_sum - x.data) / 4.0 - (y_mean - x.data))) < 1e-12
 
 
-def test_chunked_and_sequential_blocks_agree():
+def _logits_and_grads(model, imgs, readout):
+    for p in model.params.values():
+        p.zero_grad()
+    logits = forward(model, imgs)
+    T.backward(T.sum_(T.mul(logits, Tensor(readout))))
+    return logits.data, {name: p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("scan", ["raster", "cross"])
+@pytest.mark.parametrize("preset", ["desk-vim", "desk-mambavision"])
+def test_fused_scan_blocks_match_parallel_oracle(preset, scan, monkeypatch):
+    """Whole models on the fused scan op agree, in logits and in every parameter
+    gradient, with the same models run on the graph-recorded chunked oracle."""
     imgs = SplitMix64(35).uniform_array((2, 32, 32))
-    for preset in ("desk-vim", "desk-mambavision"):
-        cfg_seq = config_from_preset(preset, chunk=0)
-        cfg_par = config_from_preset(preset, chunk=8)
-        a = forward(build_model(cfg_seq, seed=16), imgs).data
-        b = forward(build_model(cfg_par, seed=16), imgs).data
-        assert np.max(np.abs(a - b)) < 1e-9
+    readout = SplitMix64(36).normal_array((2, 2))
+    model = build_model(config_from_preset(preset, scan=scan), seed=16)
+    fused, fused_grads = _logits_and_grads(model, imgs, readout)
+    monkeypatch.setattr(B, "selective_scan_sequential",
+                        lambda x, proj, a, d: S.selective_scan_parallel(x, proj, a, d, 8))
+    oracle, oracle_grads = _logits_and_grads(model, imgs, readout)
+    assert np.max(np.abs(fused - oracle)) < 1e-12
+    for name, g in oracle_grads.items():
+        assert fused_grads[name] is not None, name
+        assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
 
 
 # -- gradient check (small) -----------------------------------------------------------------------
@@ -418,4 +438,33 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def rewrite_config(path, **changes):
+    """Rewrite the config JSON inside a checkpoint file, keeping its blobs."""
+    blob = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", blob[12:16])
+    cfg = json.loads(blob[16:16 + cfg_len])
+    cfg.update(changes)
+    text = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + cfg_len:])
+
+
+def test_checkpoint_with_legacy_chunk_key_loads(tmp_path):
+    m = build_model(config_from_preset("desk-vim"), seed=19)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(m, path)
+    rewrite_config(path, chunk=8)
+    again = load_checkpoint(path)
+    assert again.cfg == m.cfg
+    imgs = SplitMix64(43).uniform_array((2, 32, 32))
+    assert np.array_equal(forward(again, imgs).data, forward(m, imgs).data)
+
+
+def test_checkpoint_unknown_config_key_is_value_error(tmp_path):
+    path = tmp_path / "odd.ckpt"
+    save_checkpoint(build_model(tiny_cfg("vssd"), seed=20), path)
+    rewrite_config(path, colour="blue")
+    with pytest.raises(ValueError, match="colour"):
         load_checkpoint(path)

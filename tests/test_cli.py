@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from test_blocks import rewrite_config
 from vissm import cli
 
 
@@ -144,6 +145,19 @@ def test_eval_missing_checkpoint_no_partial_output(tiny_data, tmp_path):
                 "--data", str(tiny_data), "--out", str(evaldir)])
     assert code == 2
     assert not evaldir.exists()
+
+
+def test_eval_checkpoint_with_unknown_config_key_is_runtime_error(tiny_data, tmp_path,
+                                                                   capsys):
+    rundir = tmp_path / "run"
+    assert run(["train", "--data", str(tiny_data), "--seed", "7",
+                "--out", str(rundir)] + TINY_TRAIN) == 0
+    ckpt = rundir / "checkpoint.bin"
+    rewrite_config(ckpt, colour="blue")
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
+                "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "colour" in capsys.readouterr().err
 
 
 def test_train_missing_data_is_runtime_error(tmp_path):

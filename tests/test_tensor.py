@@ -39,6 +39,25 @@ def test_sigmoid_extremes_stay_finite():
     assert out.data[1] == 0.5
 
 
+def _piecewise_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_piecewise_form():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, 1e-300, -1e-300,
+                      36.0, -36.0, 710.0, -746.0])
+    assert np.array_equal(T._sigmoid_np(edges), _piecewise_sigmoid(edges), equal_nan=True)
+    rng = SplitMix64(3)
+    for scale in (1.0, 10.0, 100.0):
+        x = rng.normal_array((32, 65, 32)) * scale
+        assert np.array_equal(T._sigmoid_np(x), _piecewise_sigmoid(x))
+
+
 def test_elementwise_dispatch_and_unknown_kind():
     out = T.elementwise("add", Tensor([1.0]), Tensor([2.0]))
     assert out.data[0] == 3.0
