@@ -74,6 +74,9 @@ class PatchEmbedConfig:
         return self.patch + 2 if self.overlap else self.patch
 
 
+FAMILIES = ("vim", "mambavision", "vssd")
+
+
 @dataclass
 class ModelConfig:
     family: str
@@ -97,7 +100,7 @@ class ModelConfig:
     preset: str = ""
 
     def __post_init__(self):
-        if self.family not in ("vim", "mambavision", "vssd"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "mambavision" and self.embed_dim % 2:
             raise ValueError("mambavision needs an even embed_dim (half-width branches)")
@@ -361,42 +364,26 @@ def merged_update(streams, core_fn, scan, has_cls: bool):
     The per-direction core outputs are scattered back to grid order and
     merged by sum (or mean over per-cell visit counts) BEFORE any output
     projection, which the caller applies to the merged result. The class
-    token is pinned at slot 0 throughout and never enters the reordering.
+    token is pinned at slot 0 of every direction's index, so it never enters
+    the reordering and its updates merge like those of a cell every
+    direction visits.
     """
     if scan is None:
         return core_fn(*streams)
     orders = scan.directions if isinstance(scan, scan2d.MultiScan) else (scan,)
-    merge = scan.merge if isinstance(scan, scan2d.MultiScan) else "sum"
     total = streams[0].shape[-2]
     start = 1 if has_cls else 0
-    cells = total - start
-    if has_cls:
-        cls_parts = [T.slice_axis(s, -2, 0, 1) for s in streams]
-        patch_parts = [T.slice_axis(s, -2, start, total) for s in streams]
-    else:
-        patch_parts = list(streams)
 
     acc = None
-    acc_cls = None
     for order in orders:
-        gathered = [T.take(p, order.order, axis=-2) for p in patch_parts]
-        if has_cls:
-            gathered = [T.concat([c, g], axis=-2) for c, g in zip(cls_parts, gathered)]
-        upd = core_fn(*gathered)
-        if has_cls:
-            u_cls = T.slice_axis(upd, -2, 0, 1)
-            acc_cls = u_cls if acc_cls is None else T.add(acc_cls, u_cls)
-            upd = T.slice_axis(upd, -2, 1, upd.shape[-2])
-        scat = T.scatter_axis(upd, order.order, axis=-2, size=cells)
+        idx = np.concatenate([np.zeros(start, np.intp), order.order + start])
+        upd = core_fn(*[T.take(s, idx, axis=-2) for s in streams])
+        scat = T.scatter_axis(upd, idx, axis=-2, size=total)
         acc = scat if acc is None else T.add(acc, scat)
 
-    if merge == "mean":
-        counts = np.maximum(scan.visit_counts(), 1).astype(np.float64)
-        acc = T.mul(acc, Tensor((1.0 / counts)[:, None]))
-        if acc_cls is not None:
-            acc_cls = T.mul(acc_cls, 1.0 / len(orders))
-    if has_cls:
-        acc = T.concat([acc_cls, acc], axis=-2)
+    if isinstance(scan, scan2d.MultiScan) and scan.merge == "mean":
+        counts = np.concatenate([np.full(start, len(orders)), scan.visit_counts()])
+        acc = T.mul(acc, Tensor((1.0 / np.maximum(counts, 1).astype(np.float64))[:, None]))
     return acc
 
 

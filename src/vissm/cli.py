@@ -6,8 +6,10 @@ cross-generator experiment. Every command that produces artifacts writes the
 fully resolved configuration next to them, so a run can be reproduced from
 its output directory alone.
 
-Options may come from a plain-text config file (one ``key = value`` per
-line, ``#`` comments); explicit command-line flags override file values.
+Each command's options are declared once, in ``COMMANDS``. Options may also
+come from a plain-text config file (one ``key = value`` per line, ``#``
+comments); file values are typed and checked like flags, and explicit flags
+override them.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 correctness
 failure (a benchmark cross-check did not hold).
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,26 +76,45 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def resolve_options(args: argparse.Namespace, parser_defaults: dict) -> dict:
+def _convert(opt: Option, text: str, path: str):
+    """A config-file value, typed and checked as its flag would be."""
+    kind = type(opt.default)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise UsageError(f"{path}: {opt.key} = {text!r} is not a valid "
+                         f"{kind.__name__}") from None
+    # the default passes even outside choices (e.g. scan = ""), so a file may restate it
+    if opt.choices and value not in opt.choices and value != opt.default:
+        raise UsageError(f"{path}: {opt.key} = {text!r} is not one of {opt.choices}")
+    return value
+
+
+def resolve_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags; returns the resolved mapping."""
-    resolved = dict(parser_defaults)
-    if getattr(args, "config", None):
+    options = COMMANDS[args.command].options
+    resolved = {opt.key: opt.default for opt in options}
+    if args.config:
         file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(parser_defaults)
+        unknown = set(file_values) - set(resolved)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in file_values.items():
-            default = parser_defaults[key]
-            caster = type(default) if default is not None else str
-            if isinstance(default, bool):
-                resolved[key] = text.lower() in ("1", "true", "yes", "on")
-            else:
-                resolved[key] = caster(text)
-    for key in parser_defaults:
-        value = getattr(args, key, None)
+        for opt in options:
+            if opt.key in file_values:
+                resolved[opt.key] = _convert(opt, file_values[opt.key], args.config)
+    for opt in options:
+        value = getattr(args, opt.key)
         if value is not None:
-            resolved[key] = value
+            resolved[opt.key] = value
     return resolved
+
+
+def _int_list(opt: dict, key: str) -> list:
+    try:
+        return [int(x) for x in opt[key].split(",") if x]
+    except ValueError:
+        raise UsageError(f"{key}: expected comma-separated integers, "
+                         f"got {opt[key]!r}") from None
 
 
 def prepare_outdir(path: str, no_clobber: bool) -> str:
@@ -104,11 +126,21 @@ def prepare_outdir(path: str, no_clobber: bool) -> str:
     return path
 
 
-def echo_config(outdir: str, command: str, resolved: dict) -> None:
-    payload = {"schema": "vissm.run_config/1", "command": command, **resolved}
-    with open(os.path.join(outdir, "resolved_config.json"), "w") as fh:
+def write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def echo_config(path: str, command: str, resolved: dict) -> None:
+    write_json(path, {"schema": "vissm.run_config/1", "command": command, **resolved})
 
 
 def _load_bundle(data_path: str):
@@ -122,13 +154,9 @@ def _load_bundle(data_path: str):
 # -- bench-kernels ------------------------------------------------------------------
 
 
-def cmd_bench_kernels(args) -> int:
-    defaults = dict(lengths="64,256,1024,4096,8192", dim=4, channels=4,
-                    state=4, chunk=64, repeats=3, seed=0, tolerance=1e-9,
-                    out="bench_out")
-    opt = resolve_options(args, defaults)
-    outdir = prepare_outdir(opt["out"], args.no_clobber)
-    lengths = [int(x) for x in str(opt["lengths"]).split(",") if x]
+def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
+    lengths = _int_list(opt, "lengths")
+    outdir = prepare_outdir(opt["out"], no_clobber)
     rng = SplitMix64(hash_combine(opt["seed"], 0xBE7C4))
     rows = []
     checks = []
@@ -187,15 +215,10 @@ def cmd_bench_kernels(args) -> int:
 
     report = {"schema": "vissm.bench/1", "checks": checks,
               "rows": [{"method": m, "length": l, "seconds": s} for m, l, s in rows]}
-    with open(os.path.join(outdir, "bench.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(outdir, "bench.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "length", "seconds"])
-        for m, l, s in rows:
-            writer.writerow([m, l, f"{s:.6f}"])
-    echo_config(outdir, "bench-kernels", opt)
+    write_json(os.path.join(outdir, "bench.json"), report)
+    write_csv(os.path.join(outdir, "bench.csv"), ["method", "length", "seconds"],
+              [(m, l, f"{s:.6f}") for m, l, s in rows])
+    echo_config(os.path.join(outdir, "resolved_config.json"), "bench-kernels", opt)
     print(f"wrote {outdir}/bench.json and bench.csv")
     return 0
 
@@ -218,10 +241,7 @@ def _ppm_heatmap(grid: np.ndarray, path: str) -> None:
         fh.write(rgb.tobytes())
 
 
-def cmd_scan_show(args) -> int:
-    defaults = dict(strategy="zigzag", height=4, width=4, win=2, stride=2,
-                    merge="sum", ppm="")
-    opt = resolve_options(args, defaults)
+def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
     try:
         scan = scan2d.make_scan(opt["strategy"], opt["height"], opt["width"],
                                 win=opt["win"], stride=opt["stride"],
@@ -247,17 +267,13 @@ def cmd_scan_show(args) -> int:
 # -- make-data ---------------------------------------------------------------------
 
 
-def cmd_make_data(args) -> int:
-    defaults = dict(seed=1, train=1000, val=200, test=500, height=32, width=32,
-                    train_generator="G1_checkerboard", strength=0.8,
-                    dump_pgm=0, out="data_out")
-    opt = resolve_options(args, defaults)
-    outdir = prepare_outdir(opt["out"], args.no_clobber)
+def cmd_make_data(opt: dict, no_clobber: bool) -> int:
     bundle = make_dataset(seed=opt["seed"], train_count=opt["train"],
                           val_count=opt["val"], test_count=opt["test"],
                           h=opt["height"], w=opt["width"],
                           train_generator=opt["train_generator"],
                           strength=opt["strength"])
+    outdir = prepare_outdir(opt["out"], no_clobber)
     save_manifest(bundle.manifest, os.path.join(outdir, "manifest.json"))
     if opt["dump_pgm"] > 0:
         sample_dir = os.path.join(outdir, "samples")
@@ -265,7 +281,7 @@ def cmd_make_data(args) -> int:
         for ds in bundle.test_subsets:
             for i in range(min(opt["dump_pgm"], len(ds))):
                 write_pgm(ds.images[i], os.path.join(sample_dir, f"{ds.subset_tag}_{i}.pgm"))
-    echo_config(outdir, "make-data", opt)
+    echo_config(os.path.join(outdir, "resolved_config.json"), "make-data", opt)
     print(f"wrote {outdir}/manifest.json "
           f"(train {len(bundle.train)}, val {len(bundle.val)}, "
           f"test {len(bundle.test_subsets)}x{opt['test']})")
@@ -275,29 +291,14 @@ def cmd_make_data(args) -> int:
 # -- train -------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    defaults = dict(data="data_out", family="vim", preset="", seed=0,
-                    epochs=4, batch=32, lr=1e-3, embed_dim=0, depth=0,
-                    state_dim=0, scan="", out="train_out")
-    opt = resolve_options(args, defaults)
+def cmd_train(opt: dict, no_clobber: bool) -> int:
     bundle = _load_bundle(opt["data"])
-    outdir = prepare_outdir(opt["out"], args.no_clobber)
-
-    preset = opt["preset"] or f"desk-{opt['family']}"
-    overrides = {}
-    if opt["embed_dim"]:
-        overrides["embed_dim"] = opt["embed_dim"]
-    if opt["depth"]:
-        overrides["depth"] = opt["depth"]
-    if opt["state_dim"]:
-        overrides["state_dim"] = opt["state_dim"]
-    if opt["scan"]:
-        overrides["scan"] = opt["scan"]
-    h = bundle.manifest["image"]["h"]
-    w = bundle.manifest["image"]["w"]
-    overrides.setdefault("image_h", h)
-    overrides.setdefault("image_w", w)
-    cfg = B.config_from_preset(preset, **overrides)
+    # 0 and "" leave the preset's value in place
+    overrides = {k: opt[k] for k in ("embed_dim", "depth", "state_dim", "scan") if opt[k]}
+    cfg = B.config_from_preset(opt["preset"] or f"desk-{opt['family']}",
+                               image_h=bundle.manifest["image"]["h"],
+                               image_w=bundle.manifest["image"]["w"], **overrides)
+    outdir = prepare_outdir(opt["out"], no_clobber)
 
     model = B.build_model(cfg, seed=opt["seed"])
     tcfg = TR.TrainConfig(lr=opt["lr"], batch=opt["batch"], epochs=opt["epochs"],
@@ -307,20 +308,15 @@ def cmd_train(args) -> int:
 
     ckpt = os.path.join(outdir, "checkpoint.bin")
     B.save_checkpoint(model, ckpt)
-    with open(os.path.join(outdir, "loss_history.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(state.loss_history):
-            writer.writerow([i, repr(loss)])
+    write_csv(os.path.join(outdir, "loss_history.csv"), ["step", "loss"],
+              [(i, repr(loss)) for i, loss in enumerate(state.loss_history)])
     summary = {"schema": "vissm.train_summary/1",
                "best_val_acc": state.best_val_acc,
                "best_epoch": state.best_epoch,
                "val_history": state.val_history,
                "steps": state.step}
-    with open(os.path.join(outdir, "train_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    echo_config(outdir, "train", opt)
+    write_json(os.path.join(outdir, "train_summary.json"), summary)
+    echo_config(os.path.join(outdir, "resolved_config.json"), "train", opt)
     print(f"best val acc {state.best_val_acc:.4f} (epoch {state.best_epoch}); "
           f"wrote {ckpt}")
     return 0
@@ -329,22 +325,17 @@ def cmd_train(args) -> int:
 # -- eval --------------------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
-    defaults = dict(checkpoint="train_out/checkpoint.bin", data="data_out",
-                    out="eval_out")
-    opt = resolve_options(args, defaults)
-    if not os.path.isfile(opt["checkpoint"]):
-        raise FileNotFoundError(f"checkpoint not found: {opt['checkpoint']}")
+def cmd_eval(opt: dict, no_clobber: bool) -> int:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
-    outdir = prepare_outdir(opt["out"], args.no_clobber)
+    outdir = prepare_outdir(opt["out"], no_clobber)
     report = TR.evaluate(model, bundle.test_subsets,
                          seeds=[bundle.manifest["seed"]])
     with open(os.path.join(outdir, "eval_report.json"), "w") as fh:
         fh.write(TR.report_to_json(report))
     with open(os.path.join(outdir, "eval_report.csv"), "w") as fh:
         fh.write(TR.report_to_csv(report))
-    echo_config(outdir, "eval", opt)
+    echo_config(os.path.join(outdir, "resolved_config.json"), "eval", opt)
     for tag in sorted(report.per_subset):
         print(f"{tag}: {report.per_subset[tag]:.4f}")
     print(f"mean: {report.mean_accuracy:.4f}")
@@ -354,28 +345,18 @@ def cmd_eval(args) -> int:
 # -- export-features ------------------------------------------------------------------
 
 
-def cmd_export_features(args) -> int:
-    defaults = dict(checkpoint="train_out/checkpoint.bin", data="data_out",
-                    split="test", out="features.csv")
-    opt = resolve_options(args, defaults)
-    if not os.path.isfile(opt["checkpoint"]):
-        raise FileNotFoundError(f"checkpoint not found: {opt['checkpoint']}")
+def cmd_export_features(opt: dict, no_clobber: bool) -> int:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
         images = np.concatenate([ds.images for ds in bundle.test_subsets])
         tags = sum(([ds.subset_tag] * len(ds) for ds in bundle.test_subsets), [])
         labels = np.concatenate([ds.labels for ds in bundle.test_subsets])
-    elif opt["split"] in ("train", "val"):
-        ds = bundle.train if opt["split"] == "train" else bundle.val
-        images, tags, labels = ds.images, [ds.subset_tag] * len(ds), ds.labels
     else:
-        raise UsageError(f"unknown split {opt['split']!r}")
+        ds = getattr(bundle, opt["split"])
+        images, tags, labels = ds.images, [ds.subset_tag] * len(ds), ds.labels
     count = TR.export_features(model, images, tags, labels, opt["out"])
-    with open(str(opt["out"]) + ".config.json", "w") as fh:
-        json.dump({"schema": "vissm.run_config/1", "command": "export-features",
-                   **opt}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    echo_config(opt["out"] + ".config.json", "export-features", opt)
     print(f"wrote {count} feature rows to {opt['out']}")
     return 0
 
@@ -383,15 +364,13 @@ def cmd_export_features(args) -> int:
 # -- cross-gen -------------------------------------------------------------------------
 
 
-def cmd_cross_gen(args) -> int:
-    defaults = dict(families="vim,mambavision,vssd", seeds="1,2,3",
-                    train=1000, val=200, test=500, strength=0.8,
-                    train_generator="G1_checkerboard", epochs=4, batch=32,
-                    lr=1e-3, out="crossgen_out")
-    opt = resolve_options(args, defaults)
-    outdir = prepare_outdir(opt["out"], args.no_clobber)
-    families = [f for f in str(opt["families"]).split(",") if f]
-    seeds = [int(s) for s in str(opt["seeds"]).split(",") if s]
+def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
+    families = [f for f in opt["families"].split(",") if f]
+    unknown = sorted(set(families) - set(B.FAMILIES))
+    if unknown:
+        raise UsageError(f"unknown families {unknown}; choose from {B.FAMILIES}")
+    seeds = _int_list(opt, "seeds")
+    outdir = prepare_outdir(opt["out"], no_clobber)
 
     def progress(family, seed, report):
         line = ", ".join(f"{k}={v:.3f}" for k, v in report.per_subset.items())
@@ -405,16 +384,12 @@ def cmd_cross_gen(args) -> int:
                                  epochs=opt["epochs"], seed=0),
         progress=progress,
     )
-    with open(os.path.join(outdir, "crossgen.json"), "w") as fh:
-        json.dump(bundle_report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(outdir, "crossgen.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["family", "seed", "subset", "accuracy"])
-        for row in bundle_report["results"]:
-            for tag, acc in sorted(row["per_subset"].items()):
-                writer.writerow([row["family"], row["seed"], tag, f"{acc:.6f}"])
-    echo_config(outdir, "cross-gen", opt)
+    write_json(os.path.join(outdir, "crossgen.json"), bundle_report)
+    write_csv(os.path.join(outdir, "crossgen.csv"), ["family", "seed", "subset", "accuracy"],
+              [(row["family"], row["seed"], tag, f"{acc:.6f}")
+               for row in bundle_report["results"]
+               for tag, acc in sorted(row["per_subset"].items())])
+    echo_config(os.path.join(outdir, "resolved_config.json"), "cross-gen", opt)
     for family, agg in bundle_report["aggregates"].items():
         ind, ood = agg["in_distribution"], agg["out_of_distribution"]
         print(f"{family}: in-dist {ind['mean']:.3f}+/-{ind['sd']:.3f}  "
@@ -425,10 +400,96 @@ def cmd_cross_gen(args) -> int:
 # -- wiring -------------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="plain-text key = value option file")
-    sub.add_argument("--no-clobber", action="store_true",
-                     help="fail instead of overwriting a non-empty output directory")
+class Option(NamedTuple):
+    """A command option: flag ``--key-with-dashes`` and config key ``key``.
+
+    Flag and config-file values both take the default's type and must be
+    one of ``choices`` when it is given.
+    """
+    key: str
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable[[dict, bool], int]
+    help: str
+    options: tuple
+
+
+COMMANDS = {
+    "bench-kernels": Command(cmd_bench_kernels, "cross-check and time the kernel routes", (
+        Option("lengths", "64,256,1024,4096,8192", "comma-separated sequence lengths"),
+        Option("dim", 4, "LTI state dimension"),
+        Option("channels", 4, "selective-scan channels"),
+        Option("state", 4, "selective-scan state size"),
+        Option("chunk", 64, "parallel scan chunk size"),
+        Option("repeats", 3, "timing repetitions (min is kept)"),
+        Option("seed", 0),
+        Option("tolerance", 1e-9, "cross-check tolerance"),
+        Option("out", "bench_out"),
+    )),
+    "scan-show": Command(cmd_scan_show, "render a 2D scan order as rank grids", (
+        Option("strategy", "zigzag", choices=scan2d.STRATEGIES),
+        Option("height", 4),
+        Option("width", 4),
+        Option("win", 2, "window side for the local strategy"),
+        Option("stride", 2, "stride for the efficient strategy"),
+        Option("merge", "sum", choices=("sum", "mean")),
+        Option("ppm", "", "also write a P6 heatmap to this path"),
+    )),
+    "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", (
+        Option("seed", 1),
+        Option("train", 1000, "train count (real+fake total)"),
+        Option("val", 200),
+        Option("test", 500, "test count per subset"),
+        Option("height", 32),
+        Option("width", 32),
+        Option("train_generator", "G1_checkerboard", choices=GENERATORS),
+        Option("strength", 0.8, "artifact strength in (0, 1]"),
+        Option("dump_pgm", 0, "also write N sample PGMs per subset"),
+        Option("out", "data_out"),
+    )),
+    "train": Command(cmd_train, "train a detector on a dataset manifest", (
+        Option("data", "data_out", "dataset directory or manifest path"),
+        Option("family", "vim", choices=B.FAMILIES),
+        Option("preset", "", "named preset (default: desk-<family>)"),
+        Option("seed", 0),
+        Option("epochs", 4),
+        Option("batch", 32),
+        Option("lr", 1e-3),
+        Option("embed_dim", 0),
+        Option("depth", 0),
+        Option("state_dim", 0),
+        Option("scan", "", choices=scan2d.STRATEGIES),
+        Option("out", "train_out"),
+    )),
+    "eval": Command(cmd_eval, "evaluate a checkpoint on the test subsets", (
+        Option("checkpoint", "train_out/checkpoint.bin"),
+        Option("data", "data_out"),
+        Option("out", "eval_out"),
+    )),
+    "export-features": Command(cmd_export_features, "write penultimate features as CSV", (
+        Option("checkpoint", "train_out/checkpoint.bin"),
+        Option("data", "data_out"),
+        Option("split", "test", choices=("train", "val", "test")),
+        Option("out", "features.csv"),
+    )),
+    "cross-gen": Command(cmd_cross_gen, "train on one generator, test on all", (
+        Option("families", "vim,mambavision,vssd", "comma-separated model families"),
+        Option("seeds", "1,2,3", "comma-separated seeds"),
+        Option("train", 1000),
+        Option("val", 200),
+        Option("test", 500),
+        Option("strength", 0.8),
+        Option("train_generator", "G1_checkerboard", choices=GENERATORS),
+        Option("epochs", 4),
+        Option("batch", 32),
+        Option("lr", 1e-3),
+        Option("out", "crossgen_out"),
+    )),
+}
 
 
 def build_parser() -> Parser:
@@ -436,91 +497,14 @@ def build_parser() -> Parser:
                     description="State-space vision models: kernels, scans, "
                                 "synthetic detection harness.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("bench-kernels", help="cross-check and time the kernel routes")
-    p.add_argument("--lengths", help="comma-separated sequence lengths")
-    p.add_argument("--dim", type=int, help="LTI state dimension")
-    p.add_argument("--channels", type=int, help="selective-scan channels")
-    p.add_argument("--state", type=int, help="selective-scan state size")
-    p.add_argument("--chunk", type=int, help="parallel scan chunk size")
-    p.add_argument("--repeats", type=int, help="timing repetitions (min is kept)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float, help="cross-check tolerance")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench_kernels)
-
-    p = subs.add_parser("scan-show", help="render a 2D scan order as rank grids")
-    p.add_argument("--strategy", choices=scan2d.STRATEGIES)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--win", type=int, help="window side for the local strategy")
-    p.add_argument("--stride", type=int, help="stride for the efficient strategy")
-    p.add_argument("--merge", choices=("sum", "mean"))
-    p.add_argument("--ppm", help="also write a P6 heatmap to this path")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan_show)
-
-    p = subs.add_parser("make-data", help="synthesize a detection dataset manifest")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train", type=int, help="train count (real+fake total)")
-    p.add_argument("--val", type=int)
-    p.add_argument("--test", type=int, help="test count per subset")
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--train-generator", choices=GENERATORS)
-    p.add_argument("--strength", type=float, help="artifact strength in (0, 1]")
-    p.add_argument("--dump-pgm", type=int, help="also write N sample PGMs per subset")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_make_data)
-
-    p = subs.add_parser("train", help="train a detector on a dataset manifest")
-    p.add_argument("--data", help="dataset directory or manifest path")
-    p.add_argument("--family", choices=("vim", "mambavision", "vssd"))
-    p.add_argument("--preset", help="named preset (default: desk-<family>)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--state-dim", type=int)
-    p.add_argument("--scan", choices=scan2d.STRATEGIES)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("eval", help="evaluate a checkpoint on the test subsets")
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("export-features", help="write penultimate features as CSV")
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--split", choices=("train", "val", "test"))
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_export_features)
-
-    p = subs.add_parser("cross-gen", help="train on one generator, test on all")
-    p.add_argument("--families", help="comma-separated model families")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--train", type=int)
-    p.add_argument("--val", type=int)
-    p.add_argument("--test", type=int)
-    p.add_argument("--strength", type=float)
-    p.add_argument("--train-generator", choices=GENERATORS)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_cross_gen)
-
+    for name, command in COMMANDS.items():
+        p = subs.add_parser(name, help=command.help)
+        for opt in command.options:
+            p.add_argument("--" + opt.key.replace("_", "-"), type=type(opt.default),
+                           choices=opt.choices, help=opt.help)
+        p.add_argument("--config", help="plain-text key = value option file")
+        p.add_argument("--no-clobber", action="store_true",
+                       help="fail instead of overwriting a non-empty output directory")
     return parser
 
 
@@ -528,7 +512,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return COMMANDS[args.command].handler(resolve_options(args), args.no_clobber)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -317,27 +317,6 @@ def silu(a) -> Tensor:
     return _make(a.data * s, (a,), backward)
 
 
-ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "neg": neg,
-    "exp": exp,
-    "softplus": softplus,
-    "silu": silu,
-    "sigmoid": sigmoid,
-}
-
-
-def elementwise(op_kind: str, *inputs) -> Tensor:
-    """Dispatch by name; unary kinds take one input, binary kinds take two."""
-    try:
-        fn = ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op kind: {op_kind!r}") from None
-    return fn(*inputs)
-
-
 # -- linear algebra -----------------------------------------------------------
 
 

@@ -151,14 +151,6 @@ def load_train_state(path, model: B.Model, cfg: TrainConfig):
 # -- training loop -----------------------------------------------------------------
 
 
-def _accuracy(model: B.Model, ds: DetectionDataset, batch: int = 64) -> float:
-    correct = 0
-    for lo in range(0, len(ds), batch):
-        preds = B.predict(model, ds.images[lo:lo + batch])
-        correct += int(np.sum(preds == ds.labels[lo:lo + batch].astype(np.intp)))
-    return correct / len(ds)
-
-
 def train(model: B.Model, bundle_or_train, val: DetectionDataset | None = None,
           cfg: TrainConfig | None = None, resume=None, state_path=None,
           run_until: int | None = None):
@@ -216,7 +208,7 @@ def train(model: B.Model, bundle_or_train, val: DetectionDataset | None = None,
             optimizer.step(cosine_lr(cfg.lr, state.step, total_steps))
             state.loss_history.append(loss_val)
             state.step += 1
-        val_acc = _accuracy(model, val)
+        val_acc = evaluate(model, [val]).mean_accuracy
         state.val_history.append(val_acc)
         state.epoch = epoch + 1
         state.rng_state = rng.get_state()

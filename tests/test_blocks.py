@@ -334,13 +334,16 @@ def test_mean_merge_matches_scaled_sum():
     cfg = tiny_cfg("mambavision", embed_dim=8)
     m = build_model(cfg, seed=15)
     random_params(m)
-    x = Tensor(SplitMix64(33).normal_array((1, 16, 8)))
     sum_scan = scan2d.cross_scan(4, 4, merge="sum")
     mean_scan = scan2d.cross_scan(4, 4, merge="mean")
-    y_sum = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=sum_scan).data
-    y_mean = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=mean_scan).data
-    # update = (y_sum - x)/4 for the mean rule
-    assert np.max(np.abs((y_sum - x.data) / 4.0 - (y_mean - x.data))) < 1e-12
+    for has_cls in (False, True):
+        x = Tensor(SplitMix64(33).normal_array((1, 16 + has_cls, 8)))
+        y_sum = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=sum_scan,
+                                     has_cls=has_cls).data
+        y_mean = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=mean_scan,
+                                      has_cls=has_cls).data
+        # update = (y_sum - x)/4 for the mean rule; the class token is in all 4 directions
+        assert np.max(np.abs((y_sum - x.data) / 4.0 - (y_mean - x.data))) < 1e-12
 
 
 def _logits_and_grads(model, imgs, readout):

@@ -196,6 +196,69 @@ def test_config_file_unknown_key(tmp_path):
                 "--out", str(tmp_path / "d")]) == 1
 
 
+@pytest.mark.parametrize("command, line", [
+    ("scan-show", "height = abc"),
+    ("train", "family = foo"),
+    ("export-features", "split = bogus"),
+])
+def test_config_file_value_is_validated_like_its_flag(tiny_data, tmp_path, capsys,
+                                                      command, line):
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfgfile)]
+    if command != "scan-show":
+        argv += ["--data", str(tiny_data), "--out", str(out)]
+    assert run(argv) == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--families", "vim,foo"], ["--families", "foo"],
+                                   ["--seeds", "1,x"]])
+def test_cross_gen_rejects_bad_lists_before_output(tmp_path, flags):
+    out = tmp_path / "cg"
+    assert run(["cross-gen", "--train", "16", "--val", "8", "--test", "4",
+                "--epochs", "1", "--seeds", "1", "--out", str(out)] + flags) == 1
+    assert not out.exists()
+
+
+def test_train_unknown_preset_leaves_no_output(tiny_data, tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(tiny_data), "--preset", "bogus",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_make_data_bad_strength_leaves_no_output(tmp_path):
+    out = tmp_path / "d"
+    assert run(["make-data", "--out", str(out), "--strength", "2"]) == 2
+    assert not out.exists()
+
+
+def _other_value(opt):
+    """A valid value for ``opt`` that differs from its default."""
+    if opt.choices:
+        return next(c for c in opt.choices if c != opt.default)
+    return opt.default + (1 if isinstance(opt.default, (int, float)) else "_x")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_config_file_and_flags_resolve_alike(tmp_path, name):
+    parser = cli.build_parser()
+    defaults = cli.resolve_options(parser.parse_args([name]))
+    cfgfile = tmp_path / "opts.cfg"
+    for opt in cli.COMMANDS[name].options:
+        assert defaults[opt.key] == opt.default
+        cfgfile.write_text(f"{opt.key} = {opt.default}\n")
+        restated = parser.parse_args([name, "--config", str(cfgfile)])
+        assert cli.resolve_options(restated) == defaults
+        other = _other_value(opt)
+        flag = "--" + opt.key.replace("_", "-")
+        overridden = parser.parse_args([name, "--config", str(cfgfile), flag, str(other)])
+        assert cli.resolve_options(overridden) == {**defaults, opt.key: other}
+
+
 # -- bench ------------------------------------------------------------------------
 
 

@@ -58,13 +58,6 @@ def test_sigmoid_bit_identical_to_piecewise_form():
         assert np.array_equal(T._sigmoid_np(x), _piecewise_sigmoid(x))
 
 
-def test_elementwise_dispatch_and_unknown_kind():
-    out = T.elementwise("add", Tensor([1.0]), Tensor([2.0]))
-    assert out.data[0] == 3.0
-    with pytest.raises(ValueError):
-        T.elementwise("gelu", Tensor([1.0]))
-
-
 def test_shape_mismatch_error_names_both_shapes():
     with pytest.raises(T.ShapeError) as ei:
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
