@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class PatchEmbedConfig:
     overlap: bool = False
 
     def __post_init__(self):
+        if self.patch < 1:
+            raise ValueError(f"patch must be >= 1, got {self.patch}")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ValueError(
                 f"patch {self.patch} must divide image extents "
@@ -297,6 +299,55 @@ def rms_norm(x, scale):
     return T.mul(T.mul(x, inv), scale)
 
 
+def _depthwise(x, weight, bias, grid, pads):
+    """Zero-padded depthwise convolution over token grids, as one graph node.
+
+    x is (..., T, C) with its T tokens in row-major order on ``grid``; pads
+    gives (before, after) per grid axis, so the kernel spans before + after + 1
+    cells on each. weight is (C, kernel...) and bias is (C,). The taps are
+    summed in row-major kernel order, in the forward pass and for the input
+    gradient alike.
+    """
+    x, weight, bias = T.as_tensor(x), T.as_tensor(weight), T.as_tensor(bias)
+    lead, ch = x.shape[:-2], x.shape[-1]
+    offsets = list(np.ndindex(*(before + after + 1 for before, after in pads)))
+    if x.shape[-2] != int(np.prod(grid)) or weight.size != ch * len(offsets) \
+            or bias.shape != (ch,):
+        raise ShapeError(f"depthwise conv on grid {tuple(grid)}: tokens {x.shape}, "
+                         f"weight {weight.shape}, bias {bias.shape}")
+    shape = lead + tuple(grid) + (ch,)
+    xp = np.pad(x.data.reshape(shape), [(0, 0)] * len(lead) + list(pads) + [(0, 0)])
+
+    def window(corner):  # the padded input under the kernel cell at ``corner``
+        return (Ellipsis,) + tuple(slice(c, c + n) for c, n in zip(corner, grid)) \
+            + (slice(None),)
+
+    windows = [window(off) for off in offsets]
+    taps = np.ascontiguousarray(np.moveaxis(weight.data.reshape(ch, -1), -1, 0))
+    acc = xp[windows[0]] * taps[0]
+    for win, tap in zip(windows[1:], taps[1:]):
+        acc += xp[win] * tap
+    acc += bias.data
+
+    def backward(g):
+        g = g.reshape(shape)
+        axes = tuple(range(g.ndim - 1))
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for win, tap in zip(windows, taps):
+                gxp[win] += g * tap
+            T._accumulate(x, gxp[window([before for before, _ in pads])].reshape(x.shape))
+        if weight.requires_grad:
+            gw = np.empty((ch, len(offsets)))
+            for j, win in enumerate(windows):
+                gw[:, j] = (g * xp[win]).sum(axis=axes)
+            T._accumulate(weight, gw.reshape(weight.shape))
+        if bias.requires_grad:
+            T._accumulate(bias, g.sum(axis=axes))
+
+    return T._make(acc.reshape(x.shape), (x, weight, bias), backward)
+
+
 def conv1d_depthwise(x, weight, bias, causal: bool):
     """Per-channel 1D convolution along the token axis.
 
@@ -304,35 +355,13 @@ def conv1d_depthwise(x, weight, bias, causal: bool):
     read both neighbours (the non-causal variant).
     """
     k = weight.shape[-1]
-    pad_left = k - 1 if causal else (k - 1) // 2
-    pad_right = 0 if causal else k // 2
-    length = x.shape[-2]
-    xp = T.pad_axis(x, -2, pad_left, pad_right)
-    taps = T.unstack(weight, -1)
-    acc = None
-    for j in range(k):
-        term = T.mul(T.slice_axis(xp, -2, j, j + length), taps[j])
-        acc = term if acc is None else T.add(acc, term)
-    return T.add(acc, bias)
+    pad = (k - 1, 0) if causal else ((k - 1) // 2, k // 2)
+    return _depthwise(x, weight, bias, (x.shape[-2],), (pad,))
 
 
 def conv2d_depthwise3(tokens, grid, weight, bias):
     """Depthwise 3x3 convolution on the patch grid (zero padded)."""
-    hp, wp = grid
-    lead = tokens.shape[:-2]
-    d = tokens.shape[-1]
-    xg = T.reshape(tokens, lead + (hp, wp, d))
-    xp = T.pad_axis(T.pad_axis(xg, -3, 1, 1), -2, 1, 1)
-    rows = T.unstack(weight, -2)
-    acc = None
-    for i in range(3):
-        taps = T.unstack(rows[i], -1)
-        for j in range(3):
-            patch = T.slice_axis(T.slice_axis(xp, -3, i, i + hp), -2, j, j + wp)
-            term = T.mul(patch, taps[j])
-            acc = term if acc is None else T.add(acc, term)
-    acc = T.add(acc, bias)
-    return T.reshape(acc, lead + (hp * wp, d))
+    return _depthwise(tokens, weight, bias, grid, ((1, 1), (1, 1)))
 
 
 def _projection_from(params, prefix) -> SelectiveProjection:
@@ -575,13 +604,17 @@ def config_from_json(text: str) -> ModelConfig:
     if not isinstance(raw, dict):
         raise ValueError("model config must be a JSON object")
     raw.pop("chunk", None)  # the removed chunked-scan option, still in older checkpoints
-    known = {f.name for f in fields(ModelConfig)}
+    kinds = {f.name: str if f.default is MISSING else type(f.default)
+             for f in fields(ModelConfig)}
     for key in sorted(raw):
-        if key not in known:
+        if key not in kinds:
             raise ValueError(f"unknown model config key {key!r}")
+        if type(raw[key]) is not kinds[key]:
+            raise ValueError(f"model config {key!r} must be a {kinds[key].__name__}, "
+                             f"got {raw[key]!r}")
     try:
         return ModelConfig(**raw)
-    except TypeError as exc:  # a missing key or a value of the wrong type
+    except TypeError as exc:  # a missing key
         raise ValueError(f"bad model config: {exc}") from None
 
 
@@ -629,17 +662,26 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"unsupported checkpoint version {version}")
     cfg_len = struct.unpack("<I", read(4))[0]
     cfg = config_from_json(read(cfg_len).decode("utf-8"))
+    specs = param_specs(cfg)
     count = struct.unpack("<I", read(4))[0]
+    if count != len(specs):
+        raise ValueError(f"checkpoint holds {count} parameters, its config needs "
+                         f"{len(specs)} in {path}")
     params = {}
-    for _ in range(count):
+    for want_name, want_shape, _ in specs:
         name_len = struct.unpack("<H", read(2))[0]
         name = read(name_len).decode("utf-8")
         ndim = struct.unpack("<B", read(1))[0]
         shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-        nvals = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(read(nvals * 8), dtype="<f8").reshape(shape).copy()
-        params[name] = Tensor(data, requires_grad=True)
-    expected = [name for name, _, _ in param_specs(cfg)]
-    if list(params) != expected:
-        raise ValueError(f"checkpoint parameter set does not match config in {path}")
-    return Model(cfg=cfg, params=params, grid=cfg.patch_cfg().grid)
+        if (name, shape) != (want_name, tuple(want_shape)):
+            raise ValueError(f"checkpoint parameter {name!r} {shape} does not match "
+                             f"its config's {want_name!r} {tuple(want_shape)} in {path}")
+        data = np.frombuffer(read(int(np.prod(shape)) * 8), dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise ValueError(f"checkpoint parameter {name!r} is not finite in {path}")
+        params[name] = Tensor(data.copy(), requires_grad=True)
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} trailing bytes after the parameters in {path}")
+    model = Model(cfg=cfg, params=params, grid=cfg.patch_cfg().grid)
+    model.scan()  # a scan that does not fit the grid fails here, not in forward
+    return model

@@ -156,6 +156,11 @@ def _load_bundle(data_path: str):
 
 def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
     lengths = _int_list(opt, "lengths")
+    sizes = {"lengths": min(lengths, default=1),
+             **{k: opt[k] for k in ("dim", "channels", "state", "chunk", "repeats")}}
+    too_small = [k for k, v in sizes.items() if v < 1]
+    if too_small:
+        raise UsageError(f"{', '.join(too_small)}: every size must be >= 1")
     outdir = prepare_outdir(opt["out"], no_clobber)
     rng = SplitMix64(hash_combine(opt["seed"], 0xBE7C4))
     rows = []
@@ -268,11 +273,14 @@ def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
 
 
 def cmd_make_data(opt: dict, no_clobber: bool) -> int:
-    bundle = make_dataset(seed=opt["seed"], train_count=opt["train"],
-                          val_count=opt["val"], test_count=opt["test"],
-                          h=opt["height"], w=opt["width"],
-                          train_generator=opt["train_generator"],
-                          strength=opt["strength"])
+    try:  # make_dataset raises ValueError only for out-of-range options
+        bundle = make_dataset(seed=opt["seed"], train_count=opt["train"],
+                              val_count=opt["val"], test_count=opt["test"],
+                              h=opt["height"], w=opt["width"],
+                              train_generator=opt["train_generator"],
+                              strength=opt["strength"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     outdir = prepare_outdir(opt["out"], no_clobber)
     save_manifest(bundle.manifest, os.path.join(outdir, "manifest.json"))
     if opt["dump_pgm"] > 0:

@@ -123,7 +123,9 @@ def selective_recurrence(dt, a, u, b_proj, c_proj) -> Tensor:
     h_{-1} = 0 and the result is (..., L, C). The forward loop keeps the
     hidden states; the backward pass runs the adjoint recurrence
     dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1} in reverse time,
-    recomputing the decay factors rather than storing them. Raises
+    recomputing the decay factors rather than storing them. The forward pass
+    computes one step's decay at a time, so the only whole-sequence state
+    array it allocates is the hidden states. Raises
     NumericError naming the first step whose hidden state is not finite.
 
     Internally every per-step array is time-major with the state axis ahead
@@ -140,10 +142,11 @@ def selective_recurrence(dt, a, u, b_proj, c_proj) -> Tensor:
     length, ch, n = dt.shape[-2], dt.shape[-1], b_proj.shape[-1]
     a_t = np.ascontiguousarray(np.broadcast_to(a.data, (ch, n)).T)
     dt_t, u_t, b_t, c_t = (_time_major(t.data) for t in (dt, u, b_proj, c_proj))
-    decay = _decay(dt_t, a_t)
     hs = b_t[..., :, None] * u_t[..., None, :]  # the injections, then the states
+    decay = np.empty_like(hs[0])  # one step's exp(dt_t * A), reused every step
     for t in range(1, length):
-        hs[t] += np.multiply(decay[t], hs[t - 1], out=decay[t])
+        np.exp(np.multiply(dt_t[t][..., None, :], a_t, out=decay), out=decay)
+        hs[t] += np.multiply(decay, hs[t - 1], out=decay)
     finite = np.isfinite(hs.reshape(length, -1)).all(axis=1)
     if not finite.all():
         raise NumericError(f"non-finite hidden state at step {int(np.argmin(finite))}")

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from vissm import blocks as B
 from vissm import scan2d
@@ -372,6 +374,135 @@ def test_fused_scan_blocks_match_parallel_oracle(preset, scan, monkeypatch):
         assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
 
 
+# -- depthwise convolutions ----------------------------------------------------------------------
+
+
+def conv1d_slices(x, weight, bias, causal: bool):
+    """The slice-and-add 1D depthwise conv: the oracle for the fused op."""
+    k = weight.shape[-1]
+    pad_left = k - 1 if causal else (k - 1) // 2
+    pad_right = 0 if causal else k // 2
+    length = x.shape[-2]
+    xp = T.pad_axis(x, -2, pad_left, pad_right)
+    taps = T.unstack(weight, -1)
+    acc = None
+    for j in range(k):
+        term = T.mul(T.slice_axis(xp, -2, j, j + length), taps[j])
+        acc = term if acc is None else T.add(acc, term)
+    return T.add(acc, bias)
+
+
+def conv2d_slices(tokens, grid, weight, bias):
+    """The slice-and-add 3x3 grid conv: the oracle for the fused op."""
+    hp, wp = grid
+    lead = tokens.shape[:-2]
+    d = tokens.shape[-1]
+    xg = T.reshape(tokens, lead + (hp, wp, d))
+    xp = T.pad_axis(T.pad_axis(xg, -3, 1, 1), -2, 1, 1)
+    rows = T.unstack(weight, -2)
+    acc = None
+    for i in range(3):
+        taps = T.unstack(rows[i], -1)
+        for j in range(3):
+            patch = T.slice_axis(T.slice_axis(xp, -3, i, i + hp), -2, j, j + wp)
+            term = T.mul(patch, taps[j])
+            acc = term if acc is None else T.add(acc, term)
+    acc = T.add(acc, bias)
+    return T.reshape(acc, lead + (hp * wp, d))
+
+
+def _conv_values_and_grads(conv, arrays, live, readout):
+    operands = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, live)]
+    out = conv(*operands)
+    if any(live):
+        T.backward(T.sum_(T.mul(out, Tensor(readout))))
+    return out.data, [t.grad for t in operands]
+
+
+def _check_fused_conv(fused, oracle, arrays, live, seed):
+    readout = SplitMix64(seed + 1).normal_array(arrays[0].shape)
+    y_f, g_f = _conv_values_and_grads(fused, arrays, live, readout)
+    y_o, g_o = _conv_values_and_grads(oracle, arrays, live, readout)
+    assert np.array_equal(y_f, y_o)
+    for name, gf, go, r in zip(("x", "weight", "bias"), g_f, g_o, live):
+        if not r:
+            assert gf is None, name
+            continue
+        assert gf.shape == go.shape, name
+        assert rel_err(gf, go) < 1e-12, (name, rel_err(gf, go))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 4), causal=st.booleans(), length=st.integers(1, 6),
+       ch=st.integers(1, 4), lead=st.lists(st.integers(1, 3), max_size=2),
+       live=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 2**32 - 1))
+@example(k=4, causal=True, length=1, ch=2, lead=[], live=(True, True, True), seed=1)
+@example(k=4, causal=False, length=2, ch=3, lead=[2, 3], live=(True, False, True), seed=2)
+@example(k=1, causal=False, length=1, ch=1, lead=[1], live=(False, True, False), seed=3)
+def test_fused_conv1d_matches_slice_oracle(k, causal, length, ch, lead, live, seed):
+    """One-node 1D conv against the slice loop: bit-identical values, every live
+    gradient within 1e-12 relative, and no gradient for operands without one."""
+    rng = SplitMix64(seed)
+    arrays = [rng.normal_array(tuple(lead) + (length, ch)), rng.normal_array((ch, k)),
+              rng.normal_array((ch,))]
+    _check_fused_conv(lambda x, w, b: B.conv1d_depthwise(x, w, b, causal),
+                      lambda x, w, b: conv1d_slices(x, w, b, causal), arrays, live, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (1, 5), (3, 2)]), ch=st.integers(1, 4),
+       lead=st.lists(st.integers(1, 3), max_size=2),
+       live=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 2**32 - 1))
+@example(grid=(1, 1), ch=2, lead=[], live=(True, True, True), seed=1)
+@example(grid=(3, 2), ch=3, lead=[2, 2], live=(True, True, True), seed=2)
+@example(grid=(1, 5), ch=1, lead=[3], live=(False, False, True), seed=3)
+def test_fused_conv2d_matches_slice_oracle(grid, ch, lead, live, seed):
+    rng = SplitMix64(seed)
+    arrays = [rng.normal_array(tuple(lead) + (grid[0] * grid[1], ch)),
+              rng.normal_array((ch, 3, 3)), rng.normal_array((ch,))]
+    _check_fused_conv(lambda x, w, b: B.conv2d_depthwise3(x, grid, w, b),
+                      lambda x, w, b: conv2d_slices(x, grid, w, b), arrays, live, seed)
+
+
+@pytest.mark.parametrize("conv, shapes", [
+    (lambda x, w, b: B.conv1d_depthwise(x, w, b, causal=True), [(2, 5, 3), (3, 4), (3,)]),
+    (lambda x, w, b: B.conv1d_depthwise(x, w, b, causal=False), [(5, 3), (3, 4), (3,)]),
+    (lambda x, w, b: B.conv2d_depthwise3(x, (3, 2), w, b), [(2, 6, 3), (3, 3, 3), (3,)]),
+])
+def test_fused_conv_gradients_match_finite_differences(conv, shapes):
+    rng = SplitMix64(45)
+    arrays = [rng.normal_array(shape) for shape in shapes]
+    readout = rng.normal_array(shapes[0])
+    operands = [Tensor(a, requires_grad=True) for a in arrays]
+    T.backward(T.sum_(T.mul(conv(*operands), Tensor(readout))))
+    numeric = T.finite_difference(
+        lambda: float(np.sum(conv(*[Tensor(a) for a in arrays]).data * readout)), arrays)
+    for t, n in zip(operands, numeric):
+        assert rel_err(t.grad, n) < 1e-8
+
+
+def test_each_conv_call_adds_one_graph_node():
+    rng = SplitMix64(46)
+    x = Tensor(rng.normal_array((2, 6, 3)), requires_grad=True)
+    w1, w2 = (Tensor(rng.normal_array(s), requires_grad=True) for s in [(3, 4), (3, 3, 3)])
+    b = Tensor(np.zeros(3), requires_grad=True)
+    for out, w in [(B.conv1d_depthwise(x, w1, b, causal=True), w1),
+                   (B.conv1d_depthwise(x, w1, b, causal=False), w1),
+                   (B.conv2d_depthwise3(x, (2, 3), w2, b), w2)]:
+        assert out._parents == (x, w, b)
+        assert len(T.toposort(out)) == 4  # the three leaves and the conv
+
+
+def test_fused_conv_rejects_mismatched_operands():
+    x = Tensor(np.zeros((6, 3)))
+    with pytest.raises(T.ShapeError):
+        B.conv1d_depthwise(x, np.zeros((2, 4)), np.zeros(3), causal=True)
+    with pytest.raises(T.ShapeError):
+        B.conv2d_depthwise3(x, (2, 2), np.zeros((3, 3, 3)), np.zeros(3))
+
+
 # -- gradient check (small) -----------------------------------------------------------------------
 
 
@@ -470,4 +601,69 @@ def test_checkpoint_unknown_config_key_is_value_error(tmp_path):
     save_checkpoint(build_model(tiny_cfg("vssd"), seed=20), path)
     rewrite_config(path, colour="blue")
     with pytest.raises(ValueError, match="colour"):
+        load_checkpoint(path)
+
+
+def _saved_checkpoint(path, cfg=None, seed=21):
+    model = build_model(cfg or tiny_cfg("vssd"), seed=seed)
+    save_checkpoint(model, path)
+    return model
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    _saved_checkpoint(path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_blob_shape_checked_against_config(tmp_path):
+    path = tmp_path / "m.ckpt"
+    _saved_checkpoint(path, config_from_preset("desk-vim"))
+    rewrite_config(path, patch=8)  # the blobs were written for patch 4
+    with pytest.raises(ValueError, match="does not match"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_blob_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    model = build_model(tiny_cfg("vim"), seed=22)
+    model.params["blocks.0.fwd.d"].data[1] = np.nan
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError, match="blocks.0.fwd.d"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("changes", [dict(embed_dim="8"), dict(use_cls=1), dict(patch=0),
+                                     dict(scan="spiral"), dict(scan="local", scan_win=3)])
+def test_checkpoint_bad_config_value_is_value_error(tmp_path, changes):
+    path = tmp_path / "m.ckpt"
+    _saved_checkpoint(path)
+    rewrite_config(path, **changes)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    _saved_checkpoint(path, tiny_cfg("mambavision", embed_dim=4))
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(0, 2**16), extra=st.binary(max_size=16))
+@example(cut=1, extra=b"")
+@example(cut=0, extra=b"\x00")
+def test_checkpoint_truncated_or_extended_is_value_error(fuzz_blob, tmp_path_factory,
+                                                         cut, extra):
+    """A checkpoint cut short, with bytes appended, or both, fails to load
+    with ValueError."""
+    blob = fuzz_blob
+    damaged = blob[:len(blob) - cut % (len(blob) + 1)] + extra
+    assume(damaged != blob)
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError):
         load_checkpoint(path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from test_blocks import rewrite_config
+from vissm import blocks as B
 from vissm import cli
 
 
@@ -160,6 +161,17 @@ def test_eval_checkpoint_with_unknown_config_key_is_runtime_error(tiny_data, tmp
     assert "colour" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_trailing_bytes_is_runtime_error(tiny_data, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes() + b"junk")
+    out = tmp_path / "eval"
+    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
+                "--out", str(out)]) == 2
+    assert "4 trailing bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_data_is_runtime_error(tmp_path):
     code = run(["train", "--data", str(tmp_path / "nowhere"),
                 "--out", str(tmp_path / "run")] + TINY_TRAIN)
@@ -232,7 +244,20 @@ def test_train_unknown_preset_leaves_no_output(tiny_data, tmp_path):
 
 def test_make_data_bad_strength_leaves_no_output(tmp_path):
     out = tmp_path / "d"
-    assert run(["make-data", "--out", str(out), "--strength", "2"]) == 2
+    assert run(["make-data", "--out", str(out), "--strength", "2"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["make-data", "--train", "0"],
+                                  ["make-data", "--height", "3"],
+                                  ["bench-kernels", "--lengths", "0"],
+                                  ["bench-kernels", "--chunk", "0"],
+                                  ["bench-kernels", "--channels", "0"],
+                                  ["bench-kernels", "--repeats", "0"]])
+def test_out_of_range_option_is_usage_error_before_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 
 

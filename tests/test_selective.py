@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vissm import selective as S
@@ -155,6 +155,16 @@ def test_non_finite_state_reports_step():
     assert "step" in str(ei.value)
 
 
+def test_non_finite_state_names_the_first_bad_step():
+    # exp(dt * A) = e^700 per step: h_0 = 1, h_1 ~ 1e304, h_2 overflows
+    proj = S.constant_projection(1, 1, b_const=1.0, c_const=1.0, delta_const=1.0)
+    a = Tensor(np.array([[700.0]]))
+    x = Tensor(np.ones((4, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
+        S.selective_scan_sequential(x, proj, a, Tensor(np.ones(1)))
+    assert str(ei.value) == "non-finite hidden state at step 2"
+
+
 # -- chunk-parallel scan ----------------------------------------------------------
 
 
@@ -215,6 +225,8 @@ def _scan_values_and_grads(route, proj, a_log, d, x, readout):
 @given(length=st.integers(1, 9), ch=st.integers(1, 9), n=st.integers(1, 9),
        lead=st.lists(st.integers(1, 3), max_size=2), chunk=st.sampled_from([1, 2, 7, None]),
        seed=st.integers(0, 2**32 - 1))
+@example(length=1, ch=3, n=2, lead=[2], chunk=None, seed=5)
+@example(length=1, ch=1, n=1, lead=[], chunk=1, seed=6)
 def test_fused_scan_matches_parallel_oracle(length, ch, n, lead, chunk, seed):
     """The fused op (sequential route) against the graph-recorded chunked
     oracle: values and all nine gradients, over random shapes with edges."""
