@@ -1,7 +1,7 @@
 """State-space sequence models for vision at desk scale.
 
 Modules:
-  tensor     float64 tensors with reverse-mode autodiff and FFT helpers
+  tensor     float64 tensors with reverse-mode autodiff
   ssm        classical LTI state space model (recurrence == FFT convolution)
   selective  input-dependent scans: fused sequential (model path), chunked
              oracle, non-causal

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -399,19 +400,18 @@ def merged_update(streams, core_fn, scan, has_cls: bool):
     """
     if scan is None:
         return core_fn(*streams)
-    orders = scan.directions if isinstance(scan, scan2d.MultiScan) else (scan,)
     total = streams[0].shape[-2]
     start = 1 if has_cls else 0
 
     acc = None
-    for order in orders:
+    for order in scan.directions:
         idx = np.concatenate([np.zeros(start, np.intp), order.order + start])
         upd = core_fn(*[T.take(s, idx, axis=-2) for s in streams])
         scat = T.scatter_axis(upd, idx, axis=-2, size=total)
         acc = scat if acc is None else T.add(acc, scat)
 
-    if isinstance(scan, scan2d.MultiScan) and scan.merge == "mean":
-        counts = np.concatenate([np.full(start, len(orders)), scan.visit_counts()])
+    if scan.merge == "mean":
+        counts = np.concatenate([np.full(start, len(scan.directions)), scan.visit_counts()])
         acc = T.mul(acc, Tensor((1.0 / np.maximum(counts, 1).astype(np.float64))[:, None]))
     return acc
 
@@ -591,7 +591,7 @@ def predict(model: Model, images) -> np.ndarray:
 
 
 CKPT_MAGIC = b"VSSMCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # 2 appends a CRC32 trailer; version 1 files (no trailer) still load
 
 
 def config_to_json(cfg: ModelConfig) -> str:
@@ -619,7 +619,8 @@ def config_from_json(text: str) -> ModelConfig:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Little-endian binary: magic, version, config JSON, named float64 blobs.
+    """Little-endian binary: magic, version, config JSON, named float64 blobs,
+    then the CRC32 of every byte before it.
 
     A JSON sidecar (<path>.json) mirrors the config for humans and scripts.
     """
@@ -637,7 +638,7 @@ def save_checkpoint(model: Model, path) -> None:
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
     blob = b"".join(chunks)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
     with open(str(path) + ".json", "w") as fh:
         fh.write(config_to_json(model.cfg) + "\n")
 
@@ -658,7 +659,7 @@ def load_checkpoint(path) -> Model:
     if read(8) != CKPT_MAGIC:
         raise ValueError(f"{path} is not a model checkpoint (bad magic)")
     version = struct.unpack("<I", read(4))[0]
-    if version != CKPT_VERSION:
+    if version not in (1, CKPT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
     cfg_len = struct.unpack("<I", read(4))[0]
     cfg = config_from_json(read(cfg_len).decode("utf-8"))
@@ -680,8 +681,14 @@ def load_checkpoint(path) -> Model:
         if not np.isfinite(data).all():
             raise ValueError(f"checkpoint parameter {name!r} is not finite in {path}")
         params[name] = Tensor(data.copy(), requires_grad=True)
+    body = blob[:off]
+    if version > 1:
+        (crc,) = struct.unpack("<I", read(4))
     if off != len(blob):
         raise ValueError(f"{len(blob) - off} trailing bytes after the parameters in {path}")
     model = Model(cfg=cfg, params=params, grid=cfg.patch_cfg().grid)
     model.scan()  # a scan that does not fit the grid fails here, not in forward
+    # last, so that a damaged file that is also malformed names its structural fault
+    if version > 1 and crc != zlib.crc32(body):
+        raise ValueError(f"checkpoint {path} fails its CRC32 check (corrupted bytes)")
     return model

@@ -253,7 +253,7 @@ def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
                                 merge=opt["merge"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    orders = scan.directions if isinstance(scan, scan2d.MultiScan) else (scan,)
+    orders = scan.directions
     for k, order in enumerate(orders):
         if len(orders) > 1:
             print(f"direction {k}:")

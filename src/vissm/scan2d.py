@@ -6,8 +6,8 @@ are permutations of 0..h*w-1; a partial order (used by the atrous strategy,
 whose members jointly partition the grid) visits an injective subset.
 ``inverse[cell]`` recovers the visitation rank, -1 for unvisited cells.
 
-A MultiScan bundles several orders over the same grid with a merge rule for
-recombining per-direction outputs.
+A MultiScan bundles one or more orders over the same grid with a merge rule
+for recombining per-direction outputs; ``make_scan`` always returns one.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class ScanOrder:
 
     def __len__(self):
         return len(self.order)
-
-    @property
-    def full(self) -> bool:
-        return len(self.order) == self.h * self.w
 
     def reversed_order(self) -> "ScanOrder":
         return ScanOrder(self.h, self.w, self.order[::-1].copy())
@@ -87,11 +83,6 @@ def raster_scan(h: int, w: int) -> ScanOrder:
     """Row-major order: the identity permutation."""
     _check_extents(h, w)
     return ScanOrder(h, w, np.arange(h * w, dtype=np.intp))
-
-
-def bidirectional(order: ScanOrder) -> MultiScan:
-    """The order paired with its reversal."""
-    return MultiScan((order, order.reversed_order()))
 
 
 def cross_scan(h: int, w: int, merge: str = "sum") -> MultiScan:
@@ -194,18 +185,23 @@ STRATEGIES = ("raster", "bidirectional", "cross", "zigzag", "local", "efficient"
 
 
 def make_scan(strategy: str, h: int, w: int, win: int = 2, stride: int = 2,
-              merge: str = "sum"):
-    """Build a ScanOrder or MultiScan by strategy name."""
+              merge: str = "sum") -> MultiScan:
+    """Build a strategy's directions by name.
+
+    Single-order strategies come back as one-direction MultiScans; their order
+    is full, so their mean merge equals the sum and ``merge`` is not applied.
+    """
     if strategy == "raster":
-        return raster_scan(h, w)
+        return MultiScan((raster_scan(h, w),))
     if strategy == "bidirectional":
-        return MultiScan(bidirectional(raster_scan(h, w)).directions, merge)
+        row = raster_scan(h, w)
+        return MultiScan((row, row.reversed_order()), merge)
     if strategy == "cross":
         return cross_scan(h, w, merge)
     if strategy == "zigzag":
-        return zigzag_scan(h, w)
+        return MultiScan((zigzag_scan(h, w),))
     if strategy == "local":
-        return local_scan(h, w, win)
+        return MultiScan((local_scan(h, w, win),))
     if strategy == "efficient":
         return efficient_scan(h, w, stride, merge)
     raise ValueError(f"unknown scan strategy {strategy!r}; choose one of {STRATEGIES}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NumericError, ShapeError, conv_via_fft
+from .tensor import NumericError, ShapeError
 
 
 @dataclass
@@ -166,15 +166,11 @@ def run_recurrent(dssm: DiscreteSsm, x, h0=None) -> np.ndarray:
         if h.shape[0] != dim:
             raise ShapeError(f"h0 has length {h.shape[0]}, state dim is {dim}")
         h = h.copy()
+    step = np.multiply if dssm.diag else np.matmul  # apply Abar to the state
     y = np.empty_like(x)
-    if dssm.diag:
-        for t in range(len(x)):
-            h = dssm.a_bar * h + dssm.b_bar * x[t]
-            y[t] = dssm.c @ h + dssm.d * x[t]
-    else:
-        for t in range(len(x)):
-            h = dssm.a_bar @ h + dssm.b_bar * x[t]
-            y[t] = dssm.c @ h + dssm.d * x[t]
+    for t in range(len(x)):
+        h = step(dssm.a_bar, h) + dssm.b_bar * x[t]
+        y[t] = dssm.c @ h + dssm.d * x[t]
     return y
 
 
@@ -183,15 +179,11 @@ def conv_kernel(dssm: DiscreteSsm, length: int) -> SsmKernel:
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
     k = np.empty(length)
+    step = np.multiply if dssm.diag else np.matmul  # apply Abar to the state
     v = dssm.b_bar.copy()
-    if dssm.diag:
-        for t in range(length):
-            k[t] = dssm.c @ v
-            v = dssm.a_bar * v
-    else:
-        for t in range(length):
-            k[t] = dssm.c @ v
-            v = dssm.a_bar @ v
+    for t in range(length):
+        k[t] = dssm.c @ v
+        v = step(dssm.a_bar, v)
     return SsmKernel(k_bar=k, length=length)
 
 
@@ -205,9 +197,10 @@ def run_convolution(dssm: DiscreteSsm, x, h0=None) -> np.ndarray:
         raise ValueError("convolution form requires zero initial state")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     length = len(x)
-    kernel = conv_kernel(dssm, length)
-    full = conv_via_fft(x, kernel.k_bar)
-    return full[:length] + dssm.d * x
+    k_bar = conv_kernel(dssm, length).k_bar
+    n = 1 << (2 * length - 2).bit_length()  # power of two >= the full length 2L - 1
+    y = np.fft.ifft(np.fft.fft(x, n) * np.fft.fft(k_bar, n)).real[:length]
+    return y + dssm.d * x
 
 
 def random_stable_system(rng, dim: int, diag: bool = False) -> SsmParams:

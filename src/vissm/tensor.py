@@ -6,6 +6,8 @@ the recorded operations once, in reverse topological order. Layout is
 row-major and broadcasting follows numpy's trailing-dimension rule; both
 are fixed contracts of this module.
 
+The module holds the ops the library records on its graph and nothing else.
+
 Everything is float64. At the scale this package targets, precision is
 cheap and lets the equivalence tests use tight tolerances.
 
@@ -97,55 +99,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -230,17 +188,6 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b)
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
 
@@ -283,16 +230,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # the exponent is never positive, so large |x| stays finite
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = _sigmoid_np(a.data)
-
-    def backward(g):
-        _accumulate(a, g * s * (1.0 - s))
-
-    return _make(s, (a,), backward)
 
 
 def softplus(a) -> Tensor:
@@ -400,15 +337,6 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, np.swapaxes(g, ax1, ax2))
-
-    return _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), backward)
-
-
 def flip(a, axis: int) -> Tensor:
     a = as_tensor(a)
 
@@ -416,17 +344,6 @@ def flip(a, axis: int) -> Tensor:
         _accumulate(a, np.flip(g, axis=axis))
 
     return _make(np.flip(a.data, axis=axis).copy(), (a,), backward)
-
-
-def getitem(a, key) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
-        _accumulate(a, full)
-
-    return _make(a.data[key].copy(), (a,), backward)
 
 
 def take(a, indices, axis: int) -> Tensor:
@@ -585,50 +502,6 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
-
-
-# -- FFT and convolution helpers ------------------------------------------------
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
-
-
-def fft_real(signal, length: int) -> np.ndarray:
-    """DFT of a real sequence zero-padded to ``length`` (a power of two)."""
-    if not _is_pow2(length):
-        raise ValueError(f"fft length must be a power of two, got {length}")
-    x = np.asarray(signal, dtype=np.float64).reshape(-1)
-    if len(x) > length:
-        raise ShapeError(f"signal length {len(x)} exceeds fft length {length}")
-    buf = np.zeros(length, dtype=np.float64)
-    buf[: len(x)] = x
-    return np.fft.fft(buf)
-
-
-def inverse_fft(spectrum) -> np.ndarray:
-    """Inverse DFT; returns the complex time-domain sequence."""
-    spec = np.asarray(spectrum, dtype=np.complex128).reshape(-1)
-    if not _is_pow2(len(spec)):
-        raise ValueError(f"inverse fft length must be a power of two, got {len(spec)}")
-    return np.fft.ifft(spec)
-
-
-def conv_via_fft(a, b) -> np.ndarray:
-    """Full linear convolution of two real sequences via zero-padded FFT."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    full = len(a) + len(b) - 1
-    n = next_pow2(full)
-    out = inverse_fft(fft_real(a, n) * fft_real(b, n)).real
-    return out[:full]
 
 
 # -- finite differences ----------------------------------------------------------

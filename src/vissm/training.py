@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blocks as B
 from . import tensor as T
-from .data import DatasetBundle, DetectionDataset, make_dataset
+from .data import DatasetBundle, make_dataset
 from .rng import SplitMix64, hash_combine
 from .tensor import NumericError, Tensor
 
@@ -151,23 +151,17 @@ def load_train_state(path, model: B.Model, cfg: TrainConfig):
 # -- training loop -----------------------------------------------------------------
 
 
-def train(model: B.Model, bundle_or_train, val: DetectionDataset | None = None,
-          cfg: TrainConfig | None = None, resume=None, state_path=None,
-          run_until: int | None = None):
-    """Fit the model; keeps the parameters of the best validation epoch.
+def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
+          resume=None, state_path=None, run_until: int | None = None):
+    """Fit the model on ``bundle.train``; keeps the parameters of the epoch
+    with the best ``bundle.val`` accuracy.
 
     Returns (model, TrainState). ``run_until`` stops at an earlier epoch
     boundary without shortening the learning-rate schedule (for sliced runs);
     ``resume`` takes the (state, optimizer, best_params) triple from
     load_train_state and continues the exact uninterrupted trajectory.
     """
-    if isinstance(bundle_or_train, DatasetBundle):
-        train_ds = bundle_or_train.train
-        val = bundle_or_train.val
-    else:
-        train_ds = bundle_or_train
-    if val is None:
-        raise ValueError("a validation split is required for best-epoch selection")
+    train_ds, val = bundle.train, bundle.val
     cfg = cfg or TrainConfig()
 
     n = len(train_ds)

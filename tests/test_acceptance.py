@@ -175,7 +175,7 @@ def test_criterion_4_scan_bijections():
         x = rng.normal_array((h * w, 2))
         for strategy in scan2d.STRATEGIES:
             scan = scan2d.make_scan(strategy, h, w, win=div, stride=div)
-            orders = scan.directions if isinstance(scan, scan2d.MultiScan) else (scan,)
+            orders = scan.directions
             if strategy == "efficient":
                 combined = np.concatenate([o.order for o in orders])
                 assert sorted(combined.tolist()) == list(range(h * w))

@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -576,13 +577,27 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def rewrite_config(path, **changes):
-    """Rewrite the config JSON inside a checkpoint file, keeping its blobs."""
-    blob = path.read_bytes()
+    """Rewrite the config JSON inside a checkpoint file, keeping its blobs, and
+    re-seal the CRC32 trailer."""
+    blob = path.read_bytes()[:-4]
     (cfg_len,) = struct.unpack("<I", blob[12:16])
     cfg = json.loads(blob[16:16 + cfg_len])
     cfg.update(changes)
     text = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + cfg_len:])
+    body = blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + cfg_len:]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_checkpoint_version_1_without_trailer_loads(tmp_path):
+    m = build_model(config_from_preset("desk-vssd"), seed=23)
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(m, path)
+    blob = path.read_bytes()
+    assert struct.unpack("<I", blob[8:12]) == (2,)
+    path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:-4])
+    again = load_checkpoint(path)
+    imgs = SplitMix64(44).uniform_array((2, 32, 32))
+    assert np.array_equal(forward(again, imgs).data, forward(m, imgs).data)
 
 
 def test_checkpoint_with_legacy_chunk_key_loads(tmp_path):
@@ -665,5 +680,21 @@ def test_checkpoint_truncated_or_extended_is_value_error(fuzz_blob, tmp_path_fac
     assume(damaged != blob)
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
     path.write_bytes(damaged)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(back=st.integers(0, 2**16), flip=st.integers(1, 255))
+@example(back=4, flip=1)  # the last byte of the last parameter, just before the trailer
+@example(back=0, flip=1)  # the trailer itself
+def test_checkpoint_with_one_byte_replaced_is_value_error(fuzz_blob, tmp_path_factory,
+                                                          back, flip):
+    """A checkpoint with one byte replaced, at any offset and at the same length,
+    fails to load with ValueError."""
+    damaged = bytearray(fuzz_blob)
+    damaged[len(damaged) - 1 - back % len(damaged)] ^= flip
+    path = tmp_path_factory.mktemp("flip") / "m.ckpt"
+    path.write_bytes(bytes(damaged))
     with pytest.raises(ValueError):
         load_checkpoint(path)

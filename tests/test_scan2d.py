@@ -8,7 +8,6 @@ from vissm.rng import SplitMix64
 from vissm.scan2d import (
     MultiScan,
     ScanOrder,
-    bidirectional,
     cross_scan,
     efficient_scan,
     gather,
@@ -52,7 +51,7 @@ def test_zero_extent_rejected():
 
 
 def test_bidirectional_members():
-    ms = bidirectional(raster_scan(2, 2))
+    ms = make_scan("bidirectional", 2, 2)
     assert ms.directions[0].order.tolist() == [0, 1, 2, 3]
     assert ms.directions[1].order.tolist() == [3, 2, 1, 0]
     for d in ms.directions:
@@ -209,7 +208,7 @@ def test_every_strategy_full_bijection_and_roundtrip(h, w, pick):
     if strategy == "efficient":
         kwargs["stride"] = next(d for d in range(min(h, w), 0, -1) if h % d == 0 and w % d == 0)
     scan = make_scan(strategy, h, w, **kwargs)
-    orders = scan.directions if isinstance(scan, MultiScan) else (scan,)
+    orders = scan.directions
     x = np.arange(h * w * 2, dtype=float).reshape(h * w, 2)
     if strategy == "efficient":
         combined = np.concatenate([d.order for d in orders])
@@ -251,8 +250,19 @@ def test_ssm_over_gathered_tokens_smoke():
     d = discretize_zoh(random_stable_system(rng, 3))
     x = rng.normal_array((16,))
     for strategy in ("zigzag", "local"):
-        order = make_scan(strategy, 4, 4, win=2)
+        (order,) = make_scan(strategy, 4, 4, win=2).directions
         y = run_recurrent(d, gather(x, order))
         back = scatter(y, order)
         assert back.shape == x.shape
         assert np.all(np.isfinite(back))
+
+
+def test_make_scan_returns_multiscan_for_every_strategy():
+    counts = {"raster": 1, "bidirectional": 2, "cross": 4, "zigzag": 1, "local": 1,
+              "efficient": 4}
+    for strategy in scan2d.STRATEGIES:
+        scan = make_scan(strategy, 4, 4, merge="mean")
+        assert isinstance(scan, MultiScan)
+        assert len(scan.directions) == counts[strategy]
+        # one full order: nothing to average, so no mean rule is applied
+        assert scan.merge == ("sum" if counts[strategy] == 1 else "mean")

@@ -185,6 +185,36 @@ def test_convolution_rejects_nonzero_h0():
     run_convolution(d, [1.0, 2.0], h0=np.array([0.0]))
 
 
+def direct_conv(a, b):
+    """O(n^2) linear convolution oracle."""
+    out = np.zeros(len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def test_convolution_small_value():
+    # oracle: direct convolution of [1,2] and [3,4] -> [3, 10, 8], of which the
+    # causal form keeps [3, 10]; the kernel [3, 4] is a constant mode (4) plus
+    # one that vanishes after t = 0 (-1)
+    expected = direct_conv([1.0, 2.0], [3.0, 4.0])
+    assert expected.tolist() == [3.0, 10.0, 8.0]
+    d = DiscreteSsm(a_bar=np.array([1.0, 0.0]), b_bar=np.ones(2), c=np.array([4.0, -1.0]),
+                    d=0.0, diag=True)
+    assert conv_kernel(d, 2).k_bar.tolist() == [3.0, 4.0]
+    assert np.allclose(run_convolution(d, [1.0, 2.0]), expected[:2], atol=1e-12)
+
+
+def test_convolution_matches_direct_up_to_256():
+    rng = SplitMix64(31)
+    for n in (5, 33, 100, 256):
+        d = discretize_zoh(ssm.random_stable_system(rng, 3))
+        x = rng.normal_array((n,))
+        expected = direct_conv(x, conv_kernel(d, n).k_bar)[:n] + d.d * x
+        assert np.max(np.abs(run_convolution(d, x) - expected)) < 1e-9
+
+
 def test_forms_agree_on_random_systems():
     rng = SplitMix64(43)
     worst = 0.0

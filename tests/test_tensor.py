@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -31,12 +32,6 @@ def test_softplus_at_zero():
     out = T.softplus(Tensor([0.0]))
     assert abs(out.data[0] - expected) < 1e-15
     assert abs(out.data[0] - 0.6931471805599453) < 1e-12
-
-
-def test_sigmoid_extremes_stay_finite():
-    out = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
-    assert np.all(np.isfinite(out.data))
-    assert out.data[1] == 0.5
 
 
 def _piecewise_sigmoid(x):
@@ -165,30 +160,44 @@ def _compose_cases():
         ("add", lambda a, b: T.sum_(T.add(a, b)), ((3, 4), (3, 4))),
         ("add_broadcast", lambda a, b: T.sum_(T.add(a, b)), ((3, 4), (4,))),
         ("sub", lambda a, b: T.sum_(T.sub(a, b)), ((2, 3), (2, 3))),
+        ("neg", lambda a, b: T.sum_(T.mul(T.neg(a), b)), ((3, 4), (3, 4))),
         ("mul", lambda a, b: T.sum_(T.mul(a, b)), ((4,), (4,))),
         ("mul_broadcast", lambda a, b: T.sum_(T.mul(a, b)), ((2, 3, 4), (4,))),
-        ("div", lambda a, b: T.sum_(T.div(a, b)), ((3,), (3,))),
         ("matmul", lambda a, b: T.sum_(T.matmul(a, b)), ((3, 4), (4, 2))),
         ("matmul_batched", lambda a, b: T.sum_(T.matmul(a, b)), ((2, 3, 4), (2, 4, 2))),
         ("matmul_shared_rhs", lambda a, b: T.sum_(T.matmul(a, b)), ((2, 3, 4), (4, 2))),
         ("exp", lambda a, b: T.sum_(T.mul(T.exp(a), b)), ((5,), (5,))),
         ("log", lambda a, b: T.sum_(T.mul(T.log(T.add(T.mul(a, a), 1.0)), b)), ((5,), (5,))),
-        ("sigmoid", lambda a, b: T.sum_(T.mul(T.sigmoid(a), b)), ((6,), (6,))),
         ("softplus", lambda a, b: T.sum_(T.mul(T.softplus(a), b)), ((6,), (6,))),
         ("silu", lambda a, b: T.sum_(T.mul(T.silu(a), b)), ((6,), (6,))),
         ("pow", lambda a, b: T.sum_(T.mul(T.pow_const(T.add(T.mul(a, a), 0.5), 1.5), b)), ((4,), (4,))),
         ("mean", lambda a, b: T.mean(T.mul(a, b)), ((3, 4), (3, 4))),
         ("reshape", lambda a, b: T.sum_(T.mul(T.reshape(a, (12,)), T.reshape(b, (12,)))), ((3, 4), (4, 3))),
-        ("swapaxes", lambda a, b: T.sum_(T.mul(T.swapaxes(a, 0, 1), b)), ((3, 4), (4, 3))),
         ("flip", lambda a, b: T.sum_(T.mul(T.flip(a, 0), b)), ((5, 2), (5, 2))),
         ("concat", lambda a, b: T.sum_(T.mul(T.concat([a, b], 0), T.concat([b, a], 0))), ((2, 3), (2, 3))),
         ("stack", lambda a, b: T.sum_(T.pow_const(T.stack([a, b], 1), 2.0)), ((3, 2), (3, 2))),
         ("pad_slice", lambda a, b: T.sum_(T.mul(T.slice_axis(T.pad_axis(a, 0, 2, 1), 0, 1, 4), b)), ((3, 2), (3, 2))),
         ("take", lambda a, b: T.sum_(T.mul(T.take(a, [2, 0, 1, 2], 0), b)), ((3, 2), (4, 2))),
-        ("getitem", lambda a, b: T.sum_(T.mul(a[1:3], b)), ((4, 2), (2, 2))),
         ("sum_axis", lambda a, b: T.sum_(T.mul(T.sum_(a, axis=1), b)), ((3, 4), (3,))),
         ("sum_keepdims", lambda a, b: T.sum_(T.mul(a, T.sum_(T.mul(a, a), axis=1, keepdims=True))), ((3, 4), (3, 4))),
+        ("ordered_sum", lambda a, b: T.sum_(T.mul(T.ordered_sum(a, 1), b)), ((3, 4), (3,))),
+        ("scatter_axis", lambda a, b: T.sum_(T.mul(T.scatter_axis(a, [3, 0, 2], 0, 5), b)), ((3, 2), (5, 2))),
+        ("select_index", lambda a, b: T.sum_(T.mul(T.select_index(a, 1, 2), b)), ((3, 4), (3,))),
+        ("unstack", lambda a, b: T.sum_(T.mul(T.stack(T.unstack(a, 1)[::-1], 0), b)), ((3, 4), (4, 3))),
+        ("unsqueeze", lambda a, b: T.sum_(T.mul(T.unsqueeze(a, 1), b)), ((3, 4), (3, 2, 4))),
     ]
+
+
+def test_every_tensor_op_has_a_gradient_row():
+    # an op is a public function of the module that returns a Tensor; as_tensor
+    # only wraps its argument and records nothing
+    covered = {name for _, fn, _ in _compose_cases() for name in fn.__code__.co_names}
+    ops = [name for name, obj in vars(T).items()
+           if inspect.isfunction(obj) and obj.__module__ == T.__name__
+           and not name.startswith("_") and name != "as_tensor"
+           and inspect.signature(obj).return_annotation in (Tensor, "Tensor")]
+    assert len(ops) > 20
+    assert [name for name in ops if name not in covered] == []
 
 
 @pytest.mark.parametrize("name,fn,shapes", _compose_cases(), ids=[c[0] for c in _compose_cases()])
@@ -258,51 +267,3 @@ def test_debug_finite_mode():
             T.log(Tensor([-1.0]))
     finally:
         T.set_debug_finite(False)
-
-
-# -- FFT ------------------------------------------------------------------------
-
-
-def test_fft_of_impulse_is_flat():
-    spec = T.fft_real([1.0, 0.0, 0.0, 0.0], 4)
-    assert np.allclose(spec, np.ones(4), atol=1e-12)
-
-
-def test_fft_roundtrip_identity():
-    rng = SplitMix64(21)
-    for n in (8, 64, 256):
-        x = rng.normal_array((n,))
-        back = T.inverse_fft(T.fft_real(x, n))
-        assert np.max(np.abs(back.real - x)) < 1e-10
-        assert np.max(np.abs(back.imag)) < 1e-10
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        T.fft_real([1.0, 2.0, 3.0], 3)
-    with pytest.raises(ValueError):
-        T.inverse_fft(np.zeros(5, dtype=complex))
-
-
-def direct_conv(a, b):
-    """O(n^2) linear convolution oracle."""
-    out = np.zeros(len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def test_conv_via_fft_small_value():
-    # oracle: direct convolution of [1,2] and [3,4] -> [3, 10, 8]
-    expected = direct_conv([1.0, 2.0], [3.0, 4.0])
-    assert expected.tolist() == [3.0, 10.0, 8.0]
-    assert np.allclose(T.conv_via_fft([1.0, 2.0], [3.0, 4.0]), expected, atol=1e-12)
-
-
-def test_conv_via_fft_matches_direct_up_to_256():
-    rng = SplitMix64(31)
-    for n in (5, 33, 100, 256):
-        a = rng.normal_array((n,))
-        b = rng.normal_array((n // 2 + 1,))
-        assert np.max(np.abs(T.conv_via_fft(a, b) - direct_conv(a, b))) < 1e-9
