@@ -15,7 +15,6 @@ Modules:
 from .blocks import (
     Model,
     ModelConfig,
-    PatchEmbedConfig,
     build_model,
     config_from_preset,
     forward,

@@ -43,40 +43,6 @@ RMS_EPS = 1e-6
 # -- configuration ---------------------------------------------------------------
 
 
-@dataclass
-class PatchEmbedConfig:
-    image_h: int
-    image_w: int
-    channels: int
-    patch: int
-    embed_dim: int
-    use_cls: bool
-    overlap: bool = False
-
-    def __post_init__(self):
-        if self.patch < 1:
-            raise ValueError(f"patch must be >= 1, got {self.patch}")
-        if self.image_h % self.patch or self.image_w % self.patch:
-            raise ValueError(
-                f"patch {self.patch} must divide image extents "
-                f"({self.image_h}, {self.image_w})"
-            )
-
-    @property
-    def grid(self) -> tuple:
-        return (self.image_h // self.patch, self.image_w // self.patch)
-
-    @property
-    def tokens(self) -> int:
-        hp, wp = self.grid
-        return hp * wp
-
-    @property
-    def window(self) -> int:
-        # overlapping stem samples patch windows widened by one pixel per side
-        return self.patch + 2 if self.overlap else self.patch
-
-
 FAMILIES = ("vim", "mambavision", "vssd")
 
 
@@ -107,6 +73,16 @@ class ModelConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "mambavision" and self.embed_dim % 2:
             raise ValueError("mambavision needs an even embed_dim (half-width branches)")
+        if self.patch < 1:
+            raise ValueError(f"patch must be >= 1, got {self.patch}")
+        if self.image_h % self.patch or self.image_w % self.patch:
+            raise ValueError(
+                f"patch {self.patch} must divide image extents "
+                f"({self.image_h}, {self.image_w})"
+            )
+        # raises ValueError when the scan does not fit the patch grid
+        scan2d.make_scan(self.scan, *self.grid, win=self.scan_win,
+                         stride=self.scan_stride, merge=self.scan_merge)
 
     @property
     def use_cls(self) -> bool:
@@ -124,12 +100,19 @@ class ModelConfig:
     def dt_rank(self) -> int:
         return max(1, self.embed_dim // 16)
 
-    def patch_cfg(self) -> PatchEmbedConfig:
-        return PatchEmbedConfig(
-            image_h=self.image_h, image_w=self.image_w, channels=self.channels,
-            patch=self.patch, embed_dim=self.embed_dim, use_cls=self.use_cls,
-            overlap=self.overlap,
-        )
+    @property
+    def grid(self) -> tuple:
+        return (self.image_h // self.patch, self.image_w // self.patch)
+
+    @property
+    def tokens(self) -> int:
+        hp, wp = self.grid
+        return hp * wp
+
+    @property
+    def window(self) -> int:
+        # overlapping stem samples patch windows widened by one pixel per side
+        return self.patch + 2 if self.overlap else self.patch
 
 
 PRESETS = {
@@ -179,13 +162,12 @@ def _scan_path_specs(prefix, channels, state_dim, rank, conv_width):
 
 def param_specs(cfg: ModelConfig) -> list:
     """(name, shape, init) for every trainable tensor, in a fixed order."""
-    pc = cfg.patch_cfg()
     d, n, k, rank = cfg.embed_dim, cfg.state_dim, cfg.conv_width, cfg.dt_rank
-    patch_dim = pc.window * pc.window * cfg.channels
+    patch_dim = cfg.window * cfg.window * cfg.channels
     specs = [
         ("patch.proj", (patch_dim, d), ("uniform_fanin", patch_dim)),
         ("patch.bias", (d,), ("zeros",)),
-        ("pos", (pc.tokens + (1 if cfg.use_cls else 0), d), ("normal", 0.02)),
+        ("pos", (cfg.tokens + (1 if cfg.use_cls else 0), d), ("normal", 0.02)),
     ]
     if cfg.use_cls:
         specs.append(("cls", (1, d), ("normal", 0.02)))
@@ -266,17 +248,12 @@ def _init_array(rng: SplitMix64, shape, init) -> np.ndarray:
 class Model:
     cfg: ModelConfig
     params: dict = field(repr=False)
-    grid: tuple = (0, 0)
 
     def scan(self):
         if self.cfg.scan == "raster":
             return None  # identity ordering: skip the gather/scatter plumbing
-        hp, wp = self.grid
-        return scan2d.make_scan(self.cfg.scan, hp, wp, win=self.cfg.scan_win,
+        return scan2d.make_scan(self.cfg.scan, *self.cfg.grid, win=self.cfg.scan_win,
                                 stride=self.cfg.scan_stride, merge=self.cfg.scan_merge)
-
-    def named_parameters(self) -> dict:
-        return self.params
 
 
 def build_model(cfg: ModelConfig, seed: int) -> Model:
@@ -285,9 +262,7 @@ def build_model(cfg: ModelConfig, seed: int) -> Model:
     params = {}
     for name, shape, init in param_specs(cfg):
         params[name] = Tensor(_init_array(rng, shape, init), requires_grad=True)
-    model = Model(cfg=cfg, params=params, grid=cfg.patch_cfg().grid)
-    model.scan()  # fail fast on scan/grid divisibility mismatches
-    return model
+    return Model(cfg=cfg, params=params)
 
 
 # -- primitive layers ---------------------------------------------------------------
@@ -487,14 +462,7 @@ def vssd_block(tokens, params, grid, prefix="", scan=None, has_cls=False):
 # -- patch embedding -----------------------------------------------------------------------
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor
-    grid: tuple
-    has_cls: bool
-
-
-def _as_image_batch(images, cfg: PatchEmbedConfig) -> np.ndarray:
+def _as_image_batch(images, cfg: ModelConfig) -> np.ndarray:
     arr = np.asarray(images, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None, :, :, None]
@@ -510,7 +478,7 @@ def _as_image_batch(images, cfg: PatchEmbedConfig) -> np.ndarray:
     return arr
 
 
-def extract_patches(images, cfg: PatchEmbedConfig) -> np.ndarray:
+def extract_patches(images, cfg: ModelConfig) -> np.ndarray:
     """(B, N, window^2 * channels) patch matrix, raster token order."""
     arr = _as_image_batch(images, cfg)
     b = arr.shape[0]
@@ -528,7 +496,7 @@ def extract_patches(images, cfg: PatchEmbedConfig) -> np.ndarray:
     return view.reshape(b, hp * wp, win * win * cfg.channels).copy()
 
 
-def patch_embed(images, cfg: PatchEmbedConfig, weights: dict) -> TokenSequence:
+def patch_embed(images, cfg: ModelConfig, weights: dict) -> Tensor:
     """Project patches, add positions, optionally prepend the class token."""
     patches = extract_patches(images, cfg)
     tokens = T.add(T.matmul(Tensor(patches), weights["patch.proj"]),
@@ -537,8 +505,7 @@ def patch_embed(images, cfg: PatchEmbedConfig, weights: dict) -> TokenSequence:
         b = patches.shape[0]
         cls = T.add(Tensor(np.zeros((b, 1, cfg.embed_dim))), weights["cls"])
         tokens = T.concat([cls, tokens], axis=-2)
-    tokens = T.add(tokens, weights["pos"])
-    return TokenSequence(tokens=tokens, grid=cfg.grid, has_cls=cfg.use_cls)
+    return T.add(tokens, weights["pos"])
 
 
 # -- full model ---------------------------------------------------------------------------
@@ -552,13 +519,13 @@ def apply_block(model: Model, tokens, index: int, scan):
                          tie_directions=cfg.tie_directions)
     if cfg.family == "mambavision":
         return mamba_vision_mixer(tokens, model.params, prefix, scan, has_cls=cfg.use_cls)
-    return vssd_block(tokens, model.params, model.grid, prefix, scan, has_cls=False)
+    return vssd_block(tokens, model.params, cfg.grid, prefix, scan, has_cls=False)
 
 
 def features(model: Model, images) -> Tensor:
     """The classification layer's input (B, embed_dim): the normed class token,
     or the mean normed token for families without one."""
-    tokens = patch_embed(images, model.cfg.patch_cfg(), model.params).tokens
+    tokens = patch_embed(images, model.cfg, model.params)
     scan = model.scan()
     for i in range(model.cfg.depth):
         tokens = apply_block(model, tokens, i, scan)
@@ -686,9 +653,7 @@ def load_checkpoint(path) -> Model:
         (crc,) = struct.unpack("<I", read(4))
     if off != len(blob):
         raise ValueError(f"{len(blob) - off} trailing bytes after the parameters in {path}")
-    model = Model(cfg=cfg, params=params, grid=cfg.patch_cfg().grid)
-    model.scan()  # a scan that does not fit the grid fails here, not in forward
     # last, so that a damaged file that is also malformed names its structural fault
     if version > 1 and crc != zlib.crc32(body):
         raise ValueError(f"checkpoint {path} fails its CRC32 check (corrupted bytes)")
-    return model
+    return Model(cfg=cfg, params=params)

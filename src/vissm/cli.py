@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -306,6 +307,8 @@ def cmd_train(opt: dict, no_clobber: bool) -> int:
     cfg = B.config_from_preset(opt["preset"] or f"desk-{opt['family']}",
                                image_h=bundle.manifest["image"]["h"],
                                image_w=bundle.manifest["image"]["w"], **overrides)
+    # one image through the model's input check, so a misfit fails before any output
+    B.extract_patches(bundle.train.images[:1], cfg)
     outdir = prepare_outdir(opt["out"], no_clobber)
 
     model = B.build_model(cfg, seed=opt["seed"])
@@ -336,13 +339,15 @@ def cmd_train(opt: dict, no_clobber: bool) -> int:
 def cmd_eval(opt: dict, no_clobber: bool) -> int:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
+    # one image through the model's input check, so a misfit fails before any output
+    B.extract_patches(bundle.test_subsets[0].images[:1], model.cfg)
     outdir = prepare_outdir(opt["out"], no_clobber)
     report = TR.evaluate(model, bundle.test_subsets,
                          seeds=[bundle.manifest["seed"]])
-    with open(os.path.join(outdir, "eval_report.json"), "w") as fh:
-        fh.write(TR.report_to_json(report))
-    with open(os.path.join(outdir, "eval_report.csv"), "w") as fh:
-        fh.write(TR.report_to_csv(report))
+    write_json(os.path.join(outdir, "eval_report.json"), asdict(report))
+    write_csv(os.path.join(outdir, "eval_report.csv"), ["subset", "accuracy"],
+              [(tag, f"{report.per_subset[tag]:.6f}") for tag in sorted(report.per_subset)]
+              + [("mean", f"{report.mean_accuracy:.6f}")])
     echo_config(os.path.join(outdir, "resolved_config.json"), "eval", opt)
     for tag in sorted(report.per_subset):
         print(f"{tag}: {report.per_subset[tag]:.4f}")

@@ -233,11 +233,38 @@ def save_manifest(manifest: dict, path) -> None:
         fh.write("\n")
 
 
+def _manifest_value(doc: dict, name: str, kinds: tuple, path) -> object:
+    """The value under the dotted key ``name``; ValueError naming the key if it
+    is missing or of another type (exact types: neither a bool nor a float is
+    an int)."""
+    value = doc
+    for key in name.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"{path}: manifest key {name!r} is missing")
+        value = value[key]
+    if type(value) not in kinds:
+        raise ValueError(f"{path}: manifest key {name!r} must be "
+                         f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> dict:
+    """Read a manifest and check every value that ``dataset_from_manifest`` uses."""
     with open(path) as fh:
         manifest = json.load(fh)
-    if manifest.get("schema") != "vissm.dataset/1":
+    if not isinstance(manifest, dict) or manifest.get("schema") != "vissm.dataset/1":
         raise ValueError(f"{path} is not a dataset manifest (schema mismatch)")
+    for name in ("seed", "counts.train", "counts.val", "counts.test_per_subset",
+                 "image.h", "image.w"):
+        _manifest_value(manifest, name, (int,), path)
+    if manifest.get("train_generator") not in GENERATORS:
+        raise ValueError(f"{path}: manifest key 'train_generator' must be one of "
+                         f"{GENERATORS}, got {manifest.get('train_generator')!r}")
+    for i, spec in enumerate(_manifest_value(manifest, "specs", (list,), path)):
+        if not isinstance(spec, dict) or set(spec) != {"generator_id", "artifact_strength"}:
+            raise ValueError(f"{path}: manifest key 'specs' entry {i} must hold exactly "
+                             f"generator_id and artifact_strength, got {spec!r}")
+        _manifest_value(spec, "artifact_strength", (float, int), path)
     return manifest
 
 

@@ -14,7 +14,6 @@ subset plus their unweighted mean.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -258,20 +257,6 @@ def evaluate(model_or_predict, subsets: list, seeds=None, model_summary=None,
     mean_acc = float(np.mean(list(per_subset.values())))
     return EvalReport(per_subset=per_subset, mean_accuracy=mean_acc,
                       seeds=list(seeds or []), model_summary=summary)
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-
-
-def report_to_csv(report: EvalReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subset", "accuracy"])
-    for tag in sorted(report.per_subset):
-        writer.writerow([tag, f"{report.per_subset[tag]:.6f}"])
-    writer.writerow(["mean", f"{report.mean_accuracy:.6f}"])
-    return buf.getvalue()
 
 
 # -- cross-generator experiment ----------------------------------------------------------

@@ -14,7 +14,6 @@ from vissm import tensor as T
 from vissm.blocks import (
     Model,
     ModelConfig,
-    PatchEmbedConfig,
     build_model,
     config_from_preset,
     forward,
@@ -51,24 +50,24 @@ def tiny_cfg(family, **kw):
 
 
 def test_patch_count_with_cls():
-    cfg = PatchEmbedConfig(8, 8, 1, 4, 6, use_cls=True)
-    m = build_model(tiny_cfg("vim", patch=4, embed_dim=6), seed=0)
-    seq = patch_embed(np.zeros((2, 8, 8)), cfg, m.params)
-    assert seq.tokens.shape == (2, 5, 6)  # 4 patches + CLS
-    assert seq.has_cls and seq.grid == (2, 2)
+    cfg = tiny_cfg("vim", patch=4, embed_dim=6)
+    m = build_model(cfg, seed=0)
+    tokens = patch_embed(np.zeros((2, 8, 8)), cfg, m.params)
+    assert tokens.shape == (2, 5, 6)  # 4 patches + CLS
+    assert cfg.use_cls and cfg.grid == (2, 2)
 
 
 def test_patch_embed_divisibility_error():
     with pytest.raises(ValueError):
-        PatchEmbedConfig(9, 8, 1, 4, 6, use_cls=False)
+        tiny_cfg("vssd", image_h=9, patch=4)
 
 
 def test_zero_image_zero_weights_zero_tokens():
     cfg = tiny_cfg("vim")
     m = build_model(cfg, seed=0)
     zero_params(m)
-    seq = patch_embed(np.zeros((1, 8, 8)), cfg.patch_cfg(), m.params)
-    assert np.array_equal(seq.tokens.data, np.zeros_like(seq.tokens.data))
+    tokens = patch_embed(np.zeros((1, 8, 8)), cfg, m.params)
+    assert np.array_equal(tokens.data, np.zeros_like(tokens.data))
 
 
 def test_identity_projection_recovers_pixels():
@@ -81,12 +80,12 @@ def test_identity_projection_recovers_pixels():
     m.params["pos"].data[...] = 0.0
     rng = SplitMix64(5)
     img = rng.uniform_array((4, 4))
-    seq = patch_embed(img, cfg.patch_cfg(), m.params)
-    assert np.array_equal(seq.tokens.data[0, :, 0], img.reshape(-1))
+    tokens = patch_embed(img, cfg, m.params)
+    assert np.array_equal(tokens.data[0, :, 0], img.reshape(-1))
 
 
 def test_overlap_stem_token_count_and_window():
-    cfg = PatchEmbedConfig(8, 8, 1, 4, 6, use_cls=False, overlap=True)
+    cfg = tiny_cfg("vssd", patch=4, embed_dim=6, overlap=True)
     patches = B.extract_patches(np.ones((1, 8, 8)), cfg)
     assert patches.shape == (1, 4, 36)  # (4+2)^2 pixels per token
     # interior window sums full ones; corner window loses the padded rim
@@ -265,6 +264,19 @@ def test_vim_tiny_preset_near_reference_size():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         config_from_preset("vim-giant")
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(image_h=9), "patch 2 must divide image extents"),
+    (dict(patch=0), "patch must be >= 1"),
+    (dict(scan="local", scan_win=3), "window 3 must divide"),
+    (dict(scan="efficient", scan_stride=3), "stride 3 must divide"),
+    (dict(scan="spiral"), "unknown scan strategy"),
+    (dict(scan="cross", scan_merge="max"), "unknown merge rule"),
+])
+def test_config_that_does_not_fit_is_rejected_at_construction(changes, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_cfg("vssd", **changes)
 
 
 def test_build_is_deterministic():

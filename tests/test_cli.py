@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,45 @@ def test_train_unknown_preset_leaves_no_output(tiny_data, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make_flags, train_flags", [
+    (["--height", "30"], []),  # patch 4 does not divide 30
+    (["--height", "36", "--width", "36"], ["--scan", "local"]),  # window 2, 9x9 grid
+    ([], ["--preset", "vim-tiny"]),  # 3 channels against grayscale images
+])
+def test_train_on_data_the_model_does_not_fit_leaves_no_output(tmp_path, make_flags,
+                                                               train_flags):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["make-data", "--out", str(data), "--train", "4", "--val", "2",
+                "--test", "1", *make_flags]) == 0
+    assert run(["train", "--data", str(data), *train_flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_eval_on_images_of_other_extents_leaves_no_output(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=0), ckpt)
+    data, out = tmp_path / "data36", tmp_path / "eval"
+    assert run(["make-data", "--out", str(data), "--train", "4", "--val", "2",
+                "--test", "1", "--height", "36", "--width", "36"]) == 0
+    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("counts", {"train": 8.0, "val": 2,
+                                                    "test_per_subset": 1}),
+                                        ("seed", 1.5)])
+def test_train_on_mistyped_manifest_is_runtime_error(tiny_data, tmp_path, capsys,
+                                                     key, value):
+    manifest = json.loads((tiny_data / "manifest.json").read_text())
+    manifest[key] = value
+    (tiny_data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(tiny_data), "--out", str(out)]) == 2
+    assert f"manifest key '{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_data_bad_strength_leaves_no_output(tmp_path):
     out = tmp_path / "d"
     assert run(["make-data", "--out", str(out), "--strength", "2"]) == 1
@@ -324,3 +365,18 @@ def test_cross_gen_miniature(tmp_path, capsys):
     assert len(report["results"]) == 1
     csv_lines = (out / "crossgen.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 4  # header + 4 subsets
+
+
+# -- documentation -----------------------------------------------------------------
+
+
+def test_readme_command_lines_parse():
+    """Every ``vissm ...`` line of README's command-line block parses, and the
+    block shows every command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("vissm ")]
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == set(cli.COMMANDS)

@@ -142,6 +142,35 @@ def test_manifest_schema_guard(tmp_path):
         D.load_manifest(path)
 
 
+@pytest.mark.parametrize("keys, value, message", [
+    (("counts", "train"), 8.0, "'counts.train' must be int"),
+    (("seed",), 1.5, "'seed' must be int"),
+    (("seed",), True, "'seed' must be int"),
+    (("image", "h"), "32", "'image.h' must be int"),
+    (("image",), [32, 32], "'image.h' is missing"),
+    (("counts", "val"), None, "'counts.val' must be int"),
+    (("train_generator",), "G9_unknown", "'train_generator' must be one of"),
+    (("specs",), {}, "'specs' must be list"),
+    (("specs", 0, "artifact_strength"), "0.8", "'artifact_strength' must be float"),
+    (("specs", 1), {"generator_id": "G2_ringing"}, "'specs' entry 1"),
+    (("counts", "test_per_subset"), KeyError, "'counts.test_per_subset' is missing"),
+])
+def test_manifest_values_are_checked_on_load(tmp_path, keys, value, message):
+    manifest = make_dataset(seed=2, train_count=2, val_count=2, test_count=1).manifest
+    *parents, last = keys
+    holder = manifest
+    for key in parents:
+        holder = holder[key]
+    if value is KeyError:
+        del holder[last]
+    else:
+        holder[last] = value
+    path = tmp_path / "manifest.json"
+    D.save_manifest(manifest, path)
+    with pytest.raises(ValueError, match=message):
+        D.load_manifest(path)
+
+
 def test_make_dataset_validation():
     with pytest.raises(ValueError):
         make_dataset(seed=0, train_count=0, val_count=10, test_count=10)

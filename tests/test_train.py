@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vissm import blocks as B
+from vissm import cli
 from vissm import data as D
 from vissm import tensor as T
 from vissm import training as TR
@@ -207,12 +208,17 @@ def test_evaluate_rejects_empty():
         TR.evaluate(lambda b: np.zeros(len(b)), [])
 
 
-def test_report_serialization_roundtrip():
+def test_report_serialization_roundtrip(tmp_path, monkeypatch):
     rep = TR.EvalReport(per_subset={"real": 1.0, "G1_checkerboard": 0.5},
                         mean_accuracy=0.75, seeds=[1], model_summary={"kind": "x"})
-    text = TR.report_to_json(rep)
+    D.save_manifest(tiny_bundle(test=1).manifest, tmp_path / "manifest.json")
+    B.save_checkpoint(tiny_model(), tmp_path / "model.ckpt")
+    monkeypatch.setattr(TR, "evaluate", lambda *args, **kwargs: rep)
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "eval")]) == 0
+    text = (tmp_path / "eval" / "eval_report.json").read_text()
     assert '"mean_accuracy": 0.75' in text
-    csv_text = TR.report_to_csv(rep)
+    csv_text = (tmp_path / "eval" / "eval_report.csv").read_text()
     assert "mean,0.750000" in csv_text
 
 
