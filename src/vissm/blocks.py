@@ -80,9 +80,11 @@ class ModelConfig:
                 f"patch {self.patch} must divide image extents "
                 f"({self.image_h}, {self.image_w})"
             )
-        # raises ValueError when the scan does not fit the patch grid
-        scan2d.make_scan(self.scan, *self.grid, win=self.scan_win,
-                         stride=self.scan_stride, merge=self.scan_merge)
+        self.make_scan()  # raises ValueError when the scan does not fit the patch grid
+
+    def make_scan(self) -> scan2d.MultiScan:
+        return scan2d.make_scan(self.scan, *self.grid, win=self.scan_win,
+                                stride=self.scan_stride, merge=self.scan_merge)
 
     @property
     def use_cls(self) -> bool:
@@ -250,10 +252,8 @@ class Model:
     params: dict = field(repr=False)
 
     def scan(self):
-        if self.cfg.scan == "raster":
-            return None  # identity ordering: skip the gather/scatter plumbing
-        return scan2d.make_scan(self.cfg.scan, *self.cfg.grid, win=self.cfg.scan_win,
-                                stride=self.cfg.scan_stride, merge=self.cfg.scan_merge)
+        # raster is the identity ordering: skip the gather/scatter plumbing
+        return None if self.cfg.scan == "raster" else self.cfg.make_scan()
 
 
 def build_model(cfg: ModelConfig, seed: int) -> Model:

@@ -6,10 +6,10 @@ cross-generator experiment. Every command that produces artifacts writes the
 fully resolved configuration next to them, so a run can be reproduced from
 its output directory alone.
 
-Each command's options are declared once, in ``COMMANDS``. Options may also
-come from a plain-text config file (one ``key = value`` per line, ``#``
-comments); file values are typed and checked like flags, and explicit flags
-override them.
+Each option is declared once: in ``COMMANDS``, or in a group that several
+commands splice in (``CORPUS``, ``TRAINING``, ``DATA``, ``CHECKPOINT``).
+Options may also come from a plain-text config file (``key = value`` lines,
+``#`` comments), typed and checked like flags; explicit flags override them.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 correctness
 failure (a benchmark cross-check did not hold).
@@ -273,13 +273,15 @@ def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
 # -- make-data ---------------------------------------------------------------------
 
 
+def _corpus(opt: dict) -> dict:
+    return dict(train_count=opt["train"], val_count=opt["val"], test_count=opt["test"],
+                train_generator=opt["train_generator"], strength=opt["strength"])
+
+
 def cmd_make_data(opt: dict, no_clobber: bool) -> int:
     try:  # make_dataset raises ValueError only for out-of-range options
-        bundle = make_dataset(seed=opt["seed"], train_count=opt["train"],
-                              val_count=opt["val"], test_count=opt["test"],
-                              h=opt["height"], w=opt["width"],
-                              train_generator=opt["train_generator"],
-                              strength=opt["strength"])
+        bundle = make_dataset(seed=opt["seed"], h=opt["height"], w=opt["width"],
+                              **_corpus(opt))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     outdir = prepare_outdir(opt["out"], no_clobber)
@@ -300,6 +302,10 @@ def cmd_make_data(opt: dict, no_clobber: bool) -> int:
 # -- train -------------------------------------------------------------------------
 
 
+def _train_config(opt: dict, seed: int) -> TR.TrainConfig:
+    return TR.TrainConfig(seed=seed, **{o.key: opt[o.key] for o in TRAINING})
+
+
 def cmd_train(opt: dict, no_clobber: bool) -> int:
     bundle = _load_bundle(opt["data"])
     # 0 and "" leave the preset's value in place
@@ -312,9 +318,7 @@ def cmd_train(opt: dict, no_clobber: bool) -> int:
     outdir = prepare_outdir(opt["out"], no_clobber)
 
     model = B.build_model(cfg, seed=opt["seed"])
-    tcfg = TR.TrainConfig(lr=opt["lr"], batch=opt["batch"], epochs=opt["epochs"],
-                          seed=opt["seed"])
-    model, state = TR.train(model, bundle, cfg=tcfg,
+    model, state = TR.train(model, bundle, cfg=_train_config(opt, opt["seed"]),
                             state_path=os.path.join(outdir, "train_state.npz"))
 
     ckpt = os.path.join(outdir, "checkpoint.bin")
@@ -383,6 +387,8 @@ def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
     if unknown:
         raise UsageError(f"unknown families {unknown}; choose from {B.FAMILIES}")
     seeds = _int_list(opt, "seeds")
+    if not families or not seeds:
+        raise UsageError("cross-gen needs at least one family and one seed")
     outdir = prepare_outdir(opt["out"], no_clobber)
 
     def progress(family, seed, report):
@@ -390,13 +396,7 @@ def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
         print(f"[{family} seed {seed}] {line}")
 
     bundle_report = TR.cross_generator_experiment(
-        families=families, seeds=seeds, train_count=opt["train"],
-        val_count=opt["val"], test_count=opt["test"], strength=opt["strength"],
-        train_generator=opt["train_generator"],
-        train_cfg=TR.TrainConfig(lr=opt["lr"], batch=opt["batch"],
-                                 epochs=opt["epochs"], seed=0),
-        progress=progress,
-    )
+        families, seeds, _train_config(opt, 0), progress, **_corpus(opt))
     write_json(os.path.join(outdir, "crossgen.json"), bundle_report)
     write_csv(os.path.join(outdir, "crossgen.csv"), ["family", "seed", "subset", "accuracy"],
               [(row["family"], row["seed"], tag, f"{acc:.6f}")
@@ -431,6 +431,21 @@ class Command(NamedTuple):
     options: tuple
 
 
+CORPUS = (
+    Option("train", 1000, "train count (real+fake total)"),
+    Option("val", 200),
+    Option("test", 500, "test count per subset"),
+    Option("train_generator", "G1_checkerboard", choices=GENERATORS),
+    Option("strength", 0.8, "artifact strength in (0, 1]"),
+)
+TRAINING = (
+    Option("epochs", TR.TrainConfig.epochs),
+    Option("batch", TR.TrainConfig.batch),
+    Option("lr", TR.TrainConfig.lr),
+)
+DATA = Option("data", "data_out", "dataset directory or manifest path")
+CHECKPOINT = Option("checkpoint", "train_out/checkpoint.bin")
+
 COMMANDS = {
     "bench-kernels": Command(cmd_bench_kernels, "cross-check and time the kernel routes", (
         Option("lengths", "64,256,1024,4096,8192", "comma-separated sequence lengths"),
@@ -447,31 +462,25 @@ COMMANDS = {
         Option("strategy", "zigzag", choices=scan2d.STRATEGIES),
         Option("height", 4),
         Option("width", 4),
-        Option("win", 2, "window side for the local strategy"),
-        Option("stride", 2, "stride for the efficient strategy"),
-        Option("merge", "sum", choices=("sum", "mean")),
+        Option("win", B.ModelConfig.scan_win, "window side for the local strategy"),
+        Option("stride", B.ModelConfig.scan_stride, "stride for the efficient strategy"),
+        Option("merge", B.ModelConfig.scan_merge, choices=scan2d.MERGES),
         Option("ppm", "", "also write a P6 heatmap to this path"),
     )),
     "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", (
         Option("seed", 1),
-        Option("train", 1000, "train count (real+fake total)"),
-        Option("val", 200),
-        Option("test", 500, "test count per subset"),
+        *CORPUS,
         Option("height", 32),
         Option("width", 32),
-        Option("train_generator", "G1_checkerboard", choices=GENERATORS),
-        Option("strength", 0.8, "artifact strength in (0, 1]"),
         Option("dump_pgm", 0, "also write N sample PGMs per subset"),
         Option("out", "data_out"),
     )),
     "train": Command(cmd_train, "train a detector on a dataset manifest", (
-        Option("data", "data_out", "dataset directory or manifest path"),
+        DATA,
         Option("family", "vim", choices=B.FAMILIES),
         Option("preset", "", "named preset (default: desk-<family>)"),
         Option("seed", 0),
-        Option("epochs", 4),
-        Option("batch", 32),
-        Option("lr", 1e-3),
+        *TRAINING,
         Option("embed_dim", 0),
         Option("depth", 0),
         Option("state_dim", 0),
@@ -479,27 +488,21 @@ COMMANDS = {
         Option("out", "train_out"),
     )),
     "eval": Command(cmd_eval, "evaluate a checkpoint on the test subsets", (
-        Option("checkpoint", "train_out/checkpoint.bin"),
-        Option("data", "data_out"),
+        CHECKPOINT,
+        DATA,
         Option("out", "eval_out"),
     )),
     "export-features": Command(cmd_export_features, "write penultimate features as CSV", (
-        Option("checkpoint", "train_out/checkpoint.bin"),
-        Option("data", "data_out"),
+        CHECKPOINT,
+        DATA,
         Option("split", "test", choices=("train", "val", "test")),
         Option("out", "features.csv"),
     )),
     "cross-gen": Command(cmd_cross_gen, "train on one generator, test on all", (
         Option("families", "vim,mambavision,vssd", "comma-separated model families"),
         Option("seeds", "1,2,3", "comma-separated seeds"),
-        Option("train", 1000),
-        Option("val", 200),
-        Option("test", 500),
-        Option("strength", 0.8),
-        Option("train_generator", "G1_checkerboard", choices=GENERATORS),
-        Option("epochs", 4),
-        Option("batch", 32),
-        Option("lr", 1e-3),
+        *CORPUS,
+        *TRAINING,
         Option("out", "crossgen_out"),
     )),
 }

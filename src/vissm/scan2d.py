@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MERGES = ("sum", "mean")
+
 
 @dataclass(frozen=True)
 class ScanOrder:
@@ -45,7 +47,7 @@ class ScanOrder:
 @dataclass(frozen=True)
 class MultiScan:
     directions: tuple
-    merge: str = "sum"  # {"sum", "mean"}
+    merge: str = "sum"  # one of MERGES
 
     def __post_init__(self):
         dirs = tuple(self.directions)
@@ -55,7 +57,7 @@ class MultiScan:
         h, w = dirs[0].h, dirs[0].w
         if any(d.h != h or d.w != w for d in dirs):
             raise ValueError("all directions must share the same grid extents")
-        if self.merge not in ("sum", "mean"):
+        if self.merge not in MERGES:
             raise ValueError(f"unknown merge rule {self.merge!r}")
 
     @property
@@ -189,8 +191,10 @@ def make_scan(strategy: str, h: int, w: int, win: int = 2, stride: int = 2,
     """Build a strategy's directions by name.
 
     Single-order strategies come back as one-direction MultiScans; their order
-    is full, so their mean merge equals the sum and ``merge`` is not applied.
+    is full, so their mean merge equals the sum and ``merge`` is only checked.
     """
+    if merge not in MERGES:
+        raise ValueError(f"unknown merge rule {merge!r}")
     if strategy == "raster":
         return MultiScan((raster_scan(h, w),))
     if strategy == "bidirectional":

@@ -53,38 +53,37 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch: int = 32
-    epochs: int = 5
+    epochs: int = 4
     seed: int = 0
 
 
 class Adam:
-    def __init__(self, params: dict, cfg: TrainConfig):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict):
         self.params = params
-        self.cfg = cfg
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
     def step(self, lr: float) -> None:
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def cosine_lr(base: float, step: int, total: int) -> float:
@@ -130,10 +129,10 @@ def save_train_state(state: TrainState, optimizer: Adam, model: B.Model, path,
     np.savez(path, **arrays)
 
 
-def load_train_state(path, model: B.Model, cfg: TrainConfig):
+def load_train_state(path, model: B.Model):
     with np.load(path) as blob:
         meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
-        optimizer = Adam(model.params, cfg)
+        optimizer = Adam(model.params)
         optimizer.t = meta.pop("adam_t")
         best_params = {}
         for name, p in model.params.items():
@@ -176,7 +175,7 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
         best_params = saved_best or {k: p.data.copy() for k, p in model.params.items()}
         start_epoch = state.epoch
     else:
-        optimizer = Adam(model.params, cfg)
+        optimizer = Adam(model.params)
         rng = SplitMix64(hash_combine(cfg.seed, 0x747261696E))
         state = TrainState(epoch=0, step=0, total_steps=total_steps,
                            rng_state=rng.get_state(), best_val_acc=-1.0, best_epoch=-1)
@@ -229,8 +228,7 @@ class EvalReport:
     schema: str = "vissm.eval_report/1"
 
 
-def evaluate(model_or_predict, subsets: list, seeds=None, model_summary=None,
-             batch: int = 64) -> EvalReport:
+def evaluate(model_or_predict, subsets: list, seeds=None, batch: int = 64) -> EvalReport:
     """Per-subset accuracy plus the unweighted mean over subsets.
 
     Accepts a Model or any callable mapping an image batch to integer
@@ -238,13 +236,11 @@ def evaluate(model_or_predict, subsets: list, seeds=None, model_summary=None,
     """
     if not subsets:
         raise ValueError("no test subsets given")
-    if callable(model_or_predict) and not isinstance(model_or_predict, B.Model):
-        predict_fn = model_or_predict
-        summary = model_summary or {"kind": "callable"}
+    if isinstance(model_or_predict, B.Model):
+        predict_fn = lambda imgs: B.predict(model_or_predict, imgs)
+        summary = {"kind": "model", **asdict(model_or_predict.cfg)}
     else:
-        model = model_or_predict
-        predict_fn = lambda imgs: B.predict(model, imgs)
-        summary = model_summary or {"kind": "model", **asdict(model.cfg)}
+        predict_fn, summary = model_or_predict, {"kind": "callable"}
     per_subset = {}
     for ds in subsets:
         if len(ds) == 0:
@@ -262,33 +258,27 @@ def evaluate(model_or_predict, subsets: list, seeds=None, model_summary=None,
 # -- cross-generator experiment ----------------------------------------------------------
 
 
-def cross_generator_experiment(families: list, seeds: list,
-                               train_count: int = 1000, val_count: int = 200,
-                               test_count: int = 500, strength: float = 0.8,
-                               train_generator: str = "G1_checkerboard",
-                               train_cfg: TrainConfig | None = None,
-                               preset_overrides: dict | None = None,
-                               progress=None) -> dict:
+def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConfig,
+                               progress=None, preset_overrides: dict | None = None,
+                               **corpus) -> dict:
     """Train on one generator, test on all of them, across families and seeds.
 
+    ``corpus`` holds make_dataset's keyword arguments, drawn once per seed.
     Returns a bundle with the per-(family, seed, subset) accuracy grid and
     per-family aggregates: in-distribution accuracy (mean of the real subset
     and the training generator's subset) and out-of-distribution accuracy
     (mean over the other generators), each with mean and sd over seeds.
     """
-    if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
+    if not families or not seeds:
+        raise ValueError("at least one family and one seed are required")
     results = []
     for seed in seeds:
-        bundle = make_dataset(seed=seed, train_count=train_count,
-                              val_count=val_count, test_count=test_count,
-                              strength=strength, train_generator=train_generator)
+        bundle = make_dataset(seed=seed, **corpus)
         for family in families:
             cfg = B.config_from_preset(f"desk-{family}", **(preset_overrides or {}))
             family_tag = sum(ord(ch) << (8 * i) for i, ch in enumerate(family[:8]))
             model = B.build_model(cfg, seed=hash_combine(seed, family_tag))
-            tcfg = train_cfg or TrainConfig(seed=seed)
-            model, state = train(model, bundle, cfg=tcfg)
+            model, state = train(model, bundle, cfg=train_cfg)
             report = evaluate(model, bundle.test_subsets, seeds=[seed])
             if progress is not None:
                 progress(family, seed, report)
@@ -299,8 +289,8 @@ def cross_generator_experiment(families: list, seeds: list,
                 "final_loss": state.loss_history[-1],
             })
 
-    ood_tags = [g for g in ("G1_checkerboard", "G2_ringing", "G3_gridnoise")
-                if g != train_generator]
+    train_generator = bundle.manifest["train_generator"]
+    ood_tags = [t for t in results[0]["per_subset"] if t not in ("real", train_generator)]
     aggregates = {}
     for family in families:
         rows = [r for r in results if r["family"] == family]

@@ -273,6 +273,8 @@ def test_unknown_preset():
     (dict(scan="efficient", scan_stride=3), "stride 3 must divide"),
     (dict(scan="spiral"), "unknown scan strategy"),
     (dict(scan="cross", scan_merge="max"), "unknown merge rule"),
+    (dict(scan="raster", scan_merge="max"), "unknown merge rule"),
+    (dict(scan="zigzag", scan_merge="max"), "unknown merge rule"),
 ])
 def test_config_that_does_not_fit_is_rejected_at_construction(changes, message):
     with pytest.raises(ValueError, match=message):

@@ -9,6 +9,7 @@ import pytest
 from test_blocks import rewrite_config
 from vissm import blocks as B
 from vissm import cli
+from vissm import training as TR
 
 
 def run(argv):
@@ -229,7 +230,8 @@ def test_config_file_value_is_validated_like_its_flag(tiny_data, tmp_path, capsy
 
 
 @pytest.mark.parametrize("flags", [["--families", "vim,foo"], ["--families", "foo"],
-                                   ["--seeds", "1,x"]])
+                                   ["--seeds", "1,x"], ["--families", ""],
+                                   ["--seeds", ""]])
 def test_cross_gen_rejects_bad_lists_before_output(tmp_path, flags):
     out = tmp_path / "cg"
     assert run(["cross-gen", "--train", "16", "--val", "8", "--test", "4",
@@ -300,6 +302,22 @@ def test_out_of_range_option_is_usage_error_before_output(tmp_path, capsys, argv
     assert run(argv + ["--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a command's own seed and output path, and scan-show's grid extents against
+# make-data's image extents, are different settings under one name
+PER_COMMAND_KEYS = {"seed", "out", "height", "width"}
+
+
+def test_shared_option_keys_have_one_declaration():
+    declared = {}
+    for command in cli.COMMANDS.values():
+        for opt in command.options:
+            if opt.key not in PER_COMMAND_KEYS:
+                declared.setdefault(opt.key, set()).add(opt)
+    assert {key: opts for key, opts in declared.items() if len(opts) > 1} == {}
+    for opt in cli.TRAINING:
+        assert opt.default == getattr(TR.TrainConfig, opt.key), opt.key
 
 
 def _other_value(opt):

@@ -43,7 +43,7 @@ def test_softmax_rows_sum_to_one():
 def test_adam_first_step_is_signed_unit_step():
     # with bias correction the first update is lr * g / (|g| + eps)
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    opt = TR.Adam({"p": p}, TR.TrainConfig(lr=0.1))
+    opt = TR.Adam({"p": p})
     p.grad = np.array([0.5, -0.25, 1.0])
     before = p.data.copy()
     opt.step(0.1)
@@ -53,9 +53,8 @@ def test_adam_first_step_is_signed_unit_step():
 
 def test_adam_second_step_matches_hand_rolled_update():
     # oracle: run the published update rule by hand for two steps
-    cfg = TR.TrainConfig(lr=0.05)
     p = Tensor(np.array([0.7]), requires_grad=True)
-    opt = TR.Adam({"p": p}, cfg)
+    opt = TR.Adam({"p": p})
     g1, g2 = np.array([0.3]), np.array([-0.2])
 
     x = 0.7
@@ -96,7 +95,7 @@ def test_single_step_descends_on_one_sample():
     for p in model.params.values():
         p.zero_grad()
     T.backward(loss)
-    TR.Adam(model.params, TR.TrainConfig()).step(1e-4)
+    TR.Adam(model.params).step(1e-4)
     assert loss_of() < before
 
 
@@ -127,7 +126,7 @@ def test_resume_midway_matches_uninterrupted(tmp_path):
     state_path = tmp_path / "state.npz"
     TR.train(tiny_model(seed=8), bundle, cfg=cfg, state_path=state_path, run_until=2)
     m_res = tiny_model(seed=8)
-    state, optimizer, best = TR.load_train_state(state_path, m_res, cfg)
+    state, optimizer, best = TR.load_train_state(state_path, m_res)
     assert state.epoch == 2
     m_res, s_res = TR.train(m_res, bundle, cfg=cfg, resume=(state, optimizer, best))
 
@@ -266,6 +265,26 @@ def test_cross_generator_experiment_grid_complete():
     assert "sd" in agg["out_of_distribution"]
 
 
+def test_cross_generator_trains_on_the_requested_generator():
+    out = TR.cross_generator_experiment(
+        families=["vssd"], seeds=[1], train_count=24, val_count=12,
+        test_count=8, train_generator="G2_ringing",
+        train_cfg=TR.TrainConfig(epochs=1, seed=0),
+        preset_overrides=dict(embed_dim=8, depth=1, state_dim=2, patch=8),
+    )
+    assert out["train_generator"] == "G2_ringing"
+    acc = out["results"][0]["per_subset"]
+    assert out["aggregates"]["vssd"]["in_distribution"]["mean"] == np.mean(
+        [acc["real"], acc["G2_ringing"]])
+
+
 def test_cross_generator_requires_seeds():
     with pytest.raises(ValueError):
-        TR.cross_generator_experiment(families=["vssd"], seeds=[])
+        TR.cross_generator_experiment(families=["vssd"], seeds=[],
+                                      train_cfg=TR.TrainConfig())
+
+
+def test_cross_generator_requires_families():
+    with pytest.raises(ValueError):
+        TR.cross_generator_experiment(families=[], seeds=[1],
+                                      train_cfg=TR.TrainConfig())
