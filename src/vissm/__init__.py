@@ -9,6 +9,7 @@ Modules:
   blocks     patch embedding, the three block families, model + checkpoints
   data       procedural real-vs-generated image corpus
   train      Adam loop, per-subset evaluation, cross-generator experiment
+  files      every file write (atomic), CSV/JSON/netpbm, the array container
   cli        the ``vissm`` command
 """
 

@@ -19,13 +19,11 @@ training mutates parameters under a single owner.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import scan2d
+from . import files, scan2d
 from . import tensor as T
 from .rng import SplitMix64, hash_combine
 # selective_scan_parallel stays bound: perfbench's SPANS table looks both scan routes up here
@@ -558,7 +556,6 @@ def predict(model: Model, images) -> np.ndarray:
 
 
 CKPT_MAGIC = b"VSSMCKPT"
-CKPT_VERSION = 2  # 2 appends a CRC32 trailer; version 1 files (no trailer) still load
 
 
 def config_to_json(cfg: ModelConfig) -> str:
@@ -567,93 +564,32 @@ def config_to_json(cfg: ModelConfig) -> str:
 
 def config_from_json(text: str) -> ModelConfig:
     """Decode a config written by ``config_to_json``; ValueError if it does not fit."""
-    raw = json.loads(text)
-    if not isinstance(raw, dict):
-        raise ValueError("model config must be a JSON object")
-    raw.pop("chunk", None)  # the removed chunked-scan option, still in older checkpoints
-    kinds = {f.name: str if f.default is MISSING else type(f.default)
+    required = [f.name for f in fields(ModelConfig) if f.default is MISSING]
+    kinds = {f.name: str if f.name in required else type(f.default)
              for f in fields(ModelConfig)}
-    for key in sorted(raw):
-        if key not in kinds:
-            raise ValueError(f"unknown model config key {key!r}")
-        if type(raw[key]) is not kinds[key]:
-            raise ValueError(f"model config {key!r} must be a {kinds[key].__name__}, "
-                             f"got {raw[key]!r}")
-    try:
-        return ModelConfig(**raw)
-    except TypeError as exc:  # a missing key
-        raise ValueError(f"bad model config: {exc}") from None
+    # "chunk", the removed chunked-scan option, is still in older checkpoints
+    raw = files.json_object(text, {**kinds, "chunk": int}, required, "model config")
+    raw.pop("chunk", None)
+    return ModelConfig(**raw)
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Little-endian binary: magic, version, config JSON, named float64 blobs,
-    then the CRC32 of every byte before it.
+    """The config JSON and every parameter in a ``VSSMCKPT`` array container.
 
     A JSON sidecar (<path>.json) mirrors the config for humans and scripts.
     """
-    cfg_bytes = config_to_json(model.cfg).encode("utf-8")
-    chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
-              struct.pack("<I", len(cfg_bytes)), cfg_bytes,
-              struct.pack("<I", len(model.params))]
-    for name, tensor in model.params.items():
-        nbytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nbytes)))
-        chunks.append(nbytes)
-        chunks.append(struct.pack("<B", tensor.data.ndim))
-        for dim in tensor.data.shape:
-            chunks.append(struct.pack("<I", dim))
-        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    blob = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
-    with open(str(path) + ".json", "w") as fh:
-        fh.write(config_to_json(model.cfg) + "\n")
+    header = config_to_json(model.cfg)
+    files.write_arrays(path, CKPT_MAGIC, header,
+                       {name: t.data for name, t in model.params.items()})
+    files.write_bytes(str(path) + ".json", (header + "\n").encode("utf-8"))
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
+    """A checkpoint whose arrays match its config's parameters; ValueError if not."""
+    def expect(text):
+        cfg = config_from_json(text)
+        return cfg, [(name, shape) for name, shape, _ in param_specs(cfg)]
 
-    def read(n):
-        nonlocal off
-        piece = blob[off:off + n]
-        if len(piece) != n:
-            raise ValueError(f"truncated checkpoint {path}")
-        off += n
-        return piece
-
-    if read(8) != CKPT_MAGIC:
-        raise ValueError(f"{path} is not a model checkpoint (bad magic)")
-    version = struct.unpack("<I", read(4))[0]
-    if version not in (1, CKPT_VERSION):
-        raise ValueError(f"unsupported checkpoint version {version}")
-    cfg_len = struct.unpack("<I", read(4))[0]
-    cfg = config_from_json(read(cfg_len).decode("utf-8"))
-    specs = param_specs(cfg)
-    count = struct.unpack("<I", read(4))[0]
-    if count != len(specs):
-        raise ValueError(f"checkpoint holds {count} parameters, its config needs "
-                         f"{len(specs)} in {path}")
-    params = {}
-    for want_name, want_shape, _ in specs:
-        name_len = struct.unpack("<H", read(2))[0]
-        name = read(name_len).decode("utf-8")
-        ndim = struct.unpack("<B", read(1))[0]
-        shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-        if (name, shape) != (want_name, tuple(want_shape)):
-            raise ValueError(f"checkpoint parameter {name!r} {shape} does not match "
-                             f"its config's {want_name!r} {tuple(want_shape)} in {path}")
-        data = np.frombuffer(read(int(np.prod(shape)) * 8), dtype="<f8").reshape(shape)
-        if not np.isfinite(data).all():
-            raise ValueError(f"checkpoint parameter {name!r} is not finite in {path}")
-        params[name] = Tensor(data.copy(), requires_grad=True)
-    body = blob[:off]
-    if version > 1:
-        (crc,) = struct.unpack("<I", read(4))
-    if off != len(blob):
-        raise ValueError(f"{len(blob) - off} trailing bytes after the parameters in {path}")
-    # last, so that a damaged file that is also malformed names its structural fault
-    if version > 1 and crc != zlib.crc32(body):
-        raise ValueError(f"checkpoint {path} fails its CRC32 check (corrupted bytes)")
-    return Model(cfg=cfg, params=params)
+    cfg, arrays = files.read_arrays(path, CKPT_MAGIC, "checkpoint", expect)
+    return Model(cfg=cfg, params={name: Tensor(data, requires_grad=True)
+                                  for name, data in arrays.items()})

@@ -18,8 +18,6 @@ failure (a benchmark cross-check did not hold).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -29,16 +27,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import blocks as B
-from . import scan2d
+from . import files, scan2d
 from . import selective as S
 from . import ssm
 from . import tensor as T
 from . import training as TR
 from .data import (
+    check_corpus,
     dataset_from_manifest,
     load_manifest,
     make_dataset,
-    save_manifest,
     write_pgm,
     GENERATORS,
 )
@@ -118,30 +116,27 @@ def _int_list(opt: dict, key: str) -> list:
                          f"got {opt[key]!r}") from None
 
 
+def _usage(fn, *args, **kwargs):
+    """``fn(...)``, its ValueError (an out-of-range option) a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def prepare_outdir(path: str, no_clobber: bool) -> str:
+    """Check ``--out`` before any work; the directory appears at the first write."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(f"output path {path!r} exists and is not a directory")
     if os.path.isdir(path) and os.listdir(path):
         if no_clobber:
             raise RuntimeError(f"output directory {path!r} is not empty (--no-clobber)")
         print(f"warning: overwriting contents of {path!r}", file=sys.stderr)
-    os.makedirs(path, exist_ok=True)
     return path
 
 
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def echo_config(path: str, command: str, resolved: dict) -> None:
-    write_json(path, {"schema": "vissm.run_config/1", "command": command, **resolved})
+    files.write_json(path, {"schema": "vissm.run_config/1", "command": command, **resolved})
 
 
 def _load_bundle(data_path: str):
@@ -221,8 +216,8 @@ def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
 
     report = {"schema": "vissm.bench/1", "checks": checks,
               "rows": [{"method": m, "length": l, "seconds": s} for m, l, s in rows]}
-    write_json(os.path.join(outdir, "bench.json"), report)
-    write_csv(os.path.join(outdir, "bench.csv"), ["method", "length", "seconds"],
+    files.write_json(os.path.join(outdir, "bench.json"), report)
+    files.write_csv(os.path.join(outdir, "bench.csv"), ["method", "length", "seconds"],
               [(m, l, f"{s:.6f}") for m, l, s in rows])
     echo_config(os.path.join(outdir, "resolved_config.json"), "bench-kernels", opt)
     print(f"wrote {outdir}/bench.json and bench.csv")
@@ -234,26 +229,18 @@ def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
 
 def _ppm_heatmap(grid: np.ndarray, path: str) -> None:
     """Visitation ranks as a binary P6 heatmap (early = dark, late = bright)."""
-    h, w = grid.shape
     ranks = grid.astype(np.float64)
     top = max(ranks.max(), 1.0)
     norm = np.where(ranks < 0, 0.0, ranks / top)
     r = np.round(255 * norm).astype(np.uint8)
     g = np.round(64 + 128 * norm).astype(np.uint8)
     b = np.round(255 * (1.0 - norm)).astype(np.uint8)
-    rgb = np.stack([r, g, b], axis=-1)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    files.write_netpbm(path, np.stack([r, g, b], axis=-1))
 
 
 def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
-    try:
-        scan = scan2d.make_scan(opt["strategy"], opt["height"], opt["width"],
-                                win=opt["win"], stride=opt["stride"],
-                                merge=opt["merge"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    scan = _usage(scan2d.make_scan, opt["strategy"], opt["height"], opt["width"],
+                  win=opt["win"], stride=opt["stride"], merge=opt["merge"])
     orders = scan.directions
     for k, order in enumerate(orders):
         if len(orders) > 1:
@@ -274,21 +261,21 @@ def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
 
 
 def _corpus(opt: dict) -> dict:
-    return dict(train_count=opt["train"], val_count=opt["val"], test_count=opt["test"],
-                train_generator=opt["train_generator"], strength=opt["strength"])
+    """``make_dataset``'s corpus arguments, checked before any work."""
+    corpus = dict(train_count=opt["train"], val_count=opt["val"], test_count=opt["test"],
+                  train_generator=opt["train_generator"], strength=opt["strength"])
+    _usage(check_corpus, **corpus)
+    return corpus
 
 
 def cmd_make_data(opt: dict, no_clobber: bool) -> int:
-    try:  # make_dataset raises ValueError only for out-of-range options
-        bundle = make_dataset(seed=opt["seed"], h=opt["height"], w=opt["width"],
-                              **_corpus(opt))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # beyond the corpus check, make_dataset rejects only image extents below its minimum
+    bundle = _usage(make_dataset, seed=opt["seed"], h=opt["height"], w=opt["width"],
+                    **_corpus(opt))
     outdir = prepare_outdir(opt["out"], no_clobber)
-    save_manifest(bundle.manifest, os.path.join(outdir, "manifest.json"))
+    files.write_json(os.path.join(outdir, "manifest.json"), bundle.manifest)
     if opt["dump_pgm"] > 0:
         sample_dir = os.path.join(outdir, "samples")
-        os.makedirs(sample_dir, exist_ok=True)
         for ds in bundle.test_subsets:
             for i in range(min(opt["dump_pgm"], len(ds))):
                 write_pgm(ds.images[i], os.path.join(sample_dir, f"{ds.subset_tag}_{i}.pgm"))
@@ -303,34 +290,33 @@ def cmd_make_data(opt: dict, no_clobber: bool) -> int:
 
 
 def _train_config(opt: dict, seed: int) -> TR.TrainConfig:
-    return TR.TrainConfig(seed=seed, **{o.key: opt[o.key] for o in TRAINING})
+    return _usage(TR.TrainConfig, seed=seed, **{o.key: opt[o.key] for o in TRAINING})
 
 
 def cmd_train(opt: dict, no_clobber: bool) -> int:
+    train_cfg = _train_config(opt, opt["seed"])
     bundle = _load_bundle(opt["data"])
     # 0 and "" leave the preset's value in place
     overrides = {k: opt[k] for k in ("embed_dim", "depth", "state_dim", "scan") if opt[k]}
-    cfg = B.config_from_preset(opt["preset"] or f"desk-{opt['family']}",
+    cfg = B.config_from_preset(f"desk-{opt['family']}",
                                image_h=bundle.manifest["image"]["h"],
                                image_w=bundle.manifest["image"]["w"], **overrides)
-    # one image through the model's input check, so a misfit fails before any output
-    B.extract_patches(bundle.train.images[:1], cfg)
     outdir = prepare_outdir(opt["out"], no_clobber)
 
     model = B.build_model(cfg, seed=opt["seed"])
-    model, state = TR.train(model, bundle, cfg=_train_config(opt, opt["seed"]),
-                            state_path=os.path.join(outdir, "train_state.npz"))
+    model, state = TR.train(model, bundle, cfg=train_cfg,
+                            state_path=os.path.join(outdir, "train_state.bin"))
 
     ckpt = os.path.join(outdir, "checkpoint.bin")
     B.save_checkpoint(model, ckpt)
-    write_csv(os.path.join(outdir, "loss_history.csv"), ["step", "loss"],
+    files.write_csv(os.path.join(outdir, "loss_history.csv"), ["step", "loss"],
               [(i, repr(loss)) for i, loss in enumerate(state.loss_history)])
     summary = {"schema": "vissm.train_summary/1",
                "best_val_acc": state.best_val_acc,
                "best_epoch": state.best_epoch,
                "val_history": state.val_history,
                "steps": state.step}
-    write_json(os.path.join(outdir, "train_summary.json"), summary)
+    files.write_json(os.path.join(outdir, "train_summary.json"), summary)
     echo_config(os.path.join(outdir, "resolved_config.json"), "train", opt)
     print(f"best val acc {state.best_val_acc:.4f} (epoch {state.best_epoch}); "
           f"wrote {ckpt}")
@@ -343,13 +329,11 @@ def cmd_train(opt: dict, no_clobber: bool) -> int:
 def cmd_eval(opt: dict, no_clobber: bool) -> int:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
-    # one image through the model's input check, so a misfit fails before any output
-    B.extract_patches(bundle.test_subsets[0].images[:1], model.cfg)
     outdir = prepare_outdir(opt["out"], no_clobber)
     report = TR.evaluate(model, bundle.test_subsets,
                          seeds=[bundle.manifest["seed"]])
-    write_json(os.path.join(outdir, "eval_report.json"), asdict(report))
-    write_csv(os.path.join(outdir, "eval_report.csv"), ["subset", "accuracy"],
+    files.write_json(os.path.join(outdir, "eval_report.json"), asdict(report))
+    files.write_csv(os.path.join(outdir, "eval_report.csv"), ["subset", "accuracy"],
               [(tag, f"{report.per_subset[tag]:.6f}") for tag in sorted(report.per_subset)]
               + [("mean", f"{report.mean_accuracy:.6f}")])
     echo_config(os.path.join(outdir, "resolved_config.json"), "eval", opt)
@@ -389,6 +373,7 @@ def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
     seeds = _int_list(opt, "seeds")
     if not families or not seeds:
         raise UsageError("cross-gen needs at least one family and one seed")
+    train_cfg, corpus = _train_config(opt, 0), _corpus(opt)
     outdir = prepare_outdir(opt["out"], no_clobber)
 
     def progress(family, seed, report):
@@ -396,9 +381,9 @@ def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
         print(f"[{family} seed {seed}] {line}")
 
     bundle_report = TR.cross_generator_experiment(
-        families, seeds, _train_config(opt, 0), progress, **_corpus(opt))
-    write_json(os.path.join(outdir, "crossgen.json"), bundle_report)
-    write_csv(os.path.join(outdir, "crossgen.csv"), ["family", "seed", "subset", "accuracy"],
+        families, seeds, train_cfg, progress, **corpus)
+    files.write_json(os.path.join(outdir, "crossgen.json"), bundle_report)
+    files.write_csv(os.path.join(outdir, "crossgen.csv"), ["family", "seed", "subset", "accuracy"],
               [(row["family"], row["seed"], tag, f"{acc:.6f}")
                for row in bundle_report["results"]
                for tag, acc in sorted(row["per_subset"].items())])
@@ -478,7 +463,6 @@ COMMANDS = {
     "train": Command(cmd_train, "train a detector on a dataset manifest", (
         DATA,
         Option("family", "vim", choices=B.FAMILIES),
-        Option("preset", "", "named preset (default: desk-<family>)"),
         Option("seed", 0),
         *TRAINING,
         Option("embed_dim", 0),

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import files
 from .rng import SplitMix64, hash_combine
 
 GENERATORS = ("G1_checkerboard", "G2_ringing", "G3_gridnoise")
@@ -169,6 +170,14 @@ def _gen_block(dataset_seed, split, subset, count, h, w, spec=None):
     return imgs
 
 
+def check_corpus(train_count: int, val_count: int, test_count: int,
+                 train_generator: str, strength: float) -> None:
+    """ValueError for what ``make_dataset`` rejects before drawing any image."""
+    if min(train_count, val_count, test_count) < 1:
+        raise ValueError("all split counts must be >= 1")
+    SynthGenSpec(train_generator, strength)
+
+
 def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
                  h: int = 32, w: int = 32,
                  train_generator: str = "G1_checkerboard",
@@ -180,8 +189,7 @@ def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
     (real gets the extra sample when odd). test_count is per subset. Each
     (split, subset) pair draws from its own disjoint sample-seed block.
     """
-    if min(train_count, val_count, test_count) < 1:
-        raise ValueError("all split counts must be >= 1")
+    check_corpus(train_count, val_count, test_count, train_generator, strength)
     if specs is None:
         specs = [SynthGenSpec(g, strength) for g in GENERATORS]
     if not specs:
@@ -225,12 +233,6 @@ def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
                         for sp, su in _RANGE_KEYS},
     }
     return DatasetBundle(train=train, val=val, test_subsets=tests, manifest=manifest)
-
-
-def save_manifest(manifest: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _manifest_value(doc: dict, name: str, kinds: tuple, path) -> object:
@@ -287,11 +289,7 @@ def dataset_from_manifest(manifest: dict) -> DatasetBundle:
 
 def write_pgm(image: np.ndarray, path) -> None:
     """8-bit binary PGM (P5), for eyeballing generated samples."""
-    h, w = image.shape
-    quant = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quant.tobytes())
+    files.write_netpbm(path, np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8))
 
 
 def checkerboard_score(image: np.ndarray) -> float:

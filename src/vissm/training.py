@@ -13,13 +13,14 @@ subset plus their unweighted mean.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import blocks as B
+from . import files
 from . import tensor as T
 from .data import DatasetBundle, make_dataset
 from .rng import SplitMix64, hash_combine
@@ -57,6 +58,10 @@ class TrainConfig:
     epochs: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.batch, self.epochs) < 1 or not 0 <= self.lr < math.inf:
+            raise ValueError(f"need batch >= 1, epochs >= 1 and a finite lr >= 0, got {self}")
+
 
 class Adam:
     BETA1 = 0.9
@@ -87,9 +92,7 @@ class Adam:
 
 
 def cosine_lr(base: float, step: int, total: int) -> float:
-    """Cosine decay from base to 0 over ``total`` steps."""
-    if total <= 0:
-        return base
+    """Cosine decay from base to 0 over ``total`` (>= 1) steps."""
     frac = min(max(step / total, 0.0), 1.0)
     return base * 0.5 * (1.0 + np.cos(np.pi * frac))
 
@@ -111,39 +114,45 @@ class TrainState:
     val_history: list = field(default_factory=list)
 
 
+STATE_MAGIC = b"VSSMSTAT"
+# the header's JSON type per key: the TrainState fields plus the optimizer's step count
+_JSON_KIND = {"int": int, "float": float, "tuple": list, "list": list}
+_STATE_KINDS = {**{f.name: _JSON_KIND[f.type] for f in fields(TrainState)}, "adam_t": int}
+_GROUPS = ("p/", "m/", "v/", "b/")  # parameters, Adam's m and v, best parameters
+
+
 def save_train_state(state: TrainState, optimizer: Adam, model: B.Model, path,
-                     best_params: dict | None = None) -> None:
-    arrays = {}
-    for name, arr in optimizer.m.items():
-        arrays["m/" + name] = arr
-    for name, arr in optimizer.v.items():
-        arrays["v/" + name] = arr
-    for name, p in model.params.items():
-        arrays["p/" + name] = p.data
-    for name, arr in (best_params or {}).items():
-        arrays["b/" + name] = arr
-    meta = dict(asdict(state))
-    meta["rng_state"] = list(state.rng_state)
-    meta["adam_t"] = optimizer.t
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+                     best_params: dict) -> None:
+    """``state`` and the optimizer's step count as the header of a ``VSSMSTAT``
+    container; its arrays are the parameters, both Adam moments and the best
+    parameters, each group in parameter order."""
+    header = json.dumps({**asdict(state), "adam_t": optimizer.t}, sort_keys=True)
+    groups = zip(_GROUPS, ({k: p.data for k, p in model.params.items()},
+                           optimizer.m, optimizer.v, best_params))
+    files.write_arrays(path, STATE_MAGIC, header, {prefix + name: group[name]
+                                                   for prefix, group in groups
+                                                   for name in model.params})
 
 
 def load_train_state(path, model: B.Model):
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
-        optimizer = Adam(model.params)
-        optimizer.t = meta.pop("adam_t")
-        best_params = {}
-        for name, p in model.params.items():
-            p.data[...] = blob["p/" + name]
-            optimizer.m[name][...] = blob["m/" + name]
-            optimizer.v[name][...] = blob["v/" + name]
-            if "b/" + name in blob:
-                best_params[name] = blob["b/" + name].copy()
+    """(state, optimizer, best_params) from a file written by ``save_train_state``
+    for a model of the same layout; the parameters are loaded into ``model``.
+    ValueError if the file does not fit."""
+    def expect(text):
+        return (files.json_object(text, _STATE_KINDS, _STATE_KINDS, "train state"),
+                [(prefix + name, p.data.shape)
+                 for prefix in _GROUPS for name, p in model.params.items()])
+
+    meta, arrays = files.read_arrays(path, STATE_MAGIC, "train state", expect)
+    optimizer = Adam(model.params)
+    optimizer.t = meta.pop("adam_t")
+    for name, p in model.params.items():
+        p.data[...] = arrays["p/" + name]
+        optimizer.m[name][...] = arrays["m/" + name]
+        optimizer.v[name][...] = arrays["v/" + name]
+    best_params = {name: arrays["b/" + name] for name in model.params}
     meta["rng_state"] = tuple(meta["rng_state"])
-    state = TrainState(**meta)
-    return state, optimizer, best_params
+    return TrainState(**meta), optimizer, best_params
 
 
 # -- training loop -----------------------------------------------------------------
@@ -167,12 +176,11 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     total_steps = cfg.epochs * steps_per_epoch
 
     if resume is not None:
-        state, optimizer, saved_best = resume
+        state, optimizer, best_params = resume
         rng = SplitMix64(0)
         rng.set_state(state.rng_state)
         if state.total_steps != total_steps:
             raise ValueError("resume schedule does not match the requested run")
-        best_params = saved_best or {k: p.data.copy() for k, p in model.params.items()}
         start_epoch = state.epoch
     else:
         optimizer = Adam(model.params)
@@ -335,10 +343,7 @@ def export_features(model: B.Model, images: np.ndarray, tags, labels, path,
     for lo in range(0, len(images), batch):
         feats.append(B.penultimate(model, images[lo:lo + batch]))
     feats = np.concatenate(feats) if feats else np.zeros((0, model.cfg.embed_dim))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subset_tag", "label"] +
-                        [f"f_{i}" for i in range(feats.shape[1])])
-        for tag, label, row in zip(tags, labels, feats):
-            writer.writerow([tag, label] + [repr(float(v)) for v in row])
+    files.write_csv(path, ["subset_tag", "label"] + [f"f_{i}" for i in range(feats.shape[1])],
+                    ([tag, label] + [repr(float(v)) for v in row]
+                     for tag, label, row in zip(tags, labels, feats)))
     return len(feats)

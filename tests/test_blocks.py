@@ -11,6 +11,7 @@ from vissm import blocks as B
 from vissm import scan2d
 from vissm import selective as S
 from vissm import tensor as T
+from vissm import training as TR
 from vissm.blocks import (
     Model,
     ModelConfig,
@@ -590,13 +591,15 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def rewrite_config(path, **changes):
-    """Rewrite the config JSON inside a checkpoint file, keeping its blobs, and
-    re-seal the CRC32 trailer."""
+def rewrite_header(path, drop=(), **changes):
+    """Rewrite the JSON header inside a container file (a checkpoint's config),
+    keeping its arrays, and re-seal the CRC32 trailer."""
     blob = path.read_bytes()[:-4]
     (cfg_len,) = struct.unpack("<I", blob[12:16])
     cfg = json.loads(blob[16:16 + cfg_len])
     cfg.update(changes)
+    for key in drop:
+        del cfg[key]
     text = json.dumps(cfg, sort_keys=True).encode("utf-8")
     body = blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + cfg_len:]
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -618,7 +621,7 @@ def test_checkpoint_with_legacy_chunk_key_loads(tmp_path):
     m = build_model(config_from_preset("desk-vim"), seed=19)
     path = tmp_path / "old.ckpt"
     save_checkpoint(m, path)
-    rewrite_config(path, chunk=8)
+    rewrite_header(path, chunk=8)
     again = load_checkpoint(path)
     assert again.cfg == m.cfg
     imgs = SplitMix64(43).uniform_array((2, 32, 32))
@@ -628,7 +631,7 @@ def test_checkpoint_with_legacy_chunk_key_loads(tmp_path):
 def test_checkpoint_unknown_config_key_is_value_error(tmp_path):
     path = tmp_path / "odd.ckpt"
     save_checkpoint(build_model(tiny_cfg("vssd"), seed=20), path)
-    rewrite_config(path, colour="blue")
+    rewrite_header(path, colour="blue")
     with pytest.raises(ValueError, match="colour"):
         load_checkpoint(path)
 
@@ -650,7 +653,7 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
 def test_checkpoint_blob_shape_checked_against_config(tmp_path):
     path = tmp_path / "m.ckpt"
     _saved_checkpoint(path, config_from_preset("desk-vim"))
-    rewrite_config(path, patch=8)  # the blobs were written for patch 4
+    rewrite_header(path, patch=8)  # the blobs were written for patch 4
     with pytest.raises(ValueError, match="does not match"):
         load_checkpoint(path)
 
@@ -669,46 +672,56 @@ def test_checkpoint_non_finite_blob_rejected(tmp_path):
 def test_checkpoint_bad_config_value_is_value_error(tmp_path, changes):
     path = tmp_path / "m.ckpt"
     _saved_checkpoint(path)
-    rewrite_config(path, **changes)
+    rewrite_header(path, **changes)
     with pytest.raises(ValueError):
         load_checkpoint(path)
 
 
-@pytest.fixture(scope="module")
-def fuzz_blob(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
-    _saved_checkpoint(path, tiny_cfg("mambavision", embed_dim=4))
-    return path.read_bytes()
+@pytest.fixture(scope="module", params=["checkpoint", "train_state"])
+def fuzz_file(request, tmp_path_factory):
+    """The bytes of a small saved container file of each kind, and its loader."""
+    model = build_model(tiny_cfg("mambavision", embed_dim=4), seed=21)
+    path = tmp_path_factory.mktemp("saved") / request.param
+    if request.param == "checkpoint":
+        save_checkpoint(model, path)
+        return path.read_bytes(), load_checkpoint
+    state = TR.TrainState(epoch=1, step=3, total_steps=6, rng_state=(5, 2),
+                          best_val_acc=0.5, best_epoch=0,
+                          loss_history=[0.7, 0.6, 0.5], val_history=[0.5])
+    TR.save_train_state(state, TR.Adam(model.params), model, path,
+                        {k: p.data.copy() for k, p in model.params.items()})
+    return path.read_bytes(), lambda damaged: TR.load_train_state(damaged, model)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cut=st.integers(0, 2**16), extra=st.binary(max_size=16))
 @example(cut=1, extra=b"")
 @example(cut=0, extra=b"\x00")
-def test_checkpoint_truncated_or_extended_is_value_error(fuzz_blob, tmp_path_factory,
-                                                         cut, extra):
-    """A checkpoint cut short, with bytes appended, or both, fails to load
-    with ValueError."""
-    blob = fuzz_blob
+def test_container_truncated_or_extended_is_value_error(fuzz_file, tmp_path_factory,
+                                                        cut, extra):
+    """A checkpoint or train state cut short, with bytes appended, or both,
+    fails to load with ValueError."""
+    blob, load = fuzz_file
     damaged = blob[:len(blob) - cut % (len(blob) + 1)] + extra
     assume(damaged != blob)
-    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    path = tmp_path_factory.mktemp("fuzz") / "damaged"
     path.write_bytes(damaged)
     with pytest.raises(ValueError):
-        load_checkpoint(path)
+        load(path)
 
 
 @settings(max_examples=60, deadline=None)
 @given(back=st.integers(0, 2**16), flip=st.integers(1, 255))
-@example(back=4, flip=1)  # the last byte of the last parameter, just before the trailer
+@example(back=4, flip=1)  # the last byte of the last array, just before the trailer
 @example(back=0, flip=1)  # the trailer itself
-def test_checkpoint_with_one_byte_replaced_is_value_error(fuzz_blob, tmp_path_factory,
-                                                          back, flip):
-    """A checkpoint with one byte replaced, at any offset and at the same length,
-    fails to load with ValueError."""
-    damaged = bytearray(fuzz_blob)
+def test_container_with_one_byte_replaced_is_value_error(fuzz_file, tmp_path_factory,
+                                                         back, flip):
+    """A checkpoint or train state with one byte replaced, at any offset and at
+    the same length, fails to load with ValueError."""
+    blob, load = fuzz_file
+    damaged = bytearray(blob)
     damaged[len(damaged) - 1 - back % len(damaged)] ^= flip
-    path = tmp_path_factory.mktemp("flip") / "m.ckpt"
+    path = tmp_path_factory.mktemp("flip") / "damaged"
     path.write_bytes(bytes(damaged))
     with pytest.raises(ValueError):
-        load_checkpoint(path)
+        load(path)

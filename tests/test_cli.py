@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_blocks import rewrite_config
+from test_blocks import rewrite_header
 from vissm import blocks as B
 from vissm import cli
 from vissm import training as TR
@@ -157,7 +157,7 @@ def test_eval_checkpoint_with_unknown_config_key_is_runtime_error(tiny_data, tmp
     assert run(["train", "--data", str(tiny_data), "--seed", "7",
                 "--out", str(rundir)] + TINY_TRAIN) == 0
     ckpt = rundir / "checkpoint.bin"
-    rewrite_config(ckpt, colour="blue")
+    rewrite_header(ckpt, colour="blue")
     code = run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
                 "--out", str(tmp_path / "eval")])
     assert code == 2
@@ -191,6 +191,14 @@ def test_no_clobber_refuses_nonempty(tiny_data, tmp_path):
     # same command without the flag overwrites (warning on stderr)
     assert run(["make-data", "--out", str(out),
                 "--train", "2", "--val", "2", "--test", "2"]) == 0
+
+
+def test_out_path_that_is_a_file_is_runtime_error(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("old")
+    assert run(["make-data", "--out", str(out), "--train", "2", "--val", "2",
+                "--test", "2"]) == 2
+    assert out.read_text() == "old"
 
 
 def test_config_file_provides_defaults_flags_override(tmp_path):
@@ -239,17 +247,9 @@ def test_cross_gen_rejects_bad_lists_before_output(tmp_path, flags):
     assert not out.exists()
 
 
-def test_train_unknown_preset_leaves_no_output(tiny_data, tmp_path):
-    out = tmp_path / "run"
-    assert run(["train", "--data", str(tiny_data), "--preset", "bogus",
-                "--out", str(out)]) == 2
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("make_flags, train_flags", [
     (["--height", "30"], []),  # patch 4 does not divide 30
     (["--height", "36", "--width", "36"], ["--scan", "local"]),  # window 2, 9x9 grid
-    ([], ["--preset", "vim-tiny"]),  # 3 channels against grayscale images
 ])
 def test_train_on_data_the_model_does_not_fit_leaves_no_output(tmp_path, make_flags,
                                                                train_flags):
@@ -296,7 +296,16 @@ def test_make_data_bad_strength_leaves_no_output(tmp_path):
                                   ["bench-kernels", "--lengths", "0"],
                                   ["bench-kernels", "--chunk", "0"],
                                   ["bench-kernels", "--channels", "0"],
-                                  ["bench-kernels", "--repeats", "0"]])
+                                  ["bench-kernels", "--repeats", "0"],
+                                  ["train", "--batch", "0"],
+                                  ["train", "--epochs", "0"],
+                                  ["train", "--lr", "-1"],
+                                  ["train", "--lr", "nan"],
+                                  ["cross-gen", "--epochs", "0"],
+                                  ["cross-gen", "--batch", "0"],
+                                  ["cross-gen", "--strength", "2"],
+                                  ["cross-gen", "--test", "0"],
+                                  ["cross-gen", "--train-generator", "G9"]])
 def test_out_of_range_option_is_usage_error_before_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 1

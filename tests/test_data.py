@@ -5,6 +5,7 @@ import pytest
 
 from vissm import data as D
 from vissm.data import SynthGenSpec, make_dataset
+from vissm.files import write_json
 
 
 # -- real images -----------------------------------------------------------------
@@ -129,7 +130,7 @@ def test_seed_ranges_disjoint_in_manifest():
 def test_dataset_regenerates_from_manifest(tmp_path):
     bundle = make_dataset(seed=4, train_count=30, val_count=10, test_count=10)
     path = tmp_path / "manifest.json"
-    D.save_manifest(bundle.manifest, path)
+    write_json(path, bundle.manifest)
     again = D.dataset_from_manifest(D.load_manifest(path))
     assert np.array_equal(again.train.images, bundle.train.images)
     assert np.array_equal(again.test_subsets[2].images, bundle.test_subsets[2].images)
@@ -166,7 +167,7 @@ def test_manifest_values_are_checked_on_load(tmp_path, keys, value, message):
     else:
         holder[last] = value
     path = tmp_path / "manifest.json"
-    D.save_manifest(manifest, path)
+    write_json(path, manifest)
     with pytest.raises(ValueError, match=message):
         D.load_manifest(path)
 

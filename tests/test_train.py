@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from test_blocks import rewrite_header
 from vissm import blocks as B
 from vissm import cli
 from vissm import data as D
 from vissm import tensor as T
 from vissm import training as TR
 from vissm.data import DetectionDataset
+from vissm.files import write_json
 from vissm.rng import SplitMix64
 from vissm.tensor import Tensor
 
@@ -123,7 +125,7 @@ def test_resume_midway_matches_uninterrupted(tmp_path):
     m_full, s_full = TR.train(tiny_model(seed=8), bundle, cfg=cfg)
 
     # sliced run: first two epochs of the same 4-epoch schedule, then resume
-    state_path = tmp_path / "state.npz"
+    state_path = tmp_path / "train_state.bin"
     TR.train(tiny_model(seed=8), bundle, cfg=cfg, state_path=state_path, run_until=2)
     m_res = tiny_model(seed=8)
     state, optimizer, best = TR.load_train_state(state_path, m_res)
@@ -134,6 +136,33 @@ def test_resume_midway_matches_uninterrupted(tmp_path):
     assert s_res.val_history == s_full.val_history
     for name in m_full.params:
         assert np.array_equal(m_res.params[name].data, m_full.params[name].data)
+
+
+def _saved_state(tmp_path):
+    path = tmp_path / "train_state.bin"
+    TR.train(tiny_model(seed=8), tiny_bundle(), cfg=TR.TrainConfig(epochs=1, seed=2),
+             state_path=path)
+    return path
+
+
+@pytest.mark.parametrize("changes, drop, key", [
+    (dict(epoch=1.0), (), "epoch"),
+    (dict(rng_state=7), (), "rng_state"),
+    (dict(best_val_acc=1), (), "best_val_acc"),
+    (dict(colour="blue"), (), "colour"),
+    ({}, ("adam_t",), "adam_t"),
+])
+def test_train_state_header_is_checked(tmp_path, changes, drop, key):
+    path = _saved_state(tmp_path)
+    rewrite_header(path, drop=drop, **changes)
+    with pytest.raises(ValueError, match=key):
+        TR.load_train_state(path, tiny_model(seed=8))
+
+
+def test_train_state_of_another_model_is_value_error(tmp_path):
+    path = _saved_state(tmp_path)
+    with pytest.raises(ValueError, match="does not match|holds"):
+        TR.load_train_state(path, tiny_model(family="vim"))
 
 
 def test_divergence_raises_numeric_error():
@@ -210,7 +239,7 @@ def test_evaluate_rejects_empty():
 def test_report_serialization_roundtrip(tmp_path, monkeypatch):
     rep = TR.EvalReport(per_subset={"real": 1.0, "G1_checkerboard": 0.5},
                         mean_accuracy=0.75, seeds=[1], model_summary={"kind": "x"})
-    D.save_manifest(tiny_bundle(test=1).manifest, tmp_path / "manifest.json")
+    write_json(tmp_path / "manifest.json", tiny_bundle(test=1).manifest)
     B.save_checkpoint(tiny_model(), tmp_path / "model.ckpt")
     monkeypatch.setattr(TR, "evaluate", lambda *args, **kwargs: rep)
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
