@@ -69,10 +69,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for size in ("patch", "embed_dim", "depth", "state_dim", "expand", "conv_width",
+                     "ffn_ratio", "classes"):
+            if getattr(self, size) < 1:
+                raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if self.family == "mambavision" and self.embed_dim % 2:
             raise ValueError("mambavision needs an even embed_dim (half-width branches)")
-        if self.patch < 1:
-            raise ValueError(f"patch must be >= 1, got {self.patch}")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ValueError(
                 f"patch {self.patch} must divide image extents "

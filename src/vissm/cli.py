@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -295,12 +295,13 @@ def _train_config(opt: dict, seed: int) -> TR.TrainConfig:
 
 def cmd_train(opt: dict, no_clobber: bool) -> int:
     train_cfg = _train_config(opt, opt["seed"])
-    bundle = _load_bundle(opt["data"])
     # 0 and "" leave the preset's value in place
     overrides = {k: opt[k] for k in ("embed_dim", "depth", "state_dim", "scan") if opt[k]}
-    cfg = B.config_from_preset(f"desk-{opt['family']}",
-                               image_h=bundle.manifest["image"]["h"],
-                               image_w=bundle.manifest["image"]["w"], **overrides)
+    cfg = _usage(B.config_from_preset, f"desk-{opt['family']}", **overrides)
+    bundle = _load_bundle(opt["data"])
+    # a model that does not fit the data's image extents is a runtime error
+    cfg = replace(cfg, image_h=bundle.manifest["image"]["h"],
+                  image_w=bundle.manifest["image"]["w"])
     outdir = prepare_outdir(opt["out"], no_clobber)
 
     model = B.build_model(cfg, seed=opt["seed"])

@@ -18,8 +18,9 @@ adjoint that recomputes the decay factors (the recipe of Mamba, section 3.3).
 The chunked route composes affine maps h -> a (*) h + b and records every
 step on the tensor graph; it is the graph-recorded oracle the fused op is
 tested against. The non-causal variant collapses the recurrence into one
-global state shared by all tokens (order cannot matter there, by
-construction).
+global state shared by all tokens; its core is one fused op too, with a
+four-matmul backward, and the graph composition it replaced is its test
+oracle (tests/oracles.py).
 
 All routes are differentiable through the tensor graph.
 """
@@ -251,25 +252,66 @@ def selective_scan_parallel(x, proj: SelectiveProjection, a, d, chunk: int) -> T
     return T.add(y, T.mul(d, x))
 
 
+def shared_state_readout(u, b_proj, c_proj) -> Tensor:
+    """Fused op: y_t = H @ C_t with the shared state H = sum_t outer(u_t, B_t).
+
+    u is (..., L, C), b_proj and c_proj are (..., L, N); the result is
+    (..., L, C). H sums the token injections in a canonical (sorted) order,
+    and every row is read out by the same elementwise arithmetic, so
+    permuting the tokens of all three operands permutes the result bit for
+    bit. (A BLAS matmul readout would not: its result for a row can depend on
+    the row's position, e.g. at C = 1 with N >= 8.) The backward pass is four
+    matmuls: dH = sum_t outer(dy_t, C_t), dC_t = H^T dy_t, du_t = dH B_t and
+    dB_t = dH^T u_t.
+
+    Internally H is held transposed, (..., N, C), so the elementwise work
+    runs along the longer channel axis.
+    """
+    u, b_proj, c_proj = (T.as_tensor(t) for t in (u, b_proj, c_proj))
+    if u.ndim < 2 or b_proj.shape != c_proj.shape or b_proj.shape[:-1] != u.shape[:-1]:
+        raise ShapeError(
+            f"shared-state operands disagree: u {u.shape}, "
+            f"B {b_proj.shape}, C {c_proj.shape}"
+        )
+    terms = b_proj.data[..., :, None] * u.data[..., None, :]  # (..., L, N, C)
+    terms.sort(axis=-3)
+    h_t = terms.sum(axis=-3)                                  # (..., N, C)
+    c = c_proj.data
+    y = c[..., :, :1] * h_t[..., :1, :]
+    term = np.empty_like(y)
+    for k in range(1, h_t.shape[-2]):
+        y += np.multiply(c[..., :, k:k + 1], h_t[..., k:k + 1, :], out=term)
+
+    def backward(g):
+        if c_proj.requires_grad:
+            T._accumulate(c_proj, np.matmul(g, np.swapaxes(h_t, -1, -2)))
+        if u.requires_grad or b_proj.requires_grad:
+            g_h_t = np.matmul(np.swapaxes(c, -1, -2), g)  # dH transposed, (..., N, C)
+            if u.requires_grad:
+                T._accumulate(u, np.matmul(b_proj.data, g_h_t))
+            if b_proj.requires_grad:
+                T._accumulate(b_proj, np.matmul(u.data, np.swapaxes(g_h_t, -1, -2)))
+
+    return T._make(y, (u, b_proj, c_proj), backward)
+
+
 def nc_ssd(x, proj: SelectiveProjection, d) -> Tensor:
     """Non-causal variant: one global state shared by every token.
 
     The per-step decay is dropped entirely; the state is the plain sum of
-    all token injections, so the result is exactly equivariant to token
-    permutations:
+    all token injections (``shared_state_readout``):
 
         H = sum_t outer(dt_t * x_t, B_t)      (per channel, length-N)
         y_t = H @ C_t + D (*) x_t
+
+    The shared-state core is bit-exactly equivariant to token permutations.
+    The whole map is only where ``project_params``' matmuls give a token's
+    row the same bits at every position, which BLAS does not promise: with
+    an output width of 3 or less (dt_rank 1, or N <= 3) some shapes break
+    it, e.g. (L, C, N) = (27, 10, 1). The desk shape (64, 16, 4) holds.
     """
     x = T.as_tensor(x)
     d = T.as_tensor(d)
     b_proj, c_proj, dt = project_params(x, proj)
-    dtx = T.mul(dt, x)  # (..., L, C)
-    terms = T.mul(T.unsqueeze(b_proj, -2), T.unsqueeze(dtx, -1))  # (..., L, C, N)
-    # canonical-order reduction over tokens makes the shared state, and
-    # therefore the whole map, bit-exactly equivariant to permutations
-    big_h = T.ordered_sum(terms, axis=-3)                         # (..., C, N)
-    read = T.mul(T.unsqueeze(c_proj, -2), T.unsqueeze(big_h, -3))  # (..., L, C, N)
-    y = T.sum_(read, axis=-1)                                      # (..., L, C)
+    y = shared_state_readout(T.mul(dt, x), b_proj, c_proj)
     return T.add(y, T.mul(d, x))
-

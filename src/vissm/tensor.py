@@ -296,23 +296,6 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def ordered_sum(a, axis: int) -> Tensor:
-    """Sum along one axis in a canonical (sorted) accumulation order.
-
-    The result is bit-identical under any permutation of the summed axis,
-    which a plain sum cannot guarantee (float addition is not associative).
-    The gradient is the same as for an ordinary sum.
-    """
-    a = as_tensor(a)
-    axis = axis % a.ndim
-    out_data = np.sort(a.data, axis=axis).sum(axis=axis)
-
-    def backward(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
-
-    return _make(out_data, (a,), backward)
-
-
 def mean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     if axis is None:

@@ -1,0 +1,79 @@
+"""Graph-recorded reference routes for the library's fused ops.
+
+Each oracle composes a fused op from plain tensor ops, so autodiff derives
+its backward pass; the fused op is tested against it on values and
+gradients. None of these is on the library's model path.
+"""
+
+import numpy as np
+
+from vissm import selective as S
+from vissm import tensor as T
+
+
+def ordered_sum(a, axis: int):
+    """Sum along one axis in a canonical (sorted) accumulation order.
+
+    The result is bit-identical under any permutation of the summed axis,
+    which a plain sum cannot guarantee (float addition is not associative).
+    The gradient is the same as for an ordinary sum.
+    """
+    a = T.as_tensor(a)
+    axis = axis % a.ndim
+    out_data = np.sort(a.data, axis=axis).sum(axis=axis)
+
+    def backward(g):
+        T._accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+
+    return T._make(out_data, (a,), backward)
+
+
+def shared_state_graph(u, b_proj, c_proj):
+    """The shared-state readout y_t = H @ C_t, H = sum_t outer(u_t, B_t), as a
+    chain of broadcasts: the oracle for ``selective.shared_state_readout``."""
+    terms = T.mul(T.unsqueeze(b_proj, -2), T.unsqueeze(u, -1))    # (..., L, C, N)
+    big_h = ordered_sum(terms, axis=-3)                          # (..., C, N)
+    read = T.mul(T.unsqueeze(c_proj, -2), T.unsqueeze(big_h, -3))  # (..., L, C, N)
+    return T.sum_(read, axis=-1)                                   # (..., L, C)
+
+
+def nc_ssd_graph(x, proj, d):
+    """``selective.nc_ssd`` with its core composed on the graph."""
+    x = T.as_tensor(x)
+    b_proj, c_proj, dt = S.project_params(x, proj)
+    y = shared_state_graph(T.mul(dt, x), b_proj, c_proj)
+    return T.add(y, T.mul(d, x))
+
+
+def conv1d_slices(x, weight, bias, causal: bool):
+    """The slice-and-add 1D depthwise conv: the oracle for the fused op."""
+    k = weight.shape[-1]
+    pad_left = k - 1 if causal else (k - 1) // 2
+    pad_right = 0 if causal else k // 2
+    length = x.shape[-2]
+    xp = T.pad_axis(x, -2, pad_left, pad_right)
+    taps = T.unstack(weight, -1)
+    acc = None
+    for j in range(k):
+        term = T.mul(T.slice_axis(xp, -2, j, j + length), taps[j])
+        acc = term if acc is None else T.add(acc, term)
+    return T.add(acc, bias)
+
+
+def conv2d_slices(tokens, grid, weight, bias):
+    """The slice-and-add 3x3 grid conv: the oracle for the fused op."""
+    hp, wp = grid
+    lead = tokens.shape[:-2]
+    d = tokens.shape[-1]
+    xg = T.reshape(tokens, lead + (hp, wp, d))
+    xp = T.pad_axis(T.pad_axis(xg, -3, 1, 1), -2, 1, 1)
+    rows = T.unstack(weight, -2)
+    acc = None
+    for i in range(3):
+        taps = T.unstack(rows[i], -1)
+        for j in range(3):
+            patch = T.slice_axis(T.slice_axis(xp, -3, i, i + hp), -2, j, j + wp)
+            term = T.mul(patch, taps[j])
+            acc = term if acc is None else T.add(acc, term)
+    acc = T.add(acc, bias)
+    return T.reshape(acc, lead + (hp * wp, d))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import conv1d_slices, conv2d_slices, nc_ssd_graph
 from vissm import blocks as B
 from vissm import scan2d
 from vissm import selective as S
@@ -276,6 +277,14 @@ def test_unknown_preset():
     (dict(scan="cross", scan_merge="max"), "unknown merge rule"),
     (dict(scan="raster", scan_merge="max"), "unknown merge rule"),
     (dict(scan="zigzag", scan_merge="max"), "unknown merge rule"),
+    (dict(embed_dim=-1), "embed_dim must be >= 1"),
+    (dict(depth=-2), "depth must be >= 1"),
+    (dict(depth=0), "depth must be >= 1"),
+    (dict(state_dim=0), "state_dim must be >= 1"),
+    (dict(expand=0), "expand must be >= 1"),
+    (dict(conv_width=0), "conv_width must be >= 1"),
+    (dict(ffn_ratio=0), "ffn_ratio must be >= 1"),
+    (dict(classes=0), "classes must be >= 1"),
 ])
 def test_config_that_does_not_fit_is_rejected_at_construction(changes, message):
     with pytest.raises(ValueError, match=message):
@@ -390,46 +399,30 @@ def test_fused_scan_blocks_match_parallel_oracle(preset, scan, monkeypatch):
         assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
 
 
+@pytest.mark.parametrize("scan, merge", [("raster", "sum"), ("cross", "sum"), ("cross", "mean")])
+def test_fused_ncssd_blocks_match_graph_oracle(scan, merge, monkeypatch):
+    """desk-vssd on the fused shared-state core agrees, in logits and in every
+    parameter gradient, with the same model run on the graph-composed core."""
+    imgs = SplitMix64(37).uniform_array((2, 32, 32))
+    readout = SplitMix64(38).normal_array((2, 2))
+    model = build_model(config_from_preset("desk-vssd", scan=scan, scan_merge=merge), seed=24)
+    fused, fused_grads = _logits_and_grads(model, imgs, readout)
+    monkeypatch.setattr(B, "nc_ssd", nc_ssd_graph)
+    oracle, oracle_grads = _logits_and_grads(model, imgs, readout)
+    assert np.max(np.abs(fused - oracle)) < 1e-12
+    for name, g in oracle_grads.items():
+        assert fused_grads[name] is not None, name
+        assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
+
+
 # -- depthwise convolutions ----------------------------------------------------------------------
 
 
-def conv1d_slices(x, weight, bias, causal: bool):
-    """The slice-and-add 1D depthwise conv: the oracle for the fused op."""
-    k = weight.shape[-1]
-    pad_left = k - 1 if causal else (k - 1) // 2
-    pad_right = 0 if causal else k // 2
-    length = x.shape[-2]
-    xp = T.pad_axis(x, -2, pad_left, pad_right)
-    taps = T.unstack(weight, -1)
-    acc = None
-    for j in range(k):
-        term = T.mul(T.slice_axis(xp, -2, j, j + length), taps[j])
-        acc = term if acc is None else T.add(acc, term)
-    return T.add(acc, bias)
-
-
-def conv2d_slices(tokens, grid, weight, bias):
-    """The slice-and-add 3x3 grid conv: the oracle for the fused op."""
-    hp, wp = grid
-    lead = tokens.shape[:-2]
-    d = tokens.shape[-1]
-    xg = T.reshape(tokens, lead + (hp, wp, d))
-    xp = T.pad_axis(T.pad_axis(xg, -3, 1, 1), -2, 1, 1)
-    rows = T.unstack(weight, -2)
-    acc = None
-    for i in range(3):
-        taps = T.unstack(rows[i], -1)
-        for j in range(3):
-            patch = T.slice_axis(T.slice_axis(xp, -3, i, i + hp), -2, j, j + wp)
-            term = T.mul(patch, taps[j])
-            acc = term if acc is None else T.add(acc, term)
-    acc = T.add(acc, bias)
-    return T.reshape(acc, lead + (hp * wp, d))
-
-
-def _conv_values_and_grads(conv, arrays, live, readout):
+def values_and_grads(op, arrays, live, readout):
+    """op's value on fresh operands (live[i]: operand i requires grad) and the
+    operands' gradients of sum(op * readout)."""
     operands = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, live)]
-    out = conv(*operands)
+    out = op(*operands)
     if any(live):
         T.backward(T.sum_(T.mul(out, Tensor(readout))))
     return out.data, [t.grad for t in operands]
@@ -437,8 +430,8 @@ def _conv_values_and_grads(conv, arrays, live, readout):
 
 def _check_fused_conv(fused, oracle, arrays, live, seed):
     readout = SplitMix64(seed + 1).normal_array(arrays[0].shape)
-    y_f, g_f = _conv_values_and_grads(fused, arrays, live, readout)
-    y_o, g_o = _conv_values_and_grads(oracle, arrays, live, readout)
+    y_f, g_f = values_and_grads(fused, arrays, live, readout)
+    y_o, g_o = values_and_grads(oracle, arrays, live, readout)
     assert np.array_equal(y_f, y_o)
     for name, gf, go, r in zip(("x", "weight", "bias"), g_f, g_o, live):
         if not r:

@@ -301,6 +301,8 @@ def test_make_data_bad_strength_leaves_no_output(tmp_path):
                                   ["train", "--epochs", "0"],
                                   ["train", "--lr", "-1"],
                                   ["train", "--lr", "nan"],
+                                  ["train", "--depth", "-2"],
+                                  ["train", "--embed-dim", "-1"],
                                   ["cross-gen", "--epochs", "0"],
                                   ["cross-gen", "--batch", "0"],
                                   ["cross-gen", "--strength", "2"],

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ordered_sum, shared_state_graph
+from test_blocks import values_and_grads
 from vissm import selective as S
 from vissm import tensor as T
 from vissm.rng import SplitMix64
@@ -290,6 +292,60 @@ def test_ncssd_is_not_causal():
     x2[7] += 1.0
     y2 = S.nc_ssd(Tensor(x2), proj, d).data
     assert not np.array_equal(y[0], y2[0])  # future token influenced the first output
+
+
+@settings(max_examples=80, deadline=None)
+@given(length=st.integers(1, 9), ch=st.integers(1, 9), n=st.integers(1, 9),
+       lead=st.lists(st.integers(1, 3), max_size=2),
+       live=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 2**32 - 1))
+@example(length=1, ch=3, n=2, lead=[2], live=(True, True, True), seed=1)
+@example(length=6, ch=4, n=1, lead=[], live=(True, False, True), seed=2)
+@example(length=7, ch=1, n=8, lead=[2], live=(True, True, True), seed=3)  # a BLAS readout breaks
+def test_fused_shared_state_matches_graph_oracle(length, ch, n, lead, live, seed):
+    """The fused shared-state readout against its graph composition: values
+    within 1e-12, every live gradient within 1e-10 relative, no gradient for
+    operands without one, and exact equivariance to token permutations."""
+    rng = SplitMix64(seed)
+    arrays = [rng.normal_array(tuple(lead) + (length, k)) for k in (ch, n, n)]
+    readout = rng.normal_array(arrays[0].shape)
+    y_f, g_f = values_and_grads(S.shared_state_readout, arrays, live, readout)
+    y_o, g_o = values_and_grads(shared_state_graph, arrays, live, readout)
+    assert rel_err(y_f, y_o) < 1e-12
+    for name, gf, go, r in zip(("u", "B", "C"), g_f, g_o, live):
+        if not r:
+            assert gf is None, name
+            continue
+        assert gf.shape == go.shape, name
+        assert rel_err(gf, go) < 1e-10, (name, rel_err(gf, go))
+    perm = list(range(length))
+    rng.shuffle(perm)
+    y_p = S.shared_state_readout(*[np.take(a, perm, axis=-2) for a in arrays]).data
+    assert np.array_equal(y_p, np.take(y_f, perm, axis=-2))
+
+
+def test_fused_shared_state_rejects_mismatched_operands():
+    u, bc = np.zeros((2, 5, 3)), np.zeros((2, 5, 4))
+    for operands in [(u, bc, np.zeros((2, 5, 2))), (u, np.zeros((2, 4, 4)), np.zeros((2, 4, 4))),
+                     (u, bc[0], bc[0]), (np.zeros(3), np.zeros(4), np.zeros(4))]:
+        with pytest.raises(T.ShapeError):
+            S.shared_state_readout(*operands)
+
+
+def test_ordered_sum_oracle_gradients_match_finite_differences():
+    for seed in range(4):
+        rng = SplitMix64(1000 + 7 * seed)
+        arrs = [rng.normal_array(s) * 0.7 + 0.3 for s in ((3, 4), (3,))]
+        ta, tb = (Tensor(a, requires_grad=True) for a in arrs)
+        T.backward(T.sum_(T.mul(ordered_sum(ta, 1), tb)))
+
+        def scalar_fn():
+            with T.no_grad():
+                return T.sum_(T.mul(ordered_sum(Tensor(arrs[0]), 1), Tensor(arrs[1]))).item()
+
+        numeric = T.finite_difference(scalar_fn, arrs, step=1e-5)
+        for analytic, nu in zip((ta.grad, tb.grad), numeric):
+            assert rel_err(analytic, nu) < 1e-4, (seed, rel_err(analytic, nu))
 
 
 # -- gradients ------------------------------------------------------------------------

@@ -180,7 +180,6 @@ def _compose_cases():
         ("take", lambda a, b: T.sum_(T.mul(T.take(a, [2, 0, 1, 2], 0), b)), ((3, 2), (4, 2))),
         ("sum_axis", lambda a, b: T.sum_(T.mul(T.sum_(a, axis=1), b)), ((3, 4), (3,))),
         ("sum_keepdims", lambda a, b: T.sum_(T.mul(a, T.sum_(T.mul(a, a), axis=1, keepdims=True))), ((3, 4), (3, 4))),
-        ("ordered_sum", lambda a, b: T.sum_(T.mul(T.ordered_sum(a, 1), b)), ((3, 4), (3,))),
         ("scatter_axis", lambda a, b: T.sum_(T.mul(T.scatter_axis(a, [3, 0, 2], 0, 5), b)), ((3, 2), (5, 2))),
         ("select_index", lambda a, b: T.sum_(T.mul(T.select_index(a, 1, 2), b)), ((3, 4), (3,))),
         ("unstack", lambda a, b: T.sum_(T.mul(T.stack(T.unstack(a, 1)[::-1], 0), b)), ((3, 4), (4, 3))),
