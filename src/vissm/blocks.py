@@ -438,10 +438,8 @@ def mamba_vision_mixer(tokens, params, prefix="", scan=None, has_cls=False):
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))
 
 
-def vssd_block(tokens, params, grid, prefix="", scan=None, has_cls=False):
+def vssd_block(tokens, params, grid, prefix="", scan=None):
     """Grid perception, shared-state token mixing, and an FFN; all residual."""
-    if has_cls:
-        raise ValueError("vssd blocks run on pure patch grids (no class token)")
     lpu = conv2d_depthwise3(tokens, grid, params[f"{prefix}lpu.weight"],
                             params[f"{prefix}lpu.bias"])
     tokens = T.add(tokens, lpu)
@@ -519,7 +517,7 @@ def apply_block(model: Model, tokens, index: int, scan):
                          tie_directions=cfg.tie_directions)
     if cfg.family == "mambavision":
         return mamba_vision_mixer(tokens, model.params, prefix, scan, has_cls=cfg.use_cls)
-    return vssd_block(tokens, model.params, cfg.grid, prefix, scan, has_cls=False)
+    return vssd_block(tokens, model.params, cfg.grid, prefix, scan)
 
 
 def features(model: Model, images) -> Tensor:

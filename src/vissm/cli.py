@@ -9,7 +9,8 @@ its output directory alone.
 Each option is declared once: in ``COMMANDS``, or in a group that several
 commands splice in (``CORPUS``, ``TRAINING``, ``DATA``, ``CHECKPOINT``).
 Options may also come from a plain-text config file (``key = value`` lines,
-``#`` comments), typed and checked like flags; explicit flags override them.
+``#`` comments), each parsed like its flag by ``Option.parse``; explicit flags
+override them.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 correctness
 failure (a benchmark cross-check did not hold).
@@ -18,6 +19,7 @@ failure (a benchmark cross-check did not hold).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -75,45 +77,22 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _convert(opt: Option, text: str, path: str):
-    """A config-file value, typed and checked as its flag would be."""
-    kind = type(opt.default)
-    try:
-        value = kind(text)
-    except ValueError:
-        raise UsageError(f"{path}: {opt.key} = {text!r} is not a valid "
-                         f"{kind.__name__}") from None
-    # the default passes even outside choices (e.g. scan = ""), so a file may restate it
-    if opt.choices and value not in opt.choices and value != opt.default:
-        raise UsageError(f"{path}: {opt.key} = {text!r} is not one of {opt.choices}")
-    return value
-
-
 def resolve_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags; returns the resolved mapping."""
     options = COMMANDS[args.command].options
-    resolved = {opt.key: opt.default for opt in options}
-    if args.config:
-        file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(resolved)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for opt in options:
-            if opt.key in file_values:
-                resolved[opt.key] = _convert(opt, file_values[opt.key], args.config)
+    file_values = read_config_file(args.config) if args.config else {}
+    unknown = set(file_values) - {opt.key for opt in options}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    resolved = {}
     for opt in options:
-        value = getattr(args, opt.key)
-        if value is not None:
-            resolved[opt.key] = value
+        try:  # a bad file value fails even where a flag overrides it
+            value = opt.parse(file_values.get(opt.key, str(opt.default)))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{args.config}: {opt.key}: {exc}") from None
+        flag = getattr(args, opt.key)
+        resolved[opt.key] = value if flag is None else flag
     return resolved
-
-
-def _int_list(opt: dict, key: str) -> list:
-    try:
-        return [int(x) for x in opt[key].split(",") if x]
-    except ValueError:
-        raise UsageError(f"{key}: expected comma-separated integers, "
-                         f"got {opt[key]!r}") from None
 
 
 def _usage(fn, *args, **kwargs):
@@ -151,12 +130,7 @@ def _load_bundle(data_path: str):
 
 
 def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
-    lengths = _int_list(opt, "lengths")
-    sizes = {"lengths": min(lengths, default=1),
-             **{k: opt[k] for k in ("dim", "channels", "state", "chunk", "repeats")}}
-    too_small = [k for k, v in sizes.items() if v < 1]
-    if too_small:
-        raise UsageError(f"{', '.join(too_small)}: every size must be >= 1")
+    lengths = [int(n) for n in opt["lengths"].split(",")]
     outdir = prepare_outdir(opt["out"], no_clobber)
     rng = SplitMix64(hash_combine(opt["seed"], 0xBE7C4))
     rows = []
@@ -240,7 +214,7 @@ def _ppm_heatmap(grid: np.ndarray, path: str) -> None:
 
 def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
     scan = _usage(scan2d.make_scan, opt["strategy"], opt["height"], opt["width"],
-                  win=opt["win"], stride=opt["stride"], merge=opt["merge"])
+                  win=opt["win"], stride=opt["stride"])
     orders = scan.directions
     for k, order in enumerate(orders):
         if len(orders) > 1:
@@ -367,13 +341,8 @@ def cmd_export_features(opt: dict, no_clobber: bool) -> int:
 
 
 def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
-    families = [f for f in opt["families"].split(",") if f]
-    unknown = sorted(set(families) - set(B.FAMILIES))
-    if unknown:
-        raise UsageError(f"unknown families {unknown}; choose from {B.FAMILIES}")
-    seeds = _int_list(opt, "seeds")
-    if not families or not seeds:
-        raise UsageError("cross-gen needs at least one family and one seed")
+    families = opt["families"].split(",")
+    seeds = [int(s) for s in opt["seeds"].split(",")]
     train_cfg, corpus = _train_config(opt, 0), _corpus(opt)
     outdir = prepare_outdir(opt["out"], no_clobber)
 
@@ -402,13 +371,40 @@ def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
 class Option(NamedTuple):
     """A command option: flag ``--key-with-dashes`` and config key ``key``.
 
-    Flag and config-file values both take the default's type and must be
-    one of ``choices`` when it is given.
+    It declares only the ranges no library check owns: ``choices``, and
+    ``above``, a bound the value must exceed while staying finite. With
+    ``item`` set, the value is a comma-separated list of that type, checked
+    entry by entry, and it resolves to its text.
     """
     key: str
     default: object
     help: str | None = None
     choices: tuple | None = None
+    above: float | None = None
+    item: type | None = None
+
+    def parse(self, text: str):
+        """A flag's or a config-file line's text as the option's value."""
+        if text == str(self.default):  # so `--scan ""` keeps the preset's scan
+            return self.default
+        entries = text.split(",") if self.item else [text]
+        values = [self._entry(entry) for entry in entries]
+        if self.item and ("" in entries or len(set(values)) < len(values)):
+            raise argparse.ArgumentTypeError(f"empty or duplicate entry in {text!r}")
+        return text if self.item else values[0]
+
+    def _entry(self, text: str):
+        kind = self.item or type(self.default)
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if self.choices and value not in self.choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(self.choices)})")
+        if self.above is not None and not self.above < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > {self.above}, got {text!r}")
+        return value
 
 
 class Command(NamedTuple):
@@ -434,14 +430,15 @@ CHECKPOINT = Option("checkpoint", "train_out/checkpoint.bin")
 
 COMMANDS = {
     "bench-kernels": Command(cmd_bench_kernels, "cross-check and time the kernel routes", (
-        Option("lengths", "64,256,1024,4096,8192", "comma-separated sequence lengths"),
-        Option("dim", 4, "LTI state dimension"),
-        Option("channels", 4, "selective-scan channels"),
-        Option("state", 4, "selective-scan state size"),
-        Option("chunk", 64, "parallel scan chunk size"),
-        Option("repeats", 3, "timing repetitions (min is kept)"),
+        Option("lengths", "64,256,1024,4096,8192", "comma-separated sequence lengths",
+               above=0, item=int),
+        Option("dim", 4, "LTI state dimension", above=0),
+        Option("channels", 4, "selective-scan channels", above=0),
+        Option("state", 4, "selective-scan state size", above=0),
+        Option("chunk", 64, "parallel scan chunk size", above=0),
+        Option("repeats", 3, "timing repetitions (min is kept)", above=0),
         Option("seed", 0),
-        Option("tolerance", 1e-9, "cross-check tolerance"),
+        Option("tolerance", 1e-9, "cross-check tolerance", above=0.0),
         Option("out", "bench_out"),
     )),
     "scan-show": Command(cmd_scan_show, "render a 2D scan order as rank grids", (
@@ -450,7 +447,6 @@ COMMANDS = {
         Option("width", 4),
         Option("win", B.ModelConfig.scan_win, "window side for the local strategy"),
         Option("stride", B.ModelConfig.scan_stride, "stride for the efficient strategy"),
-        Option("merge", B.ModelConfig.scan_merge, choices=scan2d.MERGES),
         Option("ppm", "", "also write a P6 heatmap to this path"),
     )),
     "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", (
@@ -458,7 +454,7 @@ COMMANDS = {
         *CORPUS,
         Option("height", 32),
         Option("width", 32),
-        Option("dump_pgm", 0, "also write N sample PGMs per subset"),
+        Option("dump_pgm", 0, "also write N sample PGMs per subset", above=-1),
         Option("out", "data_out"),
     )),
     "train": Command(cmd_train, "train a detector on a dataset manifest", (
@@ -484,8 +480,9 @@ COMMANDS = {
         Option("out", "features.csv"),
     )),
     "cross-gen": Command(cmd_cross_gen, "train on one generator, test on all", (
-        Option("families", "vim,mambavision,vssd", "comma-separated model families"),
-        Option("seeds", "1,2,3", "comma-separated seeds"),
+        Option("families", "vim,mambavision,vssd", "comma-separated model families",
+               choices=B.FAMILIES, item=str),
+        Option("seeds", "1,2,3", "comma-separated seeds", item=int),
         *CORPUS,
         *TRAINING,
         Option("out", "crossgen_out"),
@@ -501,8 +498,9 @@ def build_parser() -> Parser:
     for name, command in COMMANDS.items():
         p = subs.add_parser(name, help=command.help)
         for opt in command.options:
-            p.add_argument("--" + opt.key.replace("_", "-"), type=type(opt.default),
-                           choices=opt.choices, help=opt.help)
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices and not opt.item else None
+            p.add_argument("--" + opt.key.replace("_", "-"), type=opt.parse,
+                           metavar=metavar, help=opt.help)
         p.add_argument("--config", help="plain-text key = value option file")
         p.add_argument("--no-clobber", action="store_true",
                        help="fail instead of overwriting a non-empty output directory")

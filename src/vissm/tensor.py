@@ -393,21 +393,6 @@ def stack(tensors: Iterable, axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward)
 
 
-def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
-    """Zero-pad one axis."""
-    a = as_tensor(a)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    n = a.shape[axis]
-
-    def backward(g):
-        key = [slice(None)] * g.ndim
-        key[axis] = slice(before, before + n)
-        _accumulate(a, g[tuple(key)])
-
-    return _make(np.pad(a.data, widths), (a,), backward)
-
-
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
     key = [slice(None)] * a.ndim

@@ -28,6 +28,21 @@ def ordered_sum(a, axis: int):
     return T._make(out_data, (a,), backward)
 
 
+def pad_axis(a, axis: int, before: int, after: int):
+    """Zero-pad one axis; the conv oracles pad with it."""
+    a = T.as_tensor(a)
+    widths = [(0, 0)] * a.ndim
+    widths[axis] = (before, after)
+    n = a.shape[axis]
+
+    def backward(g):
+        key = [slice(None)] * g.ndim
+        key[axis] = slice(before, before + n)
+        T._accumulate(a, g[tuple(key)])
+
+    return T._make(np.pad(a.data, widths), (a,), backward)
+
+
 def shared_state_graph(u, b_proj, c_proj):
     """The shared-state readout y_t = H @ C_t, H = sum_t outer(u_t, B_t), as a
     chain of broadcasts: the oracle for ``selective.shared_state_readout``."""
@@ -51,7 +66,7 @@ def conv1d_slices(x, weight, bias, causal: bool):
     pad_left = k - 1 if causal else (k - 1) // 2
     pad_right = 0 if causal else k // 2
     length = x.shape[-2]
-    xp = T.pad_axis(x, -2, pad_left, pad_right)
+    xp = pad_axis(x, -2, pad_left, pad_right)
     taps = T.unstack(weight, -1)
     acc = None
     for j in range(k):
@@ -66,7 +81,7 @@ def conv2d_slices(tokens, grid, weight, bias):
     lead = tokens.shape[:-2]
     d = tokens.shape[-1]
     xg = T.reshape(tokens, lead + (hp, wp, d))
-    xp = T.pad_axis(T.pad_axis(xg, -3, 1, 1), -2, 1, 1)
+    xp = pad_axis(pad_axis(xg, -3, 1, 1), -2, 1, 1)
     rows = T.unstack(weight, -2)
     acc = None
     for i in range(3):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv1d_slices, conv2d_slices, nc_ssd_graph
+from oracles import conv1d_slices, conv2d_slices, nc_ssd_graph, pad_axis
 from vissm import blocks as B
 from vissm import scan2d
 from vissm import selective as S
@@ -224,8 +224,7 @@ def test_vssd_rejects_cls_sequences():
     cfg = tiny_cfg("vssd")
     m = build_model(cfg, seed=8)
     with pytest.raises(ValueError):
-        B.vssd_block(Tensor(np.zeros((1, 17, 8))), m.params, (4, 4), "blocks.0.",
-                     has_cls=True)
+        B.vssd_block(Tensor(np.zeros((1, 17, 8))), m.params, (4, 4), "blocks.0.")
 
 
 def test_vssd_shape_preserved():
@@ -510,6 +509,25 @@ def test_fused_conv_rejects_mismatched_operands():
         B.conv1d_depthwise(x, np.zeros((2, 4)), np.zeros(3), causal=True)
     with pytest.raises(T.ShapeError):
         B.conv2d_depthwise3(x, (2, 2), np.zeros((3, 3, 3)), np.zeros(3))
+
+
+def test_pad_axis_oracle_gradients_match_finite_differences():
+    def fn(a, b):
+        return T.sum_(T.mul(T.slice_axis(pad_axis(a, 0, 2, 1), 0, 1, 4), b))
+
+    for seed in range(4):
+        rng = SplitMix64(1000 + 7 * seed)
+        arrs = [rng.normal_array((3, 2)) * 0.7 + 0.3 for _ in range(2)]
+        ta, tb = (Tensor(a, requires_grad=True) for a in arrs)
+        T.backward(fn(ta, tb))
+
+        def scalar_fn():
+            with T.no_grad():
+                return fn(Tensor(arrs[0]), Tensor(arrs[1])).item()
+
+        numeric = T.finite_difference(scalar_fn, arrs, step=1e-5)
+        for analytic, nu in zip((ta.grad, tb.grad), numeric):
+            assert rel_err(analytic, nu) < 1e-4, (seed, rel_err(analytic, nu))
 
 
 # -- gradient check (small) -----------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import argparse
 import json
 import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_blocks import rewrite_header
 from vissm import blocks as B
@@ -332,26 +336,145 @@ def test_shared_option_keys_have_one_declaration():
 
 
 def _other_value(opt):
-    """A valid value for ``opt`` that differs from its default."""
+    """A valid text for ``opt`` that differs from its default."""
+    if opt.item:
+        return opt.default.split(",")[0]
     if opt.choices:
         return next(c for c in opt.choices if c != opt.default)
-    return opt.default + (1 if isinstance(opt.default, (int, float)) else "_x")
+    return str(opt.default + (1 if isinstance(opt.default, (int, float)) else "_x"))
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_config_file_and_flags_resolve_alike(tmp_path, name):
     parser = cli.build_parser()
-    defaults = cli.resolve_options(parser.parse_args([name]))
     cfgfile = tmp_path / "opts.cfg"
+
+    def resolve(*argv):
+        return cli.resolve_options(parser.parse_args([name, *argv]))
+
+    defaults = resolve()
     for opt in cli.COMMANDS[name].options:
-        assert defaults[opt.key] == opt.default
-        cfgfile.write_text(f"{opt.key} = {opt.default}\n")
-        restated = parser.parse_args([name, "--config", str(cfgfile)])
-        assert cli.resolve_options(restated) == defaults
-        other = _other_value(opt)
         flag = "--" + opt.key.replace("_", "-")
-        overridden = parser.parse_args([name, "--config", str(cfgfile), flag, str(other)])
-        assert cli.resolve_options(overridden) == {**defaults, opt.key: other}
+        assert defaults[opt.key] == opt.default
+        # the default restated, as a file line or as a flag, changes nothing
+        cfgfile.write_text(f"{opt.key} = {opt.default}\n")
+        assert resolve("--config", str(cfgfile)) == defaults
+        assert resolve(flag, str(opt.default)) == defaults
+        # one text, one value, whichever route it takes; a flag beats the file
+        other = _other_value(opt)
+        changed = {**defaults, opt.key: opt.parse(other)}
+        cfgfile.write_text(f"{opt.key} = {other}\n")
+        assert resolve("--config", str(cfgfile)) == changed
+        assert resolve(flag, other) == changed
+        assert resolve("--config", str(cfgfile), flag, str(opt.default)) == defaults
+
+
+@pytest.mark.parametrize("argv", [["make-data", "--dump-pgm", "-1"],
+                                  ["bench-kernels", "--tolerance", "nan"],
+                                  ["bench-kernels", "--tolerance", "-1"],
+                                  ["bench-kernels", "--tolerance", "inf"],
+                                  ["bench-kernels", "--lengths", "8,8"],
+                                  ["bench-kernels", "--lengths", "8,"],
+                                  ["cross-gen", "--families", "vim,vim"],
+                                  ["cross-gen", "--families", "vim,"],
+                                  ["cross-gen", "--seeds", "1,1"]])
+def test_table_declared_range_is_usage_error_before_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert argv[1] in capsys.readouterr().err
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text(f"{argv[1][2:]} = {argv[2]}\n")
+    assert run([argv[0], "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == ["opts.cfg"]
+
+
+def test_scan_show_has_no_merge_option(tmp_path, capsys):
+    assert run(["scan-show", "--merge", "sum"]) == 1
+    assert "--merge" in capsys.readouterr().err
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text("merge = sum\n")
+    assert run(["scan-show", "--config", str(cfgfile)]) == 1
+    assert "merge" in capsys.readouterr().err
+
+
+# -- exit-code fuzz over the option table ----------------------------------------------
+
+
+# A small valid text per option where the default is large. Every drawn value
+# is one of these, a default not listed here, or a text from _fuzz_texts, so no
+# run trains on more than 8 images or times a sequence longer than 16.
+FUZZ_VALID = {"train": "8", "val": "4", "test": "2", "epochs": "1", "batch": "4",
+              "height": "8", "width": "8", "dump_pgm": "2", "lengths": "16,8",
+              "repeats": "1", "chunk": "4", "families": "vssd", "seeds": "1",
+              "embed_dim": "8", "depth": "1", "state_dim": "2"}
+
+
+def _fuzz_texts(opt, valid):
+    """The texts an option is fuzzed with: its valid one, edges and junk."""
+    texts = [valid, "1", "0", "-1", "nan", "inf", "", "x"]
+    if opt.above is not None:
+        edge = opt.above + 1 if isinstance(opt.above, int) else np.nextafter(opt.above, 1.0)
+        texts += [str(opt.above), str(edge)]
+    if opt.item:
+        first = valid.split(",")[0]
+        texts += [valid + ",", f"{first},{first}"]
+    return texts
+
+
+def _parses(opt, text):
+    try:
+        opt.parse(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data, run_dir = root / "data", root / "run"
+    assert run(["make-data", "--out", str(data), "--train", "8", "--val", "4",
+                "--test", "2", "--height", "16", "--width", "16"]) == 0
+    assert run(["train", "--data", str(data), "--out", str(run_dir), "--batch", "4"]
+               + TINY_TRAIN) == 0
+    return root, {"data": str(data), "checkpoint": str(run_dir / "checkpoint.bin")}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(draw=st.data())
+def test_exit_code_contract_over_the_option_table(fuzz_inputs, draw):
+    root, inputs = fuzz_inputs
+    name = draw.draw(st.sampled_from(list(cli.COMMANDS)), label="command")
+    options = cli.COMMANDS[name].options
+    spoiled = draw.draw(st.sets(st.sampled_from([o.key for o in options]), max_size=3),
+                        label="spoiled")
+    with tempfile.TemporaryDirectory(dir=root) as scratch:
+        out, missing = os.path.join(scratch, "out"), os.path.join(scratch, "missing")
+        paths = {"out": out, "ppm": os.path.join(scratch, "scan.ppm"), **inputs}
+        texts = {}
+        for opt in options:
+            valid = paths.get(opt.key, FUZZ_VALID.get(opt.key, str(opt.default)))
+            choices = ([valid, missing] if opt.key in inputs
+                       else [valid] if opt.key in paths else _fuzz_texts(opt, valid))
+            texts[opt.key] = (draw.draw(st.sampled_from(choices), label=opt.key)
+                              if opt.key in spoiled else valid)
+        argv = [name] + [arg for key, text in texts.items()
+                         for arg in ("--" + key.replace("_", "-"), text)]
+        cwd_before = os.listdir()
+        code = run(argv)
+        declared_ok = all(_parses(opt, texts[opt.key]) for opt in options)
+        assert code in (0, 1, 2, 3)
+        if not declared_ok:
+            assert code == 1
+        if code == 2:  # the corpus and checkpoint are sound; only a missing one fails
+            assert missing in texts.values()
+        if code == 3:
+            assert declared_ok
+        if code:
+            assert not os.path.exists(out)
+        if code == 1:
+            assert os.listdir(scratch) == []
+        assert os.listdir() == cwd_before
 
 
 # -- bench ------------------------------------------------------------------------
@@ -368,6 +491,15 @@ def test_bench_kernels_small(tmp_path, capsys):
     csv_lines = (out / "bench.csv").read_text().splitlines()
     assert csv_lines[0] == "method,length,seconds"
     assert len(csv_lines) == 9
+
+
+def test_bench_cross_check_failure_is_exit_3_before_output(tmp_path, capsys):
+    # the smallest positive float is a valid tolerance that no nonzero gap meets
+    out = tmp_path / "bench"
+    assert run(["bench-kernels", "--lengths", "16", "--repeats", "1",
+                "--tolerance", "5e-324", "--out", str(out)]) == 3
+    assert "correctness failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_repeat_same_seed_same_checks(tmp_path):
