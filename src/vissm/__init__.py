@@ -38,7 +38,6 @@ from .selective import (
 )
 from .ssm import (
     DiscreteSsm,
-    SsmKernel,
     SsmParams,
     conv_kernel,
     discretize_zoh,

@@ -361,7 +361,7 @@ def _scan_path(x, params, prefix, causal: bool):
 # -- directional plumbing --------------------------------------------------------------
 
 
-def merged_update(streams, core_fn, scan, has_cls: bool):
+def merged_update(streams, core_fn, scan):
     """Run a sequence core once per scan direction and merge on the grid.
 
     ``streams`` are token-aligned tensors that the core consumes (e.g. the
@@ -369,14 +369,19 @@ def merged_update(streams, core_fn, scan, has_cls: bool):
     The per-direction core outputs are scattered back to grid order and
     merged by sum (or mean over per-cell visit counts) BEFORE any output
     projection, which the caller applies to the merged result. The class
-    token is pinned at slot 0 of every direction's index, so it never enters
-    the reordering and its updates merge like those of a cell every
-    direction visits.
+    token slot is inferred from the token count: a sequence one token longer
+    than the scan grid carries a class token at slot 0, pinned at slot 0 of
+    every direction's index, so it never enters the reordering and its
+    updates merge like those of a cell every direction visits. Any other
+    count but the grid's own raises ShapeError.
     """
     if scan is None:
         return core_fn(*streams)
     total = streams[0].shape[-2]
-    start = 1 if has_cls else 0
+    start = total - scan.h * scan.w
+    if start not in (0, 1):
+        raise ShapeError(f"{total} tokens fit neither the {scan.h}x{scan.w} scan grid "
+                         f"nor it plus a class token")
 
     acc = None
     for order in scan.directions:
@@ -394,7 +399,7 @@ def merged_update(streams, core_fn, scan, has_cls: bool):
 # -- block families ----------------------------------------------------------------------
 
 
-def vim_block(tokens, params, prefix="", scan=None, has_cls=False, tie_directions=False):
+def vim_block(tokens, params, prefix="", scan=None, tie_directions=False):
     """Gated bidirectional block.
 
     Both directions share the input and gate projections; the backward path
@@ -413,11 +418,11 @@ def vim_block(tokens, params, prefix="", scan=None, has_cls=False, tie_direction
         y_b = T.flip(_scan_path(T.flip(xs_d, -2), params, f"{prefix}{back}", causal=True), -2)
         return T.add(T.mul(y_f, gate_d), T.mul(y_b, gate_d))
 
-    merged = merged_update([xs, gate], core, scan, has_cls)
+    merged = merged_update([xs, gate], core, scan)
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))
 
 
-def mamba_vision_mixer(tokens, params, prefix="", scan=None, has_cls=False):
+def mamba_vision_mixer(tokens, params, prefix="", scan=None):
     """Two half-width branches with non-causal convolutions.
 
     Branch 1 carries the selective scan; branch 2 is purely convolutional.
@@ -434,7 +439,7 @@ def mamba_vision_mixer(tokens, params, prefix="", scan=None, has_cls=False):
                                      params[f"{prefix}b2.conv.bias"], causal=False))
         return T.concat([y1, y2], axis=-1)
 
-    merged = merged_update([x1, x2], core, scan, has_cls)
+    merged = merged_update([x1, x2], core, scan)
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))
 
 
@@ -449,7 +454,7 @@ def vssd_block(tokens, params, grid, prefix="", scan=None):
         proj = _projection_from(params, f"{prefix}ssd.proj.")
         return nc_ssd(xh, proj, params[f"{prefix}ssd.d"])
 
-    tokens = T.add(tokens, merged_update([tokens], core, scan, has_cls=False))
+    tokens = T.add(tokens, merged_update([tokens], core, scan))
 
     xh = rms_norm(tokens, params[f"{prefix}norm2.scale"])
     hid = T.silu(T.add(T.matmul(xh, params[f"{prefix}ffn.w1"]), params[f"{prefix}ffn.b1"]))
@@ -513,10 +518,10 @@ def apply_block(model: Model, tokens, index: int, scan):
     cfg = model.cfg
     prefix = f"blocks.{index}."
     if cfg.family == "vim":
-        return vim_block(tokens, model.params, prefix, scan, has_cls=cfg.use_cls,
+        return vim_block(tokens, model.params, prefix, scan,
                          tie_directions=cfg.tie_directions)
     if cfg.family == "mambavision":
-        return mamba_vision_mixer(tokens, model.params, prefix, scan, has_cls=cfg.use_cls)
+        return mamba_vision_mixer(tokens, model.params, prefix, scan)
     return vssd_block(tokens, model.params, cfg.grid, prefix, scan)
 
 
@@ -567,10 +572,7 @@ def config_from_json(text: str) -> ModelConfig:
     required = [f.name for f in fields(ModelConfig) if f.default is MISSING]
     kinds = {f.name: str if f.name in required else type(f.default)
              for f in fields(ModelConfig)}
-    # "chunk", the removed chunked-scan option, is still in older checkpoints
-    raw = files.json_object(text, {**kinds, "chunk": int}, required, "model config")
-    raw.pop("chunk", None)
-    return ModelConfig(**raw)
+    return ModelConfig(**files.json_object(text, kinds, required, "model config"))
 
 
 def save_checkpoint(model: Model, path) -> None:

@@ -19,6 +19,7 @@ failure (a benchmark cross-check did not hold).
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -92,6 +93,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
             raise UsageError(f"{args.config}: {opt.key}: {exc}") from None
         flag = getattr(args, opt.key)
         resolved[opt.key] = value if flag is None else flag
+    if resolved.get("out") == "":
+        raise UsageError("--out must not be empty")
     return resolved
 
 
@@ -212,7 +215,7 @@ def _ppm_heatmap(grid: np.ndarray, path: str) -> None:
     files.write_netpbm(path, np.stack([r, g, b], axis=-1))
 
 
-def cmd_scan_show(opt: dict, no_clobber: bool) -> int:
+def cmd_scan_show(opt: dict) -> int:
     scan = _usage(scan2d.make_scan, opt["strategy"], opt["height"], opt["width"],
                   win=opt["win"], stride=opt["stride"])
     orders = scan.directions
@@ -321,7 +324,7 @@ def cmd_eval(opt: dict, no_clobber: bool) -> int:
 # -- export-features ------------------------------------------------------------------
 
 
-def cmd_export_features(opt: dict, no_clobber: bool) -> int:
+def cmd_export_features(opt: dict) -> int:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
@@ -408,17 +411,18 @@ class Option(NamedTuple):
 
 
 class Command(NamedTuple):
-    handler: Callable[[dict, bool], int]
+    handler: Callable[..., int]  # (opt) or, where --no-clobber acts, (opt, no_clobber)
     help: str
     options: tuple
 
 
+_MAKE_DATASET = inspect.signature(make_dataset).parameters
 CORPUS = (
     Option("train", 1000, "train count (real+fake total)"),
     Option("val", 200),
     Option("test", 500, "test count per subset"),
-    Option("train_generator", "G1_checkerboard", choices=GENERATORS),
-    Option("strength", 0.8, "artifact strength in (0, 1]"),
+    Option("train_generator", _MAKE_DATASET["train_generator"].default, choices=GENERATORS),
+    Option("strength", _MAKE_DATASET["strength"].default, "artifact strength in (0, 1]"),
 )
 TRAINING = (
     Option("epochs", TR.TrainConfig.epochs),
@@ -502,8 +506,9 @@ def build_parser() -> Parser:
             p.add_argument("--" + opt.key.replace("_", "-"), type=opt.parse,
                            metavar=metavar, help=opt.help)
         p.add_argument("--config", help="plain-text key = value option file")
-        p.add_argument("--no-clobber", action="store_true",
-                       help="fail instead of overwriting a non-empty output directory")
+        if "no_clobber" in inspect.signature(command.handler).parameters:
+            p.add_argument("--no-clobber", action="store_true",
+                           help="fail instead of overwriting a non-empty output directory")
     return parser
 
 
@@ -511,7 +516,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command].handler(resolve_options(args), args.no_clobber)
+        flags = {"no_clobber": args.no_clobber} if "no_clobber" in vars(args) else {}
+        return COMMANDS[args.command].handler(resolve_options(args), **flags)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ _BLOCK = 4
 @dataclass
 class SynthGenSpec:
     generator_id: str
-    artifact_strength: float = 0.8
+    artifact_strength: float
 
     def __post_init__(self):
         if self.generator_id not in GENERATORS:

@@ -7,8 +7,7 @@ intact; the target's directory is created at the first write into it.
 The array container (model checkpoints, train states) is little-endian:
 8-byte magic, u32 version, u32 header length, a UTF-8 JSON header, u32 array
 count, then per array its u16-length name, u8 rank, u32 dims and float64
-data, and last the CRC32 of every byte before it. Version 1 files have no
-CRC32 trailer and still load.
+data, and last the CRC32 of every byte before it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import zlib
 
 import numpy as np
 
-CONTAINER_VERSION = 2  # 2 appends a CRC32 trailer
+CONTAINER_VERSION = 2  # the only version read
 
 
 def write_bytes(path, data: bytes) -> None:
@@ -122,7 +121,7 @@ def read_arrays(path, magic: bytes, what: str, expect):
     if read(8) != magic:
         raise ValueError(f"{path} is not a {what} (bad magic)")
     version = struct.unpack("<I", read(4))[0]
-    if version not in (1, CONTAINER_VERSION):
+    if version != CONTAINER_VERSION:
         raise ValueError(f"unsupported {what} version {version}")
     head_len = struct.unpack("<I", read(4))[0]
     value, specs = expect(read(head_len).decode("utf-8"))
@@ -144,10 +143,9 @@ def read_arrays(path, magic: bytes, what: str, expect):
             raise ValueError(f"{what} array {name!r} is not finite in {path}")
         arrays[name] = data.copy()
     body = blob[:off]
-    if version > 1:
-        (crc,) = struct.unpack("<I", read(4))
+    (crc,) = struct.unpack("<I", read(4))
     if off != len(blob):
         raise ValueError(f"{len(blob) - off} trailing bytes after the arrays in {path}")
-    if version > 1 and crc != zlib.crc32(body):
+    if crc != zlib.crc32(body):
         raise ValueError(f"{what} {path} fails its CRC32 check (corrupted bytes)")
     return value, arrays

@@ -1,9 +1,9 @@
 """Classical linear time-invariant state space model.
 
 A continuous system (A, B, C, D) with timescale delta is discretized by
-zero-order hold and can then be evaluated two ways that must agree when the
-initial state is zero: step-by-step recurrence, or causal convolution with
-the kernel (C*Bbar, C*Abar*Bbar, C*Abar^2*Bbar, ...) computed via FFT.
+zero-order hold and can then be evaluated two ways that must agree, both
+from the zero initial state: step-by-step recurrence, or causal convolution
+with the kernel (C*Bbar, C*Abar*Bbar, C*Abar^2*Bbar, ...) computed via FFT.
 
 Single-input single-output per instance: B maps the scalar input into the
 d-dimensional state, C reads the state back out to a scalar. Multi-channel
@@ -53,11 +53,6 @@ class SsmParams:
     def dim(self) -> int:
         return self.b.shape[0]
 
-    def check_stable(self) -> None:
-        """Debug check: diagonal systems must have all decay rates negative."""
-        if self.diag and not np.all(self.a < 0):
-            raise ValueError("diagonal transition has a non-negative entry")
-
 
 @dataclass
 class DiscreteSsm:
@@ -72,14 +67,6 @@ class DiscreteSsm:
     @property
     def dim(self) -> int:
         return self.b_bar.shape[0]
-
-
-@dataclass
-class SsmKernel:
-    """Impulse response k_bar[t] = C * Abar^t * Bbar for t in 0..L-1."""
-
-    k_bar: np.ndarray
-    length: int
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -125,28 +112,16 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def discretize_zoh(params: SsmParams, exact_b: bool = False) -> DiscreteSsm:
-    """Zero-order-hold discretization.
-
-    a_bar = exp(delta * A). b_bar defaults to the first-order form delta * B;
-    with exact_b (diagonal systems only) it uses the closed-form ZOH integral
-    (exp(delta*a) - 1) / a per element, which approaches delta * B as
-    delta -> 0.
-    """
+def discretize_zoh(params: SsmParams) -> DiscreteSsm:
+    """Zero-order-hold discretization: a_bar = exp(delta * A), and b_bar the
+    first-order form delta * B."""
     dt = params.delta
     with np.errstate(over="ignore"):  # overflow is caught by the finite check below
         if params.diag:
             a_bar = np.exp(dt * params.a)
         else:
             a_bar = matrix_exp(dt * params.a)
-    if exact_b:
-        if not params.diag:
-            raise ValueError("exact_b is only available for diagonal systems")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(params.a != 0.0, np.expm1(dt * params.a) / params.a, dt)
-        b_bar = scale * params.b
-    else:
-        b_bar = dt * params.b
+    b_bar = dt * params.b
     if not (np.all(np.isfinite(a_bar)) and np.all(np.isfinite(b_bar))):
         raise NumericError(
             f"discretization overflowed (delta={dt}); check delta * A magnitude"
@@ -155,17 +130,10 @@ def discretize_zoh(params: SsmParams, exact_b: bool = False) -> DiscreteSsm:
                        diag=params.diag)
 
 
-def run_recurrent(dssm: DiscreteSsm, x, h0=None) -> np.ndarray:
-    """h_t = Abar h_{t-1} + Bbar x_t ; y_t = C h_t + D x_t, t = 1..L."""
+def run_recurrent(dssm: DiscreteSsm, x) -> np.ndarray:
+    """h_t = Abar h_{t-1} + Bbar x_t ; y_t = C h_t + D x_t, t = 1..L, from h_0 = 0."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    dim = dssm.dim
-    if h0 is None:
-        h = np.zeros(dim)
-    else:
-        h = np.asarray(h0, dtype=np.float64).reshape(-1)
-        if h.shape[0] != dim:
-            raise ShapeError(f"h0 has length {h.shape[0]}, state dim is {dim}")
-        h = h.copy()
+    h = np.zeros(dssm.dim)
     step = np.multiply if dssm.diag else np.matmul  # apply Abar to the state
     y = np.empty_like(x)
     for t in range(len(x)):
@@ -174,7 +142,7 @@ def run_recurrent(dssm: DiscreteSsm, x, h0=None) -> np.ndarray:
     return y
 
 
-def conv_kernel(dssm: DiscreteSsm, length: int) -> SsmKernel:
+def conv_kernel(dssm: DiscreteSsm, length: int) -> np.ndarray:
     """k_bar[t] = C * Abar^t * Bbar, t = 0..length-1 (final term C Abar^{L-1} Bbar)."""
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
@@ -184,20 +152,15 @@ def conv_kernel(dssm: DiscreteSsm, length: int) -> SsmKernel:
     for t in range(length):
         k[t] = dssm.c @ v
         v = step(dssm.a_bar, v)
-    return SsmKernel(k_bar=k, length=length)
+    return k
 
 
-def run_convolution(dssm: DiscreteSsm, x, h0=None) -> np.ndarray:
-    """Causal convolution with the SSM kernel via zero-padded FFT, plus D x.
-
-    Only valid from a zero initial state; a nonzero h0 is rejected rather
-    than silently ignored.
-    """
-    if h0 is not None and np.any(np.asarray(h0) != 0):
-        raise ValueError("convolution form requires zero initial state")
+def run_convolution(dssm: DiscreteSsm, x) -> np.ndarray:
+    """Causal convolution with the SSM kernel via zero-padded FFT, plus D x
+    (the recurrence from a zero initial state)."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     length = len(x)
-    k_bar = conv_kernel(dssm, length).k_bar
+    k_bar = conv_kernel(dssm, length)
     n = 1 << (2 * length - 2).bit_length()  # power of two >= the full length 2L - 1
     y = np.fft.ifft(np.fft.fft(x, n) * np.fft.fft(k_bar, n)).real[:length]
     return y + dssm.d * x

@@ -128,8 +128,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         # copy: g may be a view or get reused by the producing op
         t.grad = np.array(g, dtype=np.float64)
-        if t.grad.shape != t.data.shape:
-            t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
     else:
         t.grad += g
 

@@ -30,12 +30,6 @@ from .tensor import NumericError, Tensor
 # -- losses -----------------------------------------------------------------------
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy; labels are integer class indices."""
     labels = np.asarray(labels, dtype=np.intp)
@@ -267,8 +261,7 @@ def evaluate(model_or_predict, subsets: list, seeds=None, batch: int = 64) -> Ev
 
 
 def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConfig,
-                               progress=None, preset_overrides: dict | None = None,
-                               **corpus) -> dict:
+                               progress=None, **corpus) -> dict:
     """Train on one generator, test on all of them, across families and seeds.
 
     ``corpus`` holds make_dataset's keyword arguments, drawn once per seed.
@@ -283,7 +276,7 @@ def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConf
     for seed in seeds:
         bundle = make_dataset(seed=seed, **corpus)
         for family in families:
-            cfg = B.config_from_preset(f"desk-{family}", **(preset_overrides or {}))
+            cfg = B.config_from_preset(f"desk-{family}")
             family_tag = sum(ord(ch) << (8 * i) for i, ch in enumerate(family[:8]))
             model = B.build_model(cfg, seed=hash_combine(seed, family_tag))
             model, state = train(model, bundle, cfg=train_cfg)

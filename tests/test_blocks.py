@@ -364,12 +364,18 @@ def test_mean_merge_matches_scaled_sum():
     mean_scan = scan2d.cross_scan(4, 4, merge="mean")
     for has_cls in (False, True):
         x = Tensor(SplitMix64(33).normal_array((1, 16 + has_cls, 8)))
-        y_sum = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=sum_scan,
-                                     has_cls=has_cls).data
-        y_mean = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=mean_scan,
-                                      has_cls=has_cls).data
+        y_sum = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=sum_scan).data
+        y_mean = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan=mean_scan).data
         # update = (y_sum - x)/4 for the mean rule; the class token is in all 4 directions
         assert np.max(np.abs((y_sum - x.data) / 4.0 - (y_mean - x.data))) < 1e-12
+
+
+@pytest.mark.parametrize("tokens", [15, 18])
+def test_merged_update_rejects_tokens_off_the_grid(tokens):
+    # the class-token slot is inferred: 16 tokens fill the 4x4 grid, 17 carry one more
+    x = Tensor(np.zeros((1, tokens, 2)))
+    with pytest.raises(T.ShapeError, match=f"{tokens} tokens"):
+        B.merged_update([x], lambda s: s, scan2d.cross_scan(4, 4))
 
 
 def _logits_and_grads(model, imgs, readout):
@@ -616,35 +622,25 @@ def rewrite_header(path, drop=(), **changes):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def test_checkpoint_version_1_without_trailer_loads(tmp_path):
-    m = build_model(config_from_preset("desk-vssd"), seed=23)
+def test_checkpoint_version_1_is_value_error(tmp_path):
+    # version 1 had no CRC32 trailer; every container that loads has passed its CRC32
     path = tmp_path / "v1.ckpt"
-    save_checkpoint(m, path)
+    save_checkpoint(build_model(config_from_preset("desk-vssd"), seed=23), path)
     blob = path.read_bytes()
     assert struct.unpack("<I", blob[8:12]) == (2,)
     path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:-4])
-    again = load_checkpoint(path)
-    imgs = SplitMix64(44).uniform_array((2, 32, 32))
-    assert np.array_equal(forward(again, imgs).data, forward(m, imgs).data)
-
-
-def test_checkpoint_with_legacy_chunk_key_loads(tmp_path):
-    m = build_model(config_from_preset("desk-vim"), seed=19)
-    path = tmp_path / "old.ckpt"
-    save_checkpoint(m, path)
-    rewrite_header(path, chunk=8)
-    again = load_checkpoint(path)
-    assert again.cfg == m.cfg
-    imgs = SplitMix64(43).uniform_array((2, 32, 32))
-    assert np.array_equal(forward(again, imgs).data, forward(m, imgs).data)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_unknown_config_key_is_value_error(tmp_path):
-    path = tmp_path / "odd.ckpt"
-    save_checkpoint(build_model(tiny_cfg("vssd"), seed=20), path)
-    rewrite_header(path, colour="blue")
-    with pytest.raises(ValueError, match="colour"):
-        load_checkpoint(path)
+    # "chunk", the removed chunked-scan option, is a key only old checkpoints held
+    for key, value in (("colour", "blue"), ("chunk", 8)):
+        path = tmp_path / f"{key}.ckpt"
+        save_checkpoint(build_model(tiny_cfg("vssd"), seed=20), path)
+        rewrite_header(path, **{key: value})
+        with pytest.raises(ValueError, match=f"unknown model config key '{key}'"):
+            load_checkpoint(path)
 
 
 def _saved_checkpoint(path, cfg=None, seed=21):

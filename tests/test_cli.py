@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import shlex
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from test_blocks import rewrite_header
 from vissm import blocks as B
 from vissm import cli
+from vissm import data as D
 from vissm import training as TR
 
 
@@ -333,6 +335,10 @@ def test_shared_option_keys_have_one_declaration():
     assert {key: opts for key, opts in declared.items() if len(opts) > 1} == {}
     for opt in cli.TRAINING:
         assert opt.default == getattr(TR.TrainConfig, opt.key), opt.key
+    corpus_defaults = inspect.signature(D.make_dataset).parameters
+    for opt in cli.CORPUS:
+        if opt.key in corpus_defaults:
+            assert opt.default == corpus_defaults[opt.key].default, opt.key
 
 
 def _other_value(opt):
@@ -386,15 +392,6 @@ def test_table_declared_range_is_usage_error_before_output(tmp_path, capsys, arg
     cfgfile.write_text(f"{argv[1][2:]} = {argv[2]}\n")
     assert run([argv[0], "--config", str(cfgfile), "--out", str(out)]) == 1
     assert os.listdir(tmp_path) == ["opts.cfg"]
-
-
-def test_scan_show_has_no_merge_option(tmp_path, capsys):
-    assert run(["scan-show", "--merge", "sum"]) == 1
-    assert "--merge" in capsys.readouterr().err
-    cfgfile = tmp_path / "opts.cfg"
-    cfgfile.write_text("merge = sum\n")
-    assert run(["scan-show", "--config", str(cfgfile)]) == 1
-    assert "merge" in capsys.readouterr().err
 
 
 # -- exit-code fuzz over the option table ----------------------------------------------
@@ -475,6 +472,74 @@ def test_exit_code_contract_over_the_option_table(fuzz_inputs, draw):
         if code == 1:
             assert os.listdir(scratch) == []
         assert os.listdir() == cwd_before
+
+
+# -- options and flags act where they are accepted -----------------------------------
+
+
+def _tiny_argv(name, inputs, out):
+    """``name`` with every declared option set to a small valid text, and its
+    output path (``--out``, or scan-show's ``--ppm``) to ``out``."""
+    texts = {**FUZZ_VALID, **inputs, "out": out, "ppm": out}
+    return [name] + [arg for opt in cli.COMMANDS[name].options
+                     for arg in ("--" + opt.key.replace("_", "-"),
+                                 texts.get(opt.key, str(opt.default)))]
+
+
+class ReadRecorder(dict):
+    """A resolved option mapping that records which keys a handler reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_declared_option_is_read(fuzz_inputs, tmp_path, monkeypatch, name):
+    resolved = []
+    resolve = cli.resolve_options
+
+    def recording(args):
+        resolved.append(ReadRecorder(resolve(args)))
+        return resolved[-1]
+
+    monkeypatch.setattr(cli, "resolve_options", recording)
+    assert run(_tiny_argv(name, fuzz_inputs[1], str(tmp_path / "out"))) == 0
+    assert {opt.key for opt in cli.COMMANDS[name].options} - resolved[0].read == set()
+
+
+@pytest.mark.parametrize("name", [name for name, command in cli.COMMANDS.items()
+                                  if any(opt.key == "out" for opt in command.options)])
+def test_empty_out_is_usage_error_before_output(fuzz_inputs, tmp_path, monkeypatch, capsys,
+                                                name):
+    monkeypatch.chdir(tmp_path)
+    assert run(_tiny_argv(name, fuzz_inputs[1], "")) == 1
+    assert "--out must not be empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name, flag, value", [("scan-show", "--merge", "sum"),
+                                               ("scan-show", "--no-clobber", None),
+                                               ("export-features", "--no-clobber", None)],
+                         ids=["scan-show-merge", "scan-show-no-clobber",
+                              "export-features-no-clobber"])
+def test_flag_a_command_does_not_act_on_is_usage_error(fuzz_inputs, tmp_path, monkeypatch,
+                                                       capsys, name, flag, value):
+    monkeypatch.chdir(tmp_path)
+    argv = _tiny_argv(name, fuzz_inputs[1], "written")
+    assert run(argv + [flag] + ([value] if value else [])) == 1
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    key = flag[2:].replace("-", "_")
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text(f"{key} = {value or 'true'}\n")
+    assert run(argv + ["--config", str(cfgfile)]) == 1
+    assert key in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["opts.cfg"]
 
 
 # -- bench ------------------------------------------------------------------------

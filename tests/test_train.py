@@ -31,15 +31,10 @@ def test_cross_entropy_matches_log_softmax():
     logits = rng.normal_array((4, 2))
     labels = np.array([0, 1, 1, 0])
     loss = TR.cross_entropy(Tensor(logits), labels).item()
-    probs = TR.softmax(logits)
-    expected = -np.mean(np.log(probs[np.arange(4), labels]))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    expected = -np.mean(log_probs[np.arange(4), labels])
     assert abs(loss - expected) < 1e-12
-
-
-def test_softmax_rows_sum_to_one():
-    rng = SplitMix64(2)
-    probs = TR.softmax(rng.normal_array((6, 2)) * 10)
-    assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-12
 
 
 def test_adam_first_step_is_signed_unit_step():
@@ -283,7 +278,6 @@ def test_cross_generator_experiment_grid_complete():
     out = TR.cross_generator_experiment(
         families=["vssd"], seeds=[1, 2], train_count=24, val_count=12,
         test_count=8, train_cfg=TR.TrainConfig(epochs=1, seed=0),
-        preset_overrides=dict(embed_dim=8, depth=1, state_dim=2, patch=8),
     )
     assert len(out["results"]) == 2  # family x seed grid
     for row in out["results"]:
@@ -299,7 +293,6 @@ def test_cross_generator_trains_on_the_requested_generator():
         families=["vssd"], seeds=[1], train_count=24, val_count=12,
         test_count=8, train_generator="G2_ringing",
         train_cfg=TR.TrainConfig(epochs=1, seed=0),
-        preset_overrides=dict(embed_dim=8, depth=1, state_dim=2, patch=8),
     )
     assert out["train_generator"] == "G2_ringing"
     acc = out["results"][0]["per_subset"]
