@@ -36,6 +36,9 @@ from .selective import (  # noqa: F401
 from .tensor import ShapeError, Tensor
 
 RMS_EPS = 1e-6
+EXPAND = 2      # vim inner width per embed channel
+CONV_WIDTH = 4  # taps of the 1D depthwise convolutions
+FFN_RATIO = 2   # vssd FFN hidden width per embed channel
 
 
 # -- configuration ---------------------------------------------------------------
@@ -54,23 +57,16 @@ class ModelConfig:
     embed_dim: int = 24
     depth: int = 2
     state_dim: int = 8
-    expand: int = 2
-    conv_width: int = 4
-    ffn_ratio: int = 2
     scan: str = "raster"
-    scan_win: int = 2
-    scan_stride: int = 2
-    scan_merge: str = "sum"
-    classes: int = 2
     overlap: bool = False
     tie_directions: bool = False  # vim: one parameter set serves both directions
     preset: str = ""
+    classes = 2  # real / fake: unannotated, so a constant and not a config field
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for size in ("patch", "embed_dim", "depth", "state_dim", "expand", "conv_width",
-                     "ffn_ratio", "classes"):
+        for size in ("patch", "embed_dim", "depth", "state_dim"):
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if self.family == "mambavision" and self.embed_dim % 2:
@@ -83,8 +79,7 @@ class ModelConfig:
         self.make_scan()  # raises ValueError when the scan does not fit the patch grid
 
     def make_scan(self) -> scan2d.MultiScan:
-        return scan2d.make_scan(self.scan, *self.grid, win=self.scan_win,
-                                stride=self.scan_stride, merge=self.scan_merge)
+        return scan2d.make_scan(self.scan, *self.grid)
 
     @property
     def use_cls(self) -> bool:
@@ -93,7 +88,7 @@ class ModelConfig:
     @property
     def inner_dim(self) -> int:
         if self.family == "vim":
-            return self.expand * self.embed_dim
+            return EXPAND * self.embed_dim
         if self.family == "mambavision":
             return self.embed_dim // 2
         return self.embed_dim
@@ -120,7 +115,7 @@ class ModelConfig:
 PRESETS = {
     # full-scale structural reference point (parameter count check only)
     "vim-tiny": dict(family="vim", image_h=224, image_w=224, channels=3,
-                     patch=16, embed_dim=192, depth=24, state_dim=16, expand=2),
+                     patch=16, embed_dim=192, depth=24, state_dim=16),
     # desk-scale configs: 32x32 grayscale, 8x8 patch grid, minute-scale CPU training
     "desk-vim": dict(family="vim", embed_dim=16, depth=2, state_dim=4),
     "desk-mambavision": dict(family="mambavision", embed_dim=16, depth=2,
@@ -152,9 +147,9 @@ def _proj_specs(prefix, channels, state_dim, rank):
     ]
 
 
-def _scan_path_specs(prefix, channels, state_dim, rank, conv_width):
+def _scan_path_specs(prefix, channels, state_dim, rank):
     return [
-        (f"{prefix}conv.weight", (channels, conv_width), ("uniform_fanin", conv_width)),
+        (f"{prefix}conv.weight", (channels, CONV_WIDTH), ("uniform_fanin", CONV_WIDTH)),
         (f"{prefix}conv.bias", (channels,), ("zeros",)),
         *_proj_specs(f"{prefix}proj.", channels, state_dim, rank),
         (f"{prefix}a_log", (channels, state_dim), ("a_log",)),
@@ -164,7 +159,7 @@ def _scan_path_specs(prefix, channels, state_dim, rank, conv_width):
 
 def param_specs(cfg: ModelConfig) -> list:
     """(name, shape, init) for every trainable tensor, in a fixed order."""
-    d, n, k, rank = cfg.embed_dim, cfg.state_dim, cfg.conv_width, cfg.dt_rank
+    d, n, k, rank = cfg.embed_dim, cfg.state_dim, CONV_WIDTH, cfg.dt_rank
     patch_dim = cfg.window * cfg.window * cfg.channels
     specs = [
         ("patch.proj", (patch_dim, d), ("uniform_fanin", patch_dim)),
@@ -184,21 +179,21 @@ def param_specs(cfg: ModelConfig) -> list:
             ]
             directions = ["fwd."] if cfg.tie_directions else ["fwd.", "bwd."]
             for dirp in directions:
-                specs += _scan_path_specs(f"{p}{dirp}", e, n, rank, k)
+                specs += _scan_path_specs(f"{p}{dirp}", e, n, rank)
             specs.append((f"{p}w_out", (e, d), ("uniform_fanin", e)))
         elif cfg.family == "mambavision":
             h = cfg.inner_dim
             specs += [
                 (f"{p}norm.scale", (d,), ("ones",)),
                 (f"{p}b1.w_in", (d, h), ("uniform_fanin", d)),
-                *_scan_path_specs(f"{p}b1.", h, n, rank, k),
+                *_scan_path_specs(f"{p}b1.", h, n, rank),
                 (f"{p}b2.w_in", (d, h), ("uniform_fanin", d)),
                 (f"{p}b2.conv.weight", (h, k), ("uniform_fanin", k)),
                 (f"{p}b2.conv.bias", (h,), ("zeros",)),
                 (f"{p}w_out", (2 * h, d), ("uniform_fanin", 2 * h)),
             ]
         else:  # vssd
-            f = cfg.ffn_ratio * d
+            f = FFN_RATIO * d
             specs += [
                 (f"{p}lpu.weight", (d, 3, 3), ("uniform_fanin", 9)),
                 (f"{p}lpu.bias", (d,), ("zeros",)),
@@ -341,12 +336,8 @@ def conv2d_depthwise3(tokens, grid, weight, bias):
 
 
 def _projection_from(params, prefix) -> SelectiveProjection:
-    return SelectiveProjection(
-        w_b=params[f"{prefix}w_b"], w_c=params[f"{prefix}w_c"],
-        w_dt_down=params[f"{prefix}w_dt_down"], w_dt_up=params[f"{prefix}w_dt_up"],
-        delta_base=params[f"{prefix}delta_base"],
-        b_b=params[f"{prefix}b_b"], b_c=params[f"{prefix}b_c"],
-    )
+    return SelectiveProjection(**{f.name: params[prefix + f.name]
+                                  for f in fields(SelectiveProjection)})
 
 
 def _scan_path(x, params, prefix, causal: bool):
@@ -367,13 +358,12 @@ def merged_update(streams, core_fn, scan):
     ``streams`` are token-aligned tensors that the core consumes (e.g. the
     scan input and its gate); each is gathered identically per direction.
     The per-direction core outputs are scattered back to grid order and
-    merged by sum (or mean over per-cell visit counts) BEFORE any output
-    projection, which the caller applies to the merged result. The class
-    token slot is inferred from the token count: a sequence one token longer
-    than the scan grid carries a class token at slot 0, pinned at slot 0 of
-    every direction's index, so it never enters the reordering and its
-    updates merge like those of a cell every direction visits. Any other
-    count but the grid's own raises ShapeError.
+    summed BEFORE any output projection, which the caller applies to the
+    merged result. The class token slot is inferred from the token count: a
+    sequence one token longer than the scan grid carries a class token at
+    slot 0, pinned at slot 0 of every direction's index, so it never enters
+    the reordering and its updates sum like those of a cell every direction
+    visits. Any other count but the grid's own raises ShapeError.
     """
     if scan is None:
         return core_fn(*streams)
@@ -389,10 +379,6 @@ def merged_update(streams, core_fn, scan):
         upd = core_fn(*[T.take(s, idx, axis=-2) for s in streams])
         scat = T.scatter_axis(upd, idx, axis=-2, size=total)
         acc = scat if acc is None else T.add(acc, scat)
-
-    if scan.merge == "mean":
-        counts = np.concatenate([np.full(start, len(scan.directions)), scan.visit_counts()])
-        acc = T.mul(acc, Tensor((1.0 / np.maximum(counts, 1).astype(np.float64))[:, None]))
     return acc
 
 

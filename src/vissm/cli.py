@@ -417,6 +417,7 @@ class Command(NamedTuple):
 
 
 _MAKE_DATASET = inspect.signature(make_dataset).parameters
+_MAKE_SCAN = inspect.signature(scan2d.make_scan).parameters
 CORPUS = (
     Option("train", 1000, "train count (real+fake total)"),
     Option("val", 200),
@@ -449,8 +450,8 @@ COMMANDS = {
         Option("strategy", "zigzag", choices=scan2d.STRATEGIES),
         Option("height", 4),
         Option("width", 4),
-        Option("win", B.ModelConfig.scan_win, "window side for the local strategy"),
-        Option("stride", B.ModelConfig.scan_stride, "stride for the efficient strategy"),
+        Option("win", _MAKE_SCAN["win"].default, "window side for the local strategy"),
+        Option("stride", _MAKE_SCAN["stride"].default, "stride for the efficient strategy"),
         Option("ppm", "", "also write a P6 heatmap to this path"),
     )),
     "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", (

@@ -76,6 +76,13 @@ def _box_blur3(img: np.ndarray) -> np.ndarray:
     return out / 9.0
 
 
+def _checker(h: int, w: int) -> np.ndarray:
+    """The period-2 +/-1 checkerboard, +1 at (0, 0): the G1 signature."""
+    ii = np.arange(h)[:, None]
+    jj = np.arange(w)[None, :]
+    return np.where((ii + jj) % 2 == 0, 1.0, -1.0)
+
+
 def _base_parts(seed: int, h: int, w: int):
     rng = SplitMix64(hash_combine(seed, _TAG_BASE))
     field = _smooth_field(rng, h, w)
@@ -96,10 +103,7 @@ def _artifact(seed: int, h: int, w: int, field: np.ndarray,
     s = spec.artifact_strength
     gen = spec.generator_id
     if gen == "G1_checkerboard":
-        ii = np.arange(h)[:, None]
-        jj = np.arange(w)[None, :]
-        checker = np.where((ii + jj) % 2 == 0, 1.0, -1.0)
-        return 0.1 * s * checker
+        return 0.1 * s * _checker(h, w)
     if gen == "G2_ringing":
         # over-shoot sharpening of the base field: halo ringing at edges
         return s * _RING_GAIN * (field - _box_blur3(field))
@@ -298,11 +302,7 @@ def checkerboard_score(image: np.ndarray) -> float:
     The analytic reference detector thresholds this score; it separates G1
     fakes from everything else by construction.
     """
-    h, w = image.shape
-    ii = np.arange(h)[:, None]
-    jj = np.arange(w)[None, :]
-    checker = np.where((ii + jj) % 2 == 0, 1.0, -1.0)
-    return float(abs(np.mean(image * checker)))
+    return float(abs(np.mean(image * _checker(*image.shape))))
 
 
 def analytic_g1_detector(images: np.ndarray, threshold: float = 0.02) -> np.ndarray:

@@ -6,8 +6,8 @@ are permutations of 0..h*w-1; a partial order (used by the atrous strategy,
 whose members jointly partition the grid) visits an injective subset.
 ``inverse[cell]`` recovers the visitation rank, -1 for unvisited cells.
 
-A MultiScan bundles one or more orders over the same grid with a merge rule
-for recombining per-direction outputs; ``make_scan`` always returns one.
+A MultiScan bundles one or more orders over the same grid; the models sum
+the per-direction outputs on the grid. ``make_scan`` always returns one.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MERGES = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,6 @@ class ScanOrder:
 @dataclass(frozen=True)
 class MultiScan:
     directions: tuple
-    merge: str = "sum"  # one of MERGES
 
     def __post_init__(self):
         dirs = tuple(self.directions)
@@ -57,8 +54,6 @@ class MultiScan:
         h, w = dirs[0].h, dirs[0].w
         if any(d.h != h or d.w != w for d in dirs):
             raise ValueError("all directions must share the same grid extents")
-        if self.merge not in MERGES:
-            raise ValueError(f"unknown merge rule {self.merge!r}")
 
     @property
     def h(self):
@@ -67,13 +62,6 @@ class MultiScan:
     @property
     def w(self):
         return self.directions[0].w
-
-    def visit_counts(self) -> np.ndarray:
-        """How many directions visit each grid cell (mean-merge divisor)."""
-        counts = np.zeros(self.h * self.w, dtype=np.intp)
-        for d in self.directions:
-            counts[d.order] += 1
-        return counts
 
 
 def _check_extents(h: int, w: int) -> None:
@@ -87,13 +75,13 @@ def raster_scan(h: int, w: int) -> ScanOrder:
     return ScanOrder(h, w, np.arange(h * w, dtype=np.intp))
 
 
-def cross_scan(h: int, w: int, merge: str = "sum") -> MultiScan:
+def cross_scan(h: int, w: int) -> MultiScan:
     """Row-major, reversed row-major, column-major, reversed column-major."""
     _check_extents(h, w)
     row = raster_scan(h, w)
     col_order = np.arange(h * w, dtype=np.intp).reshape(h, w).T.reshape(-1)
     col = ScanOrder(h, w, col_order)
-    return MultiScan((row, row.reversed_order(), col, col.reversed_order()), merge)
+    return MultiScan((row, row.reversed_order(), col, col.reversed_order()))
 
 
 def zigzag_scan(h: int, w: int) -> ScanOrder:
@@ -126,7 +114,7 @@ def local_scan(h: int, w: int, win: int) -> ScanOrder:
     return ScanOrder(h, w, np.array(order, dtype=np.intp))
 
 
-def efficient_scan(h: int, w: int, stride: int, merge: str = "sum") -> MultiScan:
+def efficient_scan(h: int, w: int, stride: int) -> MultiScan:
     """Atrous decimation: stride^2 partial orders that partition the grid.
 
     Member (i, j) visits exactly the cells with
@@ -143,7 +131,7 @@ def efficient_scan(h: int, w: int, stride: int, merge: str = "sum") -> MultiScan
         for j in range(stride):
             sub = [r * w + c for r in range(i, h, stride) for c in range(j, w, stride)]
             orders.append(ScanOrder(h, w, np.array(sub, dtype=np.intp)))
-    return MultiScan(tuple(orders), merge)
+    return MultiScan(tuple(orders))
 
 
 def gather(tokens, order: ScanOrder):
@@ -186,26 +174,22 @@ def rank_grid(order: ScanOrder) -> np.ndarray:
 STRATEGIES = ("raster", "bidirectional", "cross", "zigzag", "local", "efficient")
 
 
-def make_scan(strategy: str, h: int, w: int, win: int = 2, stride: int = 2,
-              merge: str = "sum") -> MultiScan:
+def make_scan(strategy: str, h: int, w: int, win: int = 2, stride: int = 2) -> MultiScan:
     """Build a strategy's directions by name.
 
-    Single-order strategies come back as one-direction MultiScans; their order
-    is full, so their mean merge equals the sum and ``merge`` is only checked.
+    Single-order strategies come back as one-direction MultiScans.
     """
-    if merge not in MERGES:
-        raise ValueError(f"unknown merge rule {merge!r}")
     if strategy == "raster":
         return MultiScan((raster_scan(h, w),))
     if strategy == "bidirectional":
         row = raster_scan(h, w)
-        return MultiScan((row, row.reversed_order()), merge)
+        return MultiScan((row, row.reversed_order()))
     if strategy == "cross":
-        return cross_scan(h, w, merge)
+        return cross_scan(h, w)
     if strategy == "zigzag":
         return MultiScan((zigzag_scan(h, w),))
     if strategy == "local":
         return MultiScan((local_scan(h, w, win),))
     if strategy == "efficient":
-        return efficient_scan(h, w, stride, merge)
+        return efficient_scan(h, w, stride)
     raise ValueError(f"unknown scan strategy {strategy!r}; choose one of {STRATEGIES}")

@@ -27,7 +27,7 @@ All routes are differentiable through the tensor graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,11 +64,8 @@ class SelectiveProjection:
         return self.w_b.shape[1]
 
     def tensors(self) -> dict:
-        return {
-            "w_b": self.w_b, "w_c": self.w_c, "w_dt_down": self.w_dt_down,
-            "w_dt_up": self.w_dt_up, "delta_base": self.delta_base,
-            "b_b": self.b_b, "b_c": self.b_c,
-        }
+        """The seven tensors by field name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def constant_projection(channels: int, state_dim: int, b_const, c_const,

@@ -15,6 +15,7 @@ from test_blocks import rewrite_header
 from vissm import blocks as B
 from vissm import cli
 from vissm import data as D
+from vissm import scan2d
 from vissm import training as TR
 
 
@@ -168,6 +169,19 @@ def test_eval_checkpoint_with_unknown_config_key_is_runtime_error(tiny_data, tmp
                 "--out", str(tmp_path / "eval")])
     assert code == 2
     assert "colour" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_from_before_classes_was_a_constant_is_runtime_error(
+        tiny_data, tmp_path, capsys):
+    # headers written while ``classes`` was a config field carry it as a key
+    ckpt = tmp_path / "model.ckpt"
+    B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)
+    rewrite_header(ckpt, classes=2)
+    out = tmp_path / "eval"
+    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
+                "--out", str(out)]) == 2
+    assert "unknown model config key 'classes'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_checkpoint_with_trailing_bytes_is_runtime_error(tiny_data, tmp_path, capsys):
@@ -339,6 +353,10 @@ def test_shared_option_keys_have_one_declaration():
     for opt in cli.CORPUS:
         if opt.key in corpus_defaults:
             assert opt.default == corpus_defaults[opt.key].default, opt.key
+    scan_defaults = inspect.signature(scan2d.make_scan).parameters
+    scan_show = {opt.key: opt.default for opt in cli.COMMANDS["scan-show"].options}
+    for key in ("win", "stride"):
+        assert scan_show[key] == scan_defaults[key].default, key
 
 
 def _other_value(opt):

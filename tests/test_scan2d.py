@@ -231,11 +231,6 @@ def test_multiscan_extent_mismatch():
         MultiScan((raster_scan(2, 2), raster_scan(2, 3)))
 
 
-def test_multiscan_visit_counts():
-    assert cross_scan(2, 2).visit_counts().tolist() == [4, 4, 4, 4]
-    assert efficient_scan(4, 4, 2).visit_counts().tolist() == [1] * 16
-
-
 def test_make_scan_unknown_strategy():
     with pytest.raises(ValueError):
         make_scan("hilbert", 4, 4)
@@ -261,8 +256,6 @@ def test_make_scan_returns_multiscan_for_every_strategy():
     counts = {"raster": 1, "bidirectional": 2, "cross": 4, "zigzag": 1, "local": 1,
               "efficient": 4}
     for strategy in scan2d.STRATEGIES:
-        scan = make_scan(strategy, 4, 4, merge="mean")
+        scan = make_scan(strategy, 4, 4)
         assert isinstance(scan, MultiScan)
         assert len(scan.directions) == counts[strategy]
-        # one full order: nothing to average, so no mean rule is applied
-        assert scan.merge == ("sum" if counts[strategy] == 1 else "mean")
