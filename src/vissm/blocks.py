@@ -355,6 +355,10 @@ def _scan_path(x, params, prefix, causal: bool):
 def merged_update(streams, core_fn, scan):
     """Run a sequence core once per scan direction and merge on the grid.
 
+    This is the route of vim and mambavision, whose causal and convolutional
+    cores depend on the visiting order; vssd's order-free core takes
+    ``cell_set_update`` instead.
+
     ``streams`` are token-aligned tensors that the core consumes (e.g. the
     scan input and its gate); each is gathered identically per direction.
     The per-direction core outputs are scattered back to grid order and
@@ -379,6 +383,29 @@ def merged_update(streams, core_fn, scan):
         upd = core_fn(*[T.take(s, idx, axis=-2) for s in streams])
         scat = T.scatter_axis(upd, idx, axis=-2, size=total)
         acc = scat if acc is None else T.add(acc, scat)
+    return acc
+
+
+def cell_set_update(seq, core_fn, scan):
+    """``merged_update([seq], core_fn, scan)`` for a permutation-equivariant core,
+    with the core run once per distinct set of cells rather than per direction.
+
+    Each set is visited in raster order and its update weighted by the number
+    of directions that visit it; a set covering the whole grid needs no gather
+    or scatter. ``seq`` holds exactly the grid's tokens (no class token).
+    """
+    if scan is None:
+        return core_fn(seq)
+    total = seq.shape[-2]
+    acc = None
+    for cells, count in scan.cell_sets():
+        whole = len(cells) == total
+        upd = core_fn(seq if whole else T.take(seq, cells, axis=-2))
+        if count > 1:
+            upd = T.mul(upd, float(count))
+        if not whole:
+            upd = T.scatter_axis(upd, cells, axis=-2, size=total)
+        acc = upd if acc is None else T.add(acc, upd)
     return acc
 
 
@@ -430,7 +457,18 @@ def mamba_vision_mixer(tokens, params, prefix="", scan=None):
 
 
 def vssd_block(tokens, params, grid, prefix="", scan=None):
-    """Grid perception, shared-state token mixing, and an FFN; all residual."""
+    """Grid perception, shared-state token mixing, and an FFN; all residual.
+
+    The token mixer (norm, ``project_params`` and ``nc_ssd``'s shared state)
+    acts on each token alone apart from one sum over all of them, so it is
+    permutation-equivariant: every scan direction over the same cells returns
+    the same update on the grid. ``cell_set_update`` therefore runs it once per
+    distinct set of cells, weighted by the directions sharing the set, which
+    is the per-direction sum of ``merged_update``. The logits agree bit for bit
+    except where ``project_params``' BLAS matmuls give a row different bits at
+    different positions (output width <= 3, such as dt_rank 1); gradients
+    differ in the last bits, as their sums over tokens run in another order.
+    """
     lpu = conv2d_depthwise3(tokens, grid, params[f"{prefix}lpu.weight"],
                             params[f"{prefix}lpu.bias"])
     tokens = T.add(tokens, lpu)
@@ -440,7 +478,7 @@ def vssd_block(tokens, params, grid, prefix="", scan=None):
         proj = _projection_from(params, f"{prefix}ssd.proj.")
         return nc_ssd(xh, proj, params[f"{prefix}ssd.d"])
 
-    tokens = T.add(tokens, merged_update([tokens], core, scan))
+    tokens = T.add(tokens, cell_set_update(tokens, core, scan))
 
     xh = rms_norm(tokens, params[f"{prefix}norm2.scale"])
     hid = T.silu(T.add(T.matmul(xh, params[f"{prefix}ffn.w1"]), params[f"{prefix}ffn.b1"]))

@@ -294,18 +294,3 @@ def dataset_from_manifest(manifest: dict) -> DatasetBundle:
 def write_pgm(image: np.ndarray, path) -> None:
     """8-bit binary PGM (P5), for eyeballing generated samples."""
     files.write_netpbm(path, np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8))
-
-
-def checkerboard_score(image: np.ndarray) -> float:
-    """Correlation with the period-2 checkerboard (the G1 signature).
-
-    The analytic reference detector thresholds this score; it separates G1
-    fakes from everything else by construction.
-    """
-    return float(abs(np.mean(image * _checker(*image.shape))))
-
-
-def analytic_g1_detector(images: np.ndarray, threshold: float = 0.02) -> np.ndarray:
-    """Hand-built detector: labels an image fake when the Nyquist
-    checkerboard component exceeds the threshold."""
-    return np.array([checkerboard_score(img) > threshold for img in images])

@@ -8,6 +8,8 @@ whose members jointly partition the grid) visits an injective subset.
 
 A MultiScan bundles one or more orders over the same grid; the models sum
 the per-direction outputs on the grid. ``make_scan`` always returns one.
+``MultiScan.cell_sets`` groups the directions by the cells they visit, for
+cores whose output does not depend on the visiting order.
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ class MultiScan:
     @property
     def w(self):
         return self.directions[0].w
+
+    def cell_sets(self) -> list:
+        """(cells, count) per distinct set of visited cells, in order of first
+        appearance: the set's flat raster indices, sorted, and how many
+        directions visit exactly that set."""
+        counts: dict = {}
+        for d in self.directions:
+            key = tuple(sorted(d.order.tolist()))
+            counts[key] = counts.get(key, 0) + 1
+        return [(np.array(cells, dtype=np.intp), count) for cells, count in counts.items()]
 
 
 def _check_extents(h: int, w: int) -> None:

@@ -230,31 +230,23 @@ class EvalReport:
     schema: str = "vissm.eval_report/1"
 
 
-def evaluate(model_or_predict, subsets: list, seeds=None, batch: int = 64) -> EvalReport:
-    """Per-subset accuracy plus the unweighted mean over subsets.
-
-    Accepts a Model or any callable mapping an image batch to integer
-    labels (e.g. the analytic reference detector).
-    """
+def evaluate(model: B.Model, subsets: list, seeds=None, batch: int = 64) -> EvalReport:
+    """The model's per-subset accuracy plus the unweighted mean over subsets."""
     if not subsets:
         raise ValueError("no test subsets given")
-    if isinstance(model_or_predict, B.Model):
-        predict_fn = lambda imgs: B.predict(model_or_predict, imgs)
-        summary = {"kind": "model", **asdict(model_or_predict.cfg)}
-    else:
-        predict_fn, summary = model_or_predict, {"kind": "callable"}
     per_subset = {}
     for ds in subsets:
         if len(ds) == 0:
             raise ValueError(f"empty test subset {ds.subset_tag!r}")
         correct = 0
         for lo in range(0, len(ds), batch):
-            preds = np.asarray(predict_fn(ds.images[lo:lo + batch]))
+            preds = B.predict(model, ds.images[lo:lo + batch])
             correct += int(np.sum(preds.astype(bool) == ds.labels[lo:lo + batch]))
         per_subset[ds.subset_tag] = correct / len(ds)
     mean_acc = float(np.mean(list(per_subset.values())))
     return EvalReport(per_subset=per_subset, mean_accuracy=mean_acc,
-                      seeds=list(seeds or []), model_summary=summary)
+                      seeds=list(seeds or []),
+                      model_summary={"kind": "model", **asdict(model.cfg)})
 
 
 # -- cross-generator experiment ----------------------------------------------------------

@@ -1,0 +1,105 @@
+"""Bit-identity digest of the library's numerics, for comparing two checkouts.
+
+    PYTHONPATH=<checkout>/src python tests/digest.py [--dump DIR]
+
+prints one ``<case> <name> <sha256>`` line per array, in a fixed order:
+
+- the logits and every parameter gradient of each desk preset at batch 4
+  and a fixed seed, under every scan strategy, and of desk-vim with tied
+  directions under every strategy; the gradients are those of
+  sum(logits * R) for a fixed random R
+- the LTI forms: the discretized system, its convolution kernel, and the
+  recurrent and FFT-convolution outputs, for one dense and one diagonal
+  system
+
+A parent-versus-change check is a ``diff`` of the two outputs. ``--dump DIR``
+also writes each array to ``DIR/<case>.<name>.npy``, so the arrays behind a
+moved line can be compared. BLAS is pinned to one thread before numpy loads.
+pytest does not collect this file; ``test_digest.py`` smoke-tests it.
+"""
+
+import os
+
+if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # read once, when numpy first loads below
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+from functools import partial  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from vissm import blocks as B  # noqa: E402
+from vissm import scan2d, ssm  # noqa: E402
+from vissm import tensor as T  # noqa: E402
+from vissm.rng import SplitMix64  # noqa: E402
+from vissm.tensor import Tensor  # noqa: E402
+
+BATCH = 4
+SEED = 16
+
+
+def model_arrays(preset: str, **overrides) -> list:
+    cfg = B.config_from_preset(preset, **overrides)
+    model = B.build_model(cfg, seed=SEED)
+    imgs = SplitMix64(SEED).uniform_array((BATCH, cfg.image_h, cfg.image_w))
+    readout = SplitMix64(SEED + 1).normal_array((BATCH, cfg.classes))
+    logits = B.forward(model, imgs)
+    T.backward(T.sum_(T.mul(logits, Tensor(readout))))
+    return [("logits", logits.data)] + [(f"grad.{name}", p.grad)
+                                        for name, p in model.params.items()]
+
+
+def lti_arrays() -> list:
+    rng = SplitMix64(SEED)
+    arrays = []
+    for kind in ("dense", "diag"):
+        dssm = ssm.discretize_zoh(ssm.random_stable_system(rng, 4, diag=kind == "diag"))
+        x = rng.normal_array((32,))
+        arrays += [(f"{kind}.a_bar", dssm.a_bar), (f"{kind}.b_bar", dssm.b_bar),
+                   (f"{kind}.kernel", ssm.conv_kernel(dssm, 32)),
+                   (f"{kind}.recurrent", ssm.run_recurrent(dssm, x)),
+                   (f"{kind}.convolution", ssm.run_convolution(dssm, x))]
+    return arrays
+
+
+CASES = {
+    **{f"{family}.{scan}": partial(model_arrays, f"desk-{family}", scan=scan)
+       for family in B.FAMILIES for scan in scan2d.STRATEGIES},
+    **{f"vim-tied.{scan}": partial(model_arrays, "desk-vim", scan=scan, tie_directions=True)
+       for scan in scan2d.STRATEGIES},
+    "lti": lti_arrays,
+}
+
+
+def sha256(arr: np.ndarray) -> str:
+    """The hash of an array's dtype, shape and bytes."""
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def case_lines(case: str, dump=None) -> list:
+    lines = []
+    for name, arr in CASES[case]():
+        if dump is not None:
+            np.save(os.path.join(dump, f"{case}.{name}.npy"), arr)
+        lines.append(f"{case} {name} {sha256(arr)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", metavar="DIR", help="also write every array as .npy here")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        os.makedirs(args.dump, exist_ok=True)
+    for case in CASES:
+        print("\n".join(case_lines(case, args.dump)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,12 +1,16 @@
-"""Graph-recorded reference routes for the library's fused ops.
+"""Reference routes for the library's fused ops and fast paths.
 
 Each oracle composes a fused op from plain tensor ops, so autodiff derives
-its backward pass; the fused op is tested against it on values and
-gradients. None of these is on the library's model path.
+its backward pass, or takes the slower route a fast path replaces; the
+library's op is tested against it on values and gradients. None of these is
+on the library's model path. The analytic G1 detector at the end is the
+hand-built reference the trained detectors are judged against.
 """
 
 import numpy as np
 
+from vissm import blocks as B
+from vissm import data as D
 from vissm import selective as S
 from vissm import tensor as T
 
@@ -92,3 +96,24 @@ def conv2d_slices(tokens, grid, weight, bias):
             acc = term if acc is None else T.add(acc, term)
     acc = T.add(acc, bias)
     return T.reshape(acc, lead + (hp * wp, d))
+
+
+def per_direction_update(seq, core_fn, scan):
+    """vssd's token-mixer update with the core run once per scan direction:
+    the oracle for ``blocks.cell_set_update``."""
+    return B.merged_update([seq], core_fn, scan)
+
+
+def checkerboard_score(image: np.ndarray) -> float:
+    """Correlation with the period-2 checkerboard (the G1 signature).
+
+    The analytic reference detector thresholds this score; it separates G1
+    fakes from everything else by construction.
+    """
+    return float(abs(np.mean(image * D._checker(*image.shape))))
+
+
+def analytic_g1_detector(images: np.ndarray, threshold: float = 0.02) -> np.ndarray:
+    """Hand-built detector: labels an image fake when the Nyquist
+    checkerboard component exceeds the threshold."""
+    return np.array([checkerboard_score(img) > threshold for img in images])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv1d_slices, conv2d_slices, nc_ssd_graph, pad_axis
+from oracles import conv1d_slices, conv2d_slices, nc_ssd_graph, pad_axis, per_direction_update
 from vissm import blocks as B
 from vissm import scan2d
 from vissm import selective as S
@@ -400,6 +400,61 @@ def test_fused_ncssd_blocks_match_graph_oracle(scan, monkeypatch):
     for name, g in oracle_grads.items():
         assert fused_grads[name] is not None, name
         assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
+
+
+@st.composite
+def vssd_configs(draw):
+    """Small vssd configs over every scan strategy, with 1x1, 1xk, kx1 and
+    square patch grids (local and efficient need extents that 2 divides)."""
+    scan = draw(st.sampled_from(scan2d.STRATEGIES))
+    if scan in ("local", "efficient"):
+        k = draw(st.sampled_from((2, 4)))
+        grid = draw(st.sampled_from([(k, k), (2, 4), (4, 2)]))
+    else:
+        k = draw(st.integers(2, 4))
+        grid = draw(st.sampled_from([(1, 1), (1, k), (k, 1), (k, k)]))
+    patch = draw(st.integers(1, 2))
+    return ModelConfig(family="vssd", image_h=grid[0] * patch, image_w=grid[1] * patch,
+                       patch=patch, embed_dim=draw(st.integers(4, 16)),
+                       state_dim=draw(st.integers(1, 4)), depth=draw(st.integers(1, 2)),
+                       scan=scan)
+
+
+def _vssd_edge(scan, h, w):
+    return ModelConfig(family="vssd", image_h=h, image_w=w, patch=1, embed_dim=4,
+                       state_dim=1, depth=1, scan=scan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=vssd_configs(), batch=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(cfg=_vssd_edge("cross", 1, 1), batch=1, seed=1)
+@example(cfg=_vssd_edge("bidirectional", 1, 3), batch=2, seed=2)
+@example(cfg=_vssd_edge("efficient", 2, 2), batch=1, seed=3)
+def test_vssd_cell_set_route_matches_per_direction_oracle(cfg, batch, seed):
+    """vssd with its core run once per distinct set of cells agrees, in logits
+    and in every parameter gradient, with its core run once per direction."""
+    model = build_model(cfg, seed=seed)
+    imgs = SplitMix64(seed).uniform_array((batch, cfg.image_h, cfg.image_w))
+    readout = SplitMix64(seed + 1).normal_array((batch, 2))
+    route, route_grads = _logits_and_grads(model, imgs, readout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "cell_set_update", per_direction_update)
+        oracle, oracle_grads = _logits_and_grads(model, imgs, readout)
+    assert np.max(np.abs(route - oracle)) < 1e-12
+    for name, g in oracle_grads.items():
+        assert rel_err(route_grads[name], g) < 1e-10, (name, rel_err(route_grads[name], g))
+
+
+@pytest.mark.parametrize("scan", scan2d.STRATEGIES)
+def test_vssd_cell_set_route_logits_are_bit_identical_at_desk(scan, monkeypatch):
+    imgs = SplitMix64(39).uniform_array((4, 32, 32))
+    model = build_model(config_from_preset("desk-vssd", scan=scan), seed=25)
+    with T.no_grad():
+        route = forward(model, imgs).data
+    monkeypatch.setattr(B, "cell_set_update", per_direction_update)
+    with T.no_grad():
+        oracle = forward(model, imgs).data
+    assert np.array_equal(route, oracle)
 
 
 # -- depthwise convolutions ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import analytic_g1_detector
 from vissm import data as D
 from vissm.data import SynthGenSpec, make_dataset
 from vissm.files import write_json
@@ -88,8 +89,8 @@ def test_analytic_detector_separates_g1():
     fakes = np.stack([D.synth_fake(s, 32, 32, SynthGenSpec("G1_checkerboard", 0.8))
                       for s in range(50)])
     reals = np.stack([D.synth_real(10_000 + s, 32, 32) for s in range(50)])
-    assert D.analytic_g1_detector(fakes).all()
-    assert not D.analytic_g1_detector(reals).any()
+    assert analytic_g1_detector(fakes).all()
+    assert not analytic_g1_detector(reals).any()
 
 
 # -- dataset assembly ------------------------------------------------------------------

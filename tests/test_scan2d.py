@@ -259,3 +259,11 @@ def test_make_scan_returns_multiscan_for_every_strategy():
         scan = make_scan(strategy, 4, 4)
         assert isinstance(scan, MultiScan)
         assert len(scan.directions) == counts[strategy]
+        sets = [(cells.tolist(), count) for cells, count in scan.cell_sets()]
+        if strategy == "efficient":
+            # stride 2: four disjoint sets of 4 cells, one direction each
+            assert [(len(cells), count) for cells, count in sets] == [(4, 1)] * 4
+            assert sorted(sum((cells for cells, _ in sets), [])) == list(range(16))
+        else:
+            # every direction visits the whole grid: one set, all directions
+            assert sets == [(list(range(16)), counts[strategy])]

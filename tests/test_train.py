@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import analytic_g1_detector
 from test_blocks import rewrite_header
 from vissm import blocks as B
 from vissm import cli
@@ -185,17 +186,24 @@ def subset(tag, images, labels):
     return DetectionDataset(np.asarray(images), np.asarray(labels, bool), tag, "test")
 
 
-def test_constant_model_accuracy_equals_prevalence():
+def labelling_model(monkeypatch, labels_of):
+    """A model whose predictions are ``labels_of(images)``: evaluate reads them
+    through ``blocks.predict``."""
+    monkeypatch.setattr(B, "predict", lambda model, images: labels_of(images))
+    return tiny_model()
+
+
+def test_constant_model_accuracy_equals_prevalence(monkeypatch):
     imgs = np.zeros((10, 32, 32))
-    always_real = lambda batch: np.zeros(len(batch), dtype=int)
+    always_real = labelling_model(monkeypatch, lambda batch: np.zeros(len(batch), dtype=int))
     rep = TR.evaluate(always_real, [subset("real", imgs, np.zeros(10)),
                                     subset("fake", imgs, np.ones(10))])
     assert rep.per_subset == {"real": 1.0, "fake": 0.0}
 
 
-def test_mean_accuracy_is_unweighted():
+def test_mean_accuracy_is_unweighted(monkeypatch):
     imgs = np.zeros((4, 32, 32))
-    half_right = lambda batch: np.array([0, 0, 1, 1])
+    half_right = labelling_model(monkeypatch, lambda batch: np.array([0, 0, 1, 1]))
     rep = TR.evaluate(half_right, [subset("a", imgs, [0, 0, 0, 0]),
                                    subset("b", imgs, [0, 0, 1, 1])])
     assert rep.per_subset["a"] == 0.5
@@ -203,32 +211,32 @@ def test_mean_accuracy_is_unweighted():
     assert rep.mean_accuracy == 0.75
 
 
-def test_evaluate_permutation_invariant():
+def test_evaluate_permutation_invariant(monkeypatch):
     bundle = tiny_bundle()
     ds = bundle.test_subsets[1]
     rng = SplitMix64(31)
     perm = list(range(len(ds)))
     rng.shuffle(perm)
     shuffled = DetectionDataset(ds.images[perm], ds.labels[perm], ds.subset_tag, "test")
-    fn = lambda batch: D.analytic_g1_detector(batch).astype(int)
-    a = TR.evaluate(fn, [ds]).per_subset[ds.subset_tag]
-    b = TR.evaluate(fn, [shuffled]).per_subset[ds.subset_tag]
+    model = labelling_model(monkeypatch, lambda batch: analytic_g1_detector(batch).astype(int))
+    a = TR.evaluate(model, [ds]).per_subset[ds.subset_tag]
+    b = TR.evaluate(model, [shuffled]).per_subset[ds.subset_tag]
     assert a == b
 
 
-def test_analytic_oracle_reaches_one_on_g1():
+def test_analytic_oracle_reaches_one_on_g1(monkeypatch):
     bundle = tiny_bundle(test=32)
     g1 = next(ds for ds in bundle.test_subsets if ds.subset_tag == "G1_checkerboard")
     real = next(ds for ds in bundle.test_subsets if ds.subset_tag == "real")
-    fn = lambda batch: D.analytic_g1_detector(batch).astype(int)
-    rep = TR.evaluate(fn, [real, g1])
+    model = labelling_model(monkeypatch, lambda batch: analytic_g1_detector(batch).astype(int))
+    rep = TR.evaluate(model, [real, g1])
     assert rep.per_subset["G1_checkerboard"] == 1.0
     assert rep.per_subset["real"] == 1.0
 
 
 def test_evaluate_rejects_empty():
     with pytest.raises(ValueError):
-        TR.evaluate(lambda b: np.zeros(len(b)), [])
+        TR.evaluate(tiny_model(), [])
 
 
 def test_report_serialization_roundtrip(tmp_path, monkeypatch):
