@@ -12,11 +12,13 @@ with (*) elementwise over the (C, N) state. A holds negative reals so the
 decay factors stay inside (0, 1); callers parameterize it as -exp(A_log).
 
 Three evaluation routes are provided. The sequential route is the model
-path: one fused tensor op runs the recurrence step by step, keeps only the
-hidden states, and back-propagates through a hand-derived reverse-time
-adjoint that recomputes the decay factors (the recipe of Mamba, section 3.3).
-The chunked route composes affine maps h -> a (*) h + b and records every
-step on the tensor graph; it is the graph-recorded oracle the fused op is
+path: one fused tensor op covers the whole scan path, from the B, C and dt
+projections through softplus, dt * x and the recurrence to the D * x skip.
+It runs the recurrence step by step, keeps only the hidden states, and
+back-propagates through a hand-derived reverse-time adjoint that recomputes
+the decay factors (the recipe of Mamba, section 3.3). The chunked route
+projects with ``project_params``, composes affine maps h -> a (*) h + b and
+records every step on the tensor graph; it is the oracle the fused op is
 tested against. The non-causal variant collapses the recurrence into one
 global state shared by all tokens; its core is one fused op too, with a
 four-matmul backward, and the graph composition it replaced is its test
@@ -114,32 +116,46 @@ def _decay(dt_t: np.ndarray, a_t: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def selective_recurrence(dt, a, u, b_proj, c_proj) -> Tensor:
-    """Fused op: y_t = h_t @ C_t with h_t = exp(dt_t * A) (*) h_{t-1} + outer(u_t, B_t).
+def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
+    """Exact step-by-step evaluation of the selective recurrence, as one fused op.
 
-    dt and u are (..., L, C), b_proj and c_proj are (..., L, N), a is (C, N);
-    h_{-1} = 0 and the result is (..., L, C). The forward loop keeps the
-    hidden states; the backward pass runs the adjoint recurrence
-    dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1} in reverse time,
-    recomputing the decay factors rather than storing them. The forward pass
-    computes one step's decay at a time, so the only whole-sequence state
-    array it allocates is the hidden states. Raises
-    NumericError naming the first step whose hidden state is not finite.
+    x is (..., L, C), a is (C, N) and d is (C,); the result is (..., L, C).
+    The op covers the whole path of Mamba's ``selective_scan_fn`` with
+    ``delta_softplus``: the B, C and low-rank dt projections with their
+    biases, dt = softplus(dt_pre), u = dt (*) x, the recurrence and the
+    D (*) x skip. Each of these is evaluated with the arithmetic of its
+    graph composition (``project_params``, ``T.mul``, ``T.add``), so values
+    are those of the composed route bit for bit.
+
+    The forward loop keeps the hidden states; the backward pass runs the
+    adjoint recurrence dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1}
+    in reverse time, recomputing the decay factors rather than storing them,
+    takes softplus' derivative from the op's own output (sigmoid(z) =
+    -expm1(-softplus(z))), and forms each weight gradient as one matmul over
+    the flattened batch and tokens. Raises NumericError naming the first
+    step whose hidden state is not finite.
 
     Internally every per-step array is time-major with the state axis ahead
     of the channel axis, (L, ..., N, C), so the elementwise work runs along
-    the longer channel axis.
+    the longer channel axis; the token-major projections are dropped as soon
+    as their time-major copies exist.
     """
-    dt, a, u, b_proj, c_proj = (T.as_tensor(t) for t in (dt, a, u, b_proj, c_proj))
-    if u.shape != dt.shape or b_proj.shape != c_proj.shape \
-            or b_proj.shape[:-1] != dt.shape[:-1]:
+    x, a, d = (T.as_tensor(t) for t in (x, a, d))
+    if x.shape[-1] != proj.channels:
         raise ShapeError(
-            f"scan operands disagree: dt {dt.shape}, u {u.shape}, "
-            f"B {b_proj.shape}, C {c_proj.shape}"
+            f"token dim {x.shape[-1]} does not match projection input dim {proj.channels}"
         )
-    length, ch, n = dt.shape[-2], dt.shape[-1], b_proj.shape[-1]
+    T._check_broadcast(d, x)
+    weights = tuple(proj.tensors().values())
+    w_b, w_c, w_down, w_up, delta_base, b_b, b_c = (t.data for t in weights)
+    length, ch, n = x.shape[-2], proj.channels, proj.state_dim
     a_t = np.ascontiguousarray(np.broadcast_to(a.data, (ch, n)).T)
-    dt_t, u_t, b_t, c_t = (_time_major(t.data) for t in (dt, u, b_proj, c_proj))
+    r = np.matmul(x.data, w_down)
+    dt_t = _time_major(np.logaddexp(0.0, np.matmul(r, w_up) + delta_base))
+    r_t, x_t = _time_major(r), _time_major(x.data)
+    b_t = _time_major(np.matmul(x.data, w_b) + b_b)
+    c_t = _time_major(np.matmul(x.data, w_c) + b_c)
+    u_t = dt_t * x_t
     hs = b_t[..., :, None] * u_t[..., None, :]  # the injections, then the states
     decay = np.empty_like(hs[0])  # one step's exp(dt_t * A), reused every step
     for t in range(1, length):
@@ -148,39 +164,43 @@ def selective_recurrence(dt, a, u, b_proj, c_proj) -> Tensor:
     finite = np.isfinite(hs.reshape(length, -1)).all(axis=1)
     if not finite.all():
         raise NumericError(f"non-finite hidden state at step {int(np.argmin(finite))}")
-    y = np.moveaxis(np.einsum("l...nc,l...n->l...c", hs, c_t), 0, -2)
+    y = np.moveaxis(np.einsum("l...nc,l...n->l...c", hs, c_t), 0, -2) + d.data * x.data
 
     def backward(g):
+        T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
         g_t = _time_major(g)
         dh = c_t[..., :, None] * g_t[..., None, :]
         decay = _decay(dt_t, a_t)
         carry = np.empty_like(dh[0])
         for t in range(length - 2, -1, -1):
             dh[t] += np.multiply(decay[t + 1], dh[t + 1], out=carry)
-        T._accumulate(c_proj, np.moveaxis(np.einsum("l...c,l...nc->l...n", g_t, hs), 0, -2))
-        T._accumulate(b_proj, np.moveaxis(np.einsum("l...nc,l...c->l...n", dh, u_t), 0, -2))
-        T._accumulate(u, np.moveaxis(np.einsum("l...nc,l...n->l...c", dh, b_t), 0, -2))
-        if dt.requires_grad or a.requires_grad:
-            # gradient at z_t = dt_t * A: dh_t (*) h_{t-1} (*) exp(z_t), zero at t = 0
-            g_z = decay[1:]
-            g_z *= dh[1:]
-            g_z *= hs[:-1]
-            g_dt = np.zeros_like(dt_t)
-            g_dt[1:] = np.einsum("l...nc,nc->l...c", g_z, a_t)
-            T._accumulate(dt, np.moveaxis(g_dt, 0, -2))
-            g_a = np.einsum("knc,kc->cn", g_z.reshape(-1, n, ch), dt_t[1:].reshape(-1, ch))
-            T._accumulate(a, T._unbroadcast(g_a, a.shape))
+        g_c = np.einsum("l...c,l...nc->l...n", g_t, hs)
+        g_b = np.einsum("l...nc,l...c->l...n", dh, u_t)
+        g_u = np.einsum("l...nc,l...n->l...c", dh, b_t)
+        # gradient at z_t = dt_t * A: dh_t (*) h_{t-1} (*) exp(z_t), zero at t = 0
+        g_z = decay[1:]
+        g_z *= dh[1:]
+        g_z *= hs[:-1]
+        del dh
+        g_a = np.einsum("knc,kc->cn", g_z.reshape(-1, n, ch), dt_t[1:].reshape(-1, ch))
+        T._accumulate(a, T._unbroadcast(g_a, a.shape))
+        g_pre = g_u * x_t
+        g_pre[1:] += np.einsum("l...nc,nc->l...c", g_z, a_t)
+        g_pre *= -np.expm1(-dt_t)  # softplus' derivative at dt_pre
+        g_r = np.matmul(g_pre, w_up.T)
+        x2, r2, g_b2, g_c2, g_r2, g_pre2 = (arr.reshape(-1, arr.shape[-1])
+                                            for arr in (x_t, r_t, g_b, g_c, g_r, g_pre))
+        for w, g_w in zip(weights, (x2.T @ g_b2, x2.T @ g_c2, x2.T @ g_r2, r2.T @ g_pre2,
+                                    g_pre2.sum(axis=0), g_b2.sum(axis=0), g_c2.sum(axis=0))):
+            T._accumulate(w, g_w)
+        if x.requires_grad:
+            g_x = g_u * dt_t
+            g_x += np.matmul(g_b, w_b.T)
+            g_x += np.matmul(g_c, w_c.T)
+            g_x += np.matmul(g_r, w_down.T)
+            T._accumulate(x, np.moveaxis(g_x, 0, -2) + g * d.data)
 
-    return T._make(y, (dt, a, u, b_proj, c_proj), backward)
-
-
-def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
-    """Exact step-by-step evaluation of the selective recurrence (fused op)."""
-    x = T.as_tensor(x)
-    d = T.as_tensor(d)
-    b_proj, c_proj, dt = project_params(x, proj)
-    y = selective_recurrence(dt, a, T.mul(dt, x), b_proj, c_proj)
-    return T.add(y, T.mul(d, x))
+    return T._make(y, (x, a, d) + weights, backward)
 
 
 def compose_affine(a2, b2, a1, b1):

@@ -454,10 +454,14 @@ def toposort(root: Tensor) -> list:
 
 
 def backward(root: Tensor) -> None:
-    """Populate .grad on every reachable tensor with d(root)/d(tensor).
+    """Add d(root)/d(leaf) into .grad of every reachable leaf that requires grad.
 
     The root must be scalar (size 1). Each recorded op's backward closure
-    runs exactly once, in reverse topological order.
+    runs exactly once, in reverse topological order, and the op's own .grad
+    is dropped as soon as its closure has consumed it: only leaves keep a
+    gradient, so a pass holds the interior gradients of the ops still
+    pending, not of the whole graph, and a second pass over a graph that
+    shares ops with the first adds only its own gradient.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -468,6 +472,7 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
 
 
 # -- finite differences ----------------------------------------------------------

@@ -248,6 +248,48 @@ def test_fused_scan_matches_parallel_oracle(length, ch, n, lead, chunk, seed):
         assert rel_err(gf, go) < 1e-10, (name, rel_err(gf, go))
 
 
+def test_fused_scan_is_one_graph_node():
+    rng = SplitMix64(41)
+    proj = random_projection(rng, 3, 2)
+    x = Tensor(rng.normal_array((2, 5, 3)), requires_grad=True)
+    a = Tensor(-rng.uniform_array((3, 2), 0.5, 4.0), requires_grad=True)
+    d = Tensor(rng.normal_array((3,)), requires_grad=True)
+    y = S.selective_scan_sequential(x, proj, a, d)
+    leaves = (x, a, d) + tuple(proj.tensors().values())
+    assert y._parents == leaves
+    assert len(T.toposort(y)) == len(leaves) + 1  # the ten leaves and the scan
+
+
+@pytest.mark.parametrize("live", ["x", "weights"])
+def test_fused_scan_partial_gradients_match_parallel_oracle(live):
+    """Only x, or only the seven projection tensors, require grad: the fused
+    op gives those operands the oracle's gradients and the others none."""
+    rng = SplitMix64(43 if live == "x" else 44)
+    ch, n, length = 4, 3, 7
+    arrays = {k: t.data for k, t in random_projection(rng, ch, n).tensors().items()}
+    a = Tensor(-rng.uniform_array((ch, n), 0.5, 4.0))
+    d = Tensor(rng.normal_array((ch,)))
+    x_arr = rng.normal_array((2, length, ch))
+    readout = rng.normal_array(x_arr.shape)
+
+    def run(route):
+        proj = S.SelectiveProjection(**{k: Tensor(v, requires_grad=live == "weights")
+                                        for k, v in arrays.items()})
+        x = Tensor(x_arr, requires_grad=live == "x")
+        T.backward(T.sum_(T.mul(route(x, proj, a, d), Tensor(readout))))
+        return [x.grad] + [t.grad for t in proj.tensors().values()]
+
+    fused = run(S.selective_scan_sequential)
+    oracle = run(lambda *args: S.selective_scan_parallel(*args, 3))
+    assert a.grad is None and d.grad is None
+    for name, gf, go in zip(["x"] + list(arrays), fused, oracle):
+        if go is None:
+            assert gf is None, name
+            continue
+        assert rel_err(gf, go) < 1e-10, (name, rel_err(gf, go))
+    assert sum(g is not None for g in fused) == (1 if live == "x" else 7)
+
+
 # -- non-causal variant -------------------------------------------------------------
 
 

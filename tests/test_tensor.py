@@ -252,6 +252,40 @@ def test_grad_accumulates_over_reuse():
     assert np.allclose(x.grad, [7.0])
 
 
+def test_repeated_backward_over_a_shared_op_adds_each_root_once():
+    w = Tensor([2.0], requires_grad=True)
+    h = T.mul(w, w)
+    T.backward(T.sum_(T.mul(h, 3.0)))
+    T.backward(T.sum_(T.mul(h, 5.0)))
+    assert np.array_equal(w.grad, [32.0])  # (3 + 5) * 2w, not 44 from a stale h.grad
+
+
+def test_backward_keeps_only_leaf_gradients():
+    rng = SplitMix64(61)
+    arrays = [rng.normal_array(s) for s in ((3, 4), (4, 2), (2,))]
+
+    def graph():
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        h = T.silu(T.add(T.matmul(x, w), b))
+        root = T.sum_(T.mul(h, T.exp(h)))
+        return (x, w, b), root
+
+    leaves, root = graph()
+    T.backward(root)
+    interior = [node for node in T.toposort(root) if node._backward_fn is not None]
+    assert len(interior) == 6
+    assert all(node.grad is None for node in interior)
+    # the leaves hold what one pass over a fresh copy of the graph gives
+    fresh, fresh_root = graph()
+    T.backward(fresh_root)
+    for leaf, ref in zip(leaves, fresh):
+        assert np.array_equal(leaf.grad, ref.grad)
+    # and a second pass over the same graph adds exactly one more pass
+    T.backward(root)
+    for leaf, ref in zip(leaves, fresh):
+        assert np.array_equal(leaf.grad, 2.0 * ref.grad)
+
+
 def test_no_grad_suppresses_recording():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
