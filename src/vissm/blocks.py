@@ -417,9 +417,10 @@ def vim_block(tokens, params, prefix="", scan=None, tie_directions=False):
 
     Both directions share the input and gate projections; the backward path
     runs the same conv+scan core over the reversed sequence and is reversed
-    back before the gate. Directions have independent parameters unless
-    tie_directions (then 'fwd.' weights serve both). Multi-direction scan
-    outputs merge on the grid before the shared output projection.
+    back, and the sum of the two directions is gated once. Directions have
+    independent parameters unless tie_directions (then 'fwd.' weights serve
+    both). Multi-direction scan outputs merge on the grid before the shared
+    output projection.
     """
     xh = rms_norm(tokens, params[f"{prefix}norm.scale"])
     xs = T.matmul(xh, params[f"{prefix}w_x"])
@@ -429,7 +430,7 @@ def vim_block(tokens, params, prefix="", scan=None, tie_directions=False):
     def core(xs_d, gate_d):
         y_f = _scan_path(xs_d, params, f"{prefix}fwd.", causal=True)
         y_b = T.flip(_scan_path(T.flip(xs_d, -2), params, f"{prefix}{back}", causal=True), -2)
-        return T.add(T.mul(y_f, gate_d), T.mul(y_b, gate_d))
+        return T.mul(T.add(y_f, y_b), gate_d)
 
     merged = merged_update([xs, gate], core, scan)
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))

@@ -7,16 +7,25 @@ whose members jointly partition the grid) visits an injective subset.
 ``inverse[cell]`` recovers the visitation rank, -1 for unvisited cells.
 
 A MultiScan bundles one or more orders over the same grid; the models sum
-the per-direction outputs on the grid. ``make_scan`` always returns one.
+the per-direction outputs on the grid. ``make_scan`` always returns one, and
+returns the same one for the same arguments, so a model's forwards share it.
 ``MultiScan.cell_sets`` groups the directions by the cells they visit, for
-cores whose output does not depend on the visiting order.
+cores whose output does not depend on the visiting order; it is computed
+once, when the scan is built. Every index array of a scan is read-only, so a
+shared scan cannot be changed under its users.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,7 @@ class ScanOrder:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.intp)
+        order = _frozen(np.array(self.order, dtype=np.intp))  # a copy, not the caller's
         object.__setattr__(self, "order", order)
         n = self.h * self.w
         vals = order.tolist()
@@ -35,18 +44,19 @@ class ScanOrder:
             raise ValueError(f"order entries must be distinct cells in 0..{n - 1}")
         inv = np.full(n, -1, dtype=np.intp)
         inv[order] = np.arange(len(order), dtype=np.intp)
-        object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "inverse", _frozen(inv))
 
     def __len__(self):
         return len(self.order)
 
     def reversed_order(self) -> "ScanOrder":
-        return ScanOrder(self.h, self.w, self.order[::-1].copy())
+        return ScanOrder(self.h, self.w, self.order[::-1])
 
 
 @dataclass(frozen=True)
 class MultiScan:
     directions: tuple
+    _cell_sets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dirs = tuple(self.directions)
@@ -56,6 +66,12 @@ class MultiScan:
         h, w = dirs[0].h, dirs[0].w
         if any(d.h != h or d.w != w for d in dirs):
             raise ValueError("all directions must share the same grid extents")
+        counts: dict = {}
+        for d in dirs:
+            key = tuple(sorted(d.order.tolist()))
+            counts[key] = counts.get(key, 0) + 1
+        object.__setattr__(self, "_cell_sets", tuple(
+            (_frozen(np.array(cells, dtype=np.intp)), count) for cells, count in counts.items()))
 
     @property
     def h(self):
@@ -65,15 +81,11 @@ class MultiScan:
     def w(self):
         return self.directions[0].w
 
-    def cell_sets(self) -> list:
+    def cell_sets(self) -> tuple:
         """(cells, count) per distinct set of visited cells, in order of first
         appearance: the set's flat raster indices, sorted, and how many
         directions visit exactly that set."""
-        counts: dict = {}
-        for d in self.directions:
-            key = tuple(sorted(d.order.tolist()))
-            counts[key] = counts.get(key, 0) + 1
-        return [(np.array(cells, dtype=np.intp), count) for cells, count in counts.items()]
+        return self._cell_sets
 
 
 def _check_extents(h: int, w: int) -> None:
@@ -186,10 +198,12 @@ def rank_grid(order: ScanOrder) -> np.ndarray:
 STRATEGIES = ("raster", "bidirectional", "cross", "zigzag", "local", "efficient")
 
 
+@lru_cache(maxsize=64)
 def make_scan(strategy: str, h: int, w: int, win: int = 2, stride: int = 2) -> MultiScan:
     """Build a strategy's directions by name.
 
-    Single-order strategies come back as one-direction MultiScans.
+    Single-order strategies come back as one-direction MultiScans. Built
+    scans are kept: a repeated call returns the same (read-only) MultiScan.
     """
     if strategy == "raster":
         return MultiScan((raster_scan(h, w),))

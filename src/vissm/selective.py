@@ -151,7 +151,7 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     length, ch, n = x.shape[-2], proj.channels, proj.state_dim
     a_t = np.ascontiguousarray(np.broadcast_to(a.data, (ch, n)).T)
     r = np.matmul(x.data, w_down)
-    dt_t = _time_major(np.logaddexp(0.0, np.matmul(r, w_up) + delta_base))
+    dt_t = _time_major(T._softplus_np(np.matmul(r, w_up) + delta_base))
     r_t, x_t = _time_major(r), _time_major(x.data)
     b_t = _time_major(np.matmul(x.data, w_b) + b_b)
     c_t = _time_major(np.matmul(x.data, w_c) + b_c)

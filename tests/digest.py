@@ -1,6 +1,7 @@
 """Bit-identity digest of the library's numerics, for comparing two checkouts.
 
     PYTHONPATH=<checkout>/src python tests/digest.py [--dump DIR]
+    PYTHONPATH=<checkout>/src python tests/digest.py --gaps DIR_A DIR_B
 
 prints one ``<case> <name> <sha256>`` line per array, in a fixed order:
 
@@ -14,7 +15,12 @@ prints one ``<case> <name> <sha256>`` line per array, in a fixed order:
 
 A parent-versus-change check is a ``diff`` of the two outputs. ``--dump DIR``
 also writes each array to ``DIR/<case>.<name>.npy``, so the arrays behind a
-moved line can be compared. BLAS is pinned to one thread before numpy loads.
+moved line can be compared: ``--gaps DIR_A DIR_B`` reads two dumps and
+prints ``<case> <name> <gap>`` for each array that differs, where the gap is
+the largest entrywise difference over the larger of the two arrays' largest
+magnitudes (an array in only one dump is named as such), then the worst
+gap per kind of array (logits, grad, ...).
+BLAS is pinned to one thread before numpy loads.
 pytest does not collect this file; ``test_digest.py`` smoke-tests it.
 """
 
@@ -90,10 +96,50 @@ def case_lines(case: str, dump=None) -> list:
     return lines
 
 
+def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over the larger of max |a| and max |b|; inf if shapes differ."""
+    if a.shape != b.shape:
+        return float("inf")
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return float(np.max(np.abs(a - b), initial=0.0) / scale) if scale > 0 else 0.0
+
+
+def gap_lines(dir_a: str, dir_b: str) -> list:
+    """One line per array that differs between two dumps, then a summary."""
+    dirs = (dir_a, dir_b)
+    stems = sorted({n[:-4] for d in dirs for n in os.listdir(d) if n.endswith(".npy")})
+    lines, worst, moved = [], {}, 0
+    for stem in stems:
+        case = next((c for c in CASES if stem.startswith(c + ".")), stem.split(".")[0])
+        name = stem[len(case) + 1:]
+        paths = [os.path.join(d, stem + ".npy") for d in dirs]
+        present = [os.path.exists(p) for p in paths]
+        if not all(present):
+            lines.append(f"{case} {name} only in {dirs[present.index(True)]}")
+            continue
+        a, b = (np.load(p) for p in paths)
+        if np.array_equal(a, b, equal_nan=True):
+            continue
+        gap = relative_gap(a, b)
+        kind = name.split(".")[0]
+        worst[kind] = max(worst.get(kind, 0.0), gap)
+        moved += 1
+        lines.append(f"{case} {name} {gap:.2e}")
+    summary = ", ".join(f"{kind} {gap:.2e}" for kind, gap in sorted(worst.items()))
+    lines.append(f"moved {moved} of {len(stems)} arrays; worst gap: {summary or 'none'}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--dump", metavar="DIR", help="also write every array as .npy here")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="DIR", help="also write every array as .npy here")
+    mode.add_argument("--gaps", nargs=2, metavar=("DIR_A", "DIR_B"),
+                      help="compare two --dump directories instead")
     args = parser.parse_args(argv)
+    if args.gaps is not None:
+        print("\n".join(gap_lines(*args.gaps)))
+        return 0
     if args.dump is not None:
         os.makedirs(args.dump, exist_ok=True)
     for case in CASES:

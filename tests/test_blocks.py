@@ -312,6 +312,35 @@ def test_forward_softmax_and_determinism(preset):
     assert np.array_equal(logits, logits2)
 
 
+def test_forwards_share_one_scan_built_once(monkeypatch):
+    scan2d.make_scan.cache_clear()
+    built, returned = [], []
+    cross, make = scan2d.cross_scan, scan2d.make_scan
+
+    def counted_cross(h, w):
+        built.append((h, w))
+        return cross(h, w)
+
+    def counted_make(*args, **kwargs):
+        returned.append(make(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(scan2d, "cross_scan", counted_cross)
+    monkeypatch.setattr(scan2d, "make_scan", counted_make)
+    m = build_model(config_from_preset("desk-vssd", scan="cross"), seed=12)
+    imgs = SplitMix64(27).uniform_array((2, 32, 32))
+    with T.no_grad():
+        for _ in range(3):
+            forward(m, imgs)
+    assert built == [(8, 8)]
+    assert len(returned) == 4 and all(s is returned[0] for s in returned)
+    order = returned[0].directions[1]
+    cells, _ = returned[0].cell_sets()[0]
+    for arr in (order.order, order.inverse, cells):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def test_penultimate_dimension():
     cfg = config_from_preset("desk-vssd")
     m = build_model(cfg, seed=12)

@@ -1,4 +1,5 @@
 import digest
+import numpy as np
 
 
 def test_digest_case_repeats():
@@ -7,3 +8,22 @@ def test_digest_case_repeats():
     assert first[0].startswith("vssd.cross logits ")
     assert len(first) == 1 + len(digest.B.param_specs(
         digest.B.config_from_preset("desk-vssd")))
+
+
+def test_gaps_report_only_the_arrays_that_moved(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    digest.case_lines("lti", dump=str(a))
+    digest.case_lines("lti", dump=str(b))
+    kernel = np.load(b / "lti.dense.kernel.npy")
+    scale = np.max(np.abs(kernel))
+    kernel[3] += 0.5e-12 * scale
+    np.save(b / "lti.dense.kernel.npy", kernel)
+    (b / "lti.diag.kernel.npy").unlink()
+
+    assert digest.main(["--gaps", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["lti dense.kernel 5.00e-13",
+                     f"lti diag.kernel only in {a}",
+                     "moved 1 of 10 arrays; worst gap: dense 5.00e-13"]

@@ -1,5 +1,7 @@
+import decimal
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,14 +45,44 @@ def _piecewise_sigmoid(x):
     return out
 
 
-def test_sigmoid_bit_identical_to_piecewise_form():
-    edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, 1e-300, -1e-300,
-                      36.0, -36.0, 710.0, -746.0])
-    assert np.array_equal(T._sigmoid_np(edges), _piecewise_sigmoid(edges), equal_nan=True)
+def _ulps(a, b):
+    """Largest distance in units in the last place between two arrays of
+    non-negative floats (their bit patterns order like their values)."""
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64))))
+
+
+def _correctly_rounded(fn, x):
+    """fn evaluated at each finite entry of x with 60 decimal digits, then rounded."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return np.array([float(fn(decimal.Decimal(float(v)))) for v in x])
+
+
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, 1e-300, -1e-300,
+                  36.0, -36.0, 710.0, -746.0])
+
+
+def test_sigmoid_and_softplus_kernels_are_exact_at_the_edges_and_close_elsewhere():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no floating-point warning escapes
+        sig, sp = T._sigmoid_np(EDGES), T._softplus_np(EDGES)
+    assert sig.tolist()[:6] == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+    assert sp.tolist()[:6] == [math.log(2.0), math.log(2.0), math.inf, 0.0, 800.0, 0.0]
+    assert np.isnan(sig[6]) and np.isnan(sp[6])
+    finite = EDGES[7:]
+    exact_sig = _correctly_rounded(lambda d: 1 / (1 + (-d).exp()), finite)
+    exact_sp = _correctly_rounded(lambda d: (1 + d.exp()).ln(), finite)
+    # exact, but at -36 the one-exp forms round 1 + e^36 and log1p(e^-36): one ulp
+    ok = finite != -36.0
+    assert np.array_equal(sig[7:][ok], exact_sig[ok])
+    assert np.array_equal(sp[7:][ok], exact_sp[ok])
+    assert _ulps(sig[7:], exact_sig) <= 1 and _ulps(sp[7:], exact_sp) <= 1
+
     rng = SplitMix64(3)
     for scale in (1.0, 10.0, 100.0):
         x = rng.normal_array((32, 65, 32)) * scale
-        assert np.array_equal(T._sigmoid_np(x), _piecewise_sigmoid(x))
+        assert _ulps(T._sigmoid_np(x), _piecewise_sigmoid(x)) <= 4
+        assert _ulps(T._softplus_np(x), np.logaddexp(0.0, x)) <= 3
 
 
 def test_shape_mismatch_error_names_both_shapes():
