@@ -278,6 +278,14 @@ def _depthwise(x, weight, bias, grid, pads):
     cells on each. weight is (C, kernel...) and bias is (C,). The taps are
     summed in row-major kernel order, in the forward pass and for the input
     gradient alike.
+
+    x is written into a zeroed padded buffer, and every tap's product goes
+    into one reused ``term`` buffer before it is added. In the backward pass
+    each tap's weight gradient is one einsum contraction over every axis but
+    the channel axis, and the bias gradient is a sum over the flattened rows.
+    Both accumulate row by row, as the sum of the tap products did, so the
+    gradients keep its bits whenever C >= 2 (at C = 1 numpy's sum is
+    pairwise, and the two differ in the last bits).
     """
     x, weight, bias = T.as_tensor(x), T.as_tensor(weight), T.as_tensor(bias)
     lead, ch = x.shape[:-2], x.shape[-1]
@@ -287,34 +295,35 @@ def _depthwise(x, weight, bias, grid, pads):
         raise ShapeError(f"depthwise conv on grid {tuple(grid)}: tokens {x.shape}, "
                          f"weight {weight.shape}, bias {bias.shape}")
     shape = lead + tuple(grid) + (ch,)
-    xp = np.pad(x.data.reshape(shape), [(0, 0)] * len(lead) + list(pads) + [(0, 0)])
 
     def window(corner):  # the padded input under the kernel cell at ``corner``
         return (Ellipsis,) + tuple(slice(c, c + n) for c, n in zip(corner, grid)) \
             + (slice(None),)
 
+    inner = window([before for before, _ in pads])
+    xp = np.zeros(lead + tuple(n + sum(pad) for n, pad in zip(grid, pads)) + (ch,))
+    xp[inner] = x.data.reshape(shape)
     windows = [window(off) for off in offsets]
     taps = np.ascontiguousarray(np.moveaxis(weight.data.reshape(ch, -1), -1, 0))
     acc = xp[windows[0]] * taps[0]
+    term = np.empty_like(acc)
     for win, tap in zip(windows[1:], taps[1:]):
-        acc += xp[win] * tap
+        acc += np.multiply(xp[win], tap, out=term)
     acc += bias.data
 
     def backward(g):
         g = g.reshape(shape)
-        axes = tuple(range(g.ndim - 1))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp, term_g = np.zeros_like(xp), np.empty_like(g)
             for win, tap in zip(windows, taps):
-                gxp[win] += g * tap
-            T._accumulate(x, gxp[window([before for before, _ in pads])].reshape(x.shape))
+                gxp[win] += np.multiply(g, tap, out=term_g)
+            T._accumulate(x, gxp[inner].reshape(x.shape))
         if weight.requires_grad:
-            gw = np.empty((ch, len(offsets)))
-            for j, win in enumerate(windows):
-                gw[:, j] = (g * xp[win]).sum(axis=axes)
-            T._accumulate(weight, gw.reshape(weight.shape))
+            axes = list(range(g.ndim))
+            gw = [np.einsum(g, axes, xp[win], axes, axes[-1:]) for win in windows]
+            T._accumulate(weight, np.stack(gw, axis=-1).reshape(weight.shape))
         if bias.requires_grad:
-            T._accumulate(bias, g.sum(axis=axes))
+            T._accumulate(bias, g.reshape(-1, ch).sum(axis=0))
 
     return T._make(acc.reshape(x.shape), (x, weight, bias), backward)
 

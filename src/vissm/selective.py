@@ -112,7 +112,7 @@ def _time_major(arr: np.ndarray) -> np.ndarray:
 
 def _decay(dt_t: np.ndarray, a_t: np.ndarray) -> np.ndarray:
     """exp(dt_t * A) for every step, laid out (L, ..., N, C); a_t is A transposed."""
-    out = np.multiply(dt_t[..., None, :], a_t)
+    out = np.einsum("l...c,nc->l...nc", dt_t, a_t)
     return np.exp(out, out=out)
 
 
@@ -125,7 +125,8 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     biases, dt = softplus(dt_pre), u = dt (*) x, the recurrence and the
     D (*) x skip. Each of these is evaluated with the arithmetic of its
     graph composition (``project_params``, ``T.mul``, ``T.add``), so values
-    are those of the composed route bit for bit.
+    are those of the composed route bit for bit (for a single token, L = 1,
+    only at dt_rank 1).
 
     The forward loop keeps the hidden states; the backward pass runs the
     adjoint recurrence dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1}
@@ -133,12 +134,20 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     takes softplus' derivative from the op's own output (sigmoid(z) =
     -expm1(-softplus(z))), and forms each weight gradient as one matmul over
     the flattened batch and tokens. Raises NumericError naming the first
-    step whose hidden state is not finite.
+    step whose hidden state is not finite. A non-finite entry stays
+    non-finite through every later step, because the decay is >= 0 or NaN, so
+    only the last state is checked; the steps are read one by one only after
+    it fails.
 
     Internally every per-step array is time-major with the state axis ahead
     of the channel axis, (L, ..., N, C), so the elementwise work runs along
     the longer channel axis; the token-major projections are dropped as soon
-    as their time-major copies exist.
+    as their time-major copies exist, and dt_pre is formed from the
+    time-major low-rank projection. The outer products (the injections
+    outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and the backward's
+    dt_t * A) are einsums with no summed index, so they hold the products of
+    the broadcast forms bit for bit without their slow broadcast loops; the
+    readout is added into D (*) x in place.
     """
     x, a, d = (T.as_tensor(t) for t in (x, a, d))
     if x.shape[-1] != proj.channels:
@@ -150,26 +159,31 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     w_b, w_c, w_down, w_up, delta_base, b_b, b_c = (t.data for t in weights)
     length, ch, n = x.shape[-2], proj.channels, proj.state_dim
     a_t = np.ascontiguousarray(np.broadcast_to(a.data, (ch, n)).T)
-    r = np.matmul(x.data, w_down)
-    dt_t = _time_major(T._softplus_np(np.matmul(r, w_up) + delta_base))
-    r_t, x_t = _time_major(r), _time_major(x.data)
+    r_t = _time_major(np.matmul(x.data, w_down))
+    # one GEMM over every (step, lead) row; for L >= 2 the token-major product
+    # is a GEMM too and the rows agree bit for bit (at L = 1 numpy takes a
+    # vector kernel there instead, which agrees only at dt_rank 1)
+    dt_t = T._softplus_np(np.matmul(r_t.reshape(-1, r_t.shape[-1]), w_up) + delta_base)
+    dt_t = dt_t.reshape(r_t.shape[:-1] + (ch,))
+    x_t = _time_major(x.data)
     b_t = _time_major(np.matmul(x.data, w_b) + b_b)
     c_t = _time_major(np.matmul(x.data, w_c) + b_c)
     u_t = dt_t * x_t
-    hs = b_t[..., :, None] * u_t[..., None, :]  # the injections, then the states
+    hs = np.einsum("l...n,l...c->l...nc", b_t, u_t)  # the injections, then the states
     decay = np.empty_like(hs[0])  # one step's exp(dt_t * A), reused every step
     for t in range(1, length):
         np.exp(np.multiply(dt_t[t][..., None, :], a_t, out=decay), out=decay)
         hs[t] += np.multiply(decay, hs[t - 1], out=decay)
-    finite = np.isfinite(hs.reshape(length, -1)).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(hs[-1]).all():  # non-finite entries persist: the last state decides
+        finite = np.isfinite(hs.reshape(length, -1)).all(axis=1)
         raise NumericError(f"non-finite hidden state at step {int(np.argmin(finite))}")
-    y = np.moveaxis(np.einsum("l...nc,l...n->l...c", hs, c_t), 0, -2) + d.data * x.data
+    y = d.data * x.data
+    y += np.moveaxis(np.einsum("l...nc,l...n->l...c", hs, c_t), 0, -2)
 
     def backward(g):
         T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
         g_t = _time_major(g)
-        dh = c_t[..., :, None] * g_t[..., None, :]
+        dh = np.einsum("l...n,l...c->l...nc", c_t, g_t)
         decay = _decay(dt_t, a_t)
         carry = np.empty_like(dh[0])
         for t in range(length - 2, -1, -1):

@@ -3,7 +3,7 @@
     PYTHONPATH=<checkout>/src python tests/digest.py [--dump DIR]
     PYTHONPATH=<checkout>/src python tests/digest.py --gaps DIR_A DIR_B
 
-prints one ``<case> <name> <sha256>`` line per array, in a fixed order:
+prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
 
 - the logits and every parameter gradient of each desk preset at batch 4
   and a fixed seed, under every scan strategy, and of desk-vim with tied
@@ -12,12 +12,20 @@ prints one ``<case> <name> <sha256>`` line per array, in a fixed order:
 - the LTI forms: the discretized system, its convolution kernel, and the
   recurrent and FFT-convolution outputs, for one dense and one diagonal
   system
+- the ``--help`` text of ``vissm`` and of every command (at 80 columns)
+- the bytes of every artifact, and the standard output, of one small fixed
+  pipeline run in a fresh temporary directory with relative paths, so that
+  two checkouts write the same resolved configurations: make-data; train
+  vim (raster) and vssd (``--scan cross``); eval; export-features;
+  cross-gen over 2 families x 2 seeds; bench-kernels, whose report counts
+  by its ``checks`` alone and whose timing CSV is left out; and scan-show
 
 A parent-versus-change check is a ``diff`` of the two outputs. ``--dump DIR``
-also writes each array to ``DIR/<case>.<name>.npy``, so the arrays behind a
-moved line can be compared: ``--gaps DIR_A DIR_B`` reads two dumps and
-prints ``<case> <name> <gap>`` for each array that differs, where the gap is
-the largest entrywise difference over the larger of the two arrays' largest
+also writes each array (not the help texts or artifacts) to
+``DIR/<case>.<name>.npy``, so the arrays behind a moved line can be
+compared: ``--gaps DIR_A DIR_B`` reads two dumps and prints
+``<case> <name> <gap>`` for each array that differs, where the gap is the
+largest entrywise difference over the larger of the two arrays' largest
 magnitudes (an array in only one dump is named as such), then the worst
 gap per kind of array (logits, grad, ...).
 BLAS is pinned to one thread before numpy loads.
@@ -31,12 +39,18 @@ if __name__ == "__main__":
         os.environ[var] = "1"  # read once, when numpy first loads below
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
 from functools import partial  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from vissm import blocks as B  # noqa: E402
+from vissm import cli  # noqa: E402
 from vissm import scan2d, ssm  # noqa: E402
 from vissm import tensor as T  # noqa: E402
 from vissm.rng import SplitMix64  # noqa: E402
@@ -70,17 +84,80 @@ def lti_arrays() -> list:
     return arrays
 
 
+def help_texts() -> list:
+    texts = []
+    # argparse wraps help to the terminal width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for command in [None, *cli.COMMANDS]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+                cli.main([command, "--help"] if command else ["--help"])
+            texts.append((command or "vissm", out.getvalue().encode()))
+    return texts
+
+
+CORPUS = ["--train", "160", "--val", "32", "--test", "32"]
+PIPELINE = [
+    ("make-data", ["make-data", "--seed", "3", *CORPUS, "--dump-pgm", "1", "--out", "data"]),
+    ("train-vim", ["train", "--data", "data", "--family", "vim", "--seed", "4",
+                   "--epochs", "2", "--out", "vim"]),
+    ("train-vssd", ["train", "--data", "data", "--family", "vssd", "--scan", "cross",
+                    "--seed", "5", "--epochs", "2", "--out", "vssd"]),
+    ("eval", ["eval", "--data", "data", "--checkpoint", "vim/checkpoint.bin", "--out", "eval"]),
+    ("export-features", ["export-features", "--data", "data",
+                         "--checkpoint", "vssd/checkpoint.bin", "--out", "features.csv"]),
+    ("cross-gen", ["cross-gen", "--families", "vim,mambavision", "--seeds", "1,2", *CORPUS,
+                   "--epochs", "1", "--out", "crossgen"]),
+    ("bench-kernels", ["bench-kernels", "--lengths", "16,64", "--repeats", "1", "--out", "bench"]),
+    ("scan-show", ["scan-show", "--strategy", "local", "--ppm", "scan.ppm"]),
+]
+TIMINGS = "bench/bench.csv"  # bench-kernels' timings, the one artifact that differs per run
+
+
+def pipeline_artifacts() -> list:
+    """Each command's standard output, then every file the pipeline wrote."""
+    outputs = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for label, argv in PIPELINE:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise RuntimeError(f"vissm {' '.join(argv)} exited {code}")
+                outputs.append((f"{label}.stdout", out.getvalue().encode()))
+            paths = sorted(os.path.relpath(os.path.join(root, name), tmp)
+                           for root, _, names in os.walk(tmp) for name in names)
+            for path in paths:
+                if path == TIMINGS:
+                    continue
+                with open(path, "rb") as fh:
+                    raw = fh.read()
+                if path == "bench/bench.json":  # its checks, without the timings
+                    path, raw = path + ":checks", json.dumps(json.loads(raw)["checks"]).encode()
+                outputs.append((path, raw))
+        finally:
+            os.chdir(cwd)
+    return outputs
+
+
 CASES = {
     **{f"{family}.{scan}": partial(model_arrays, f"desk-{family}", scan=scan)
        for family in B.FAMILIES for scan in scan2d.STRATEGIES},
     **{f"vim-tied.{scan}": partial(model_arrays, "desk-vim", scan=scan, tie_directions=True)
        for scan in scan2d.STRATEGIES},
     "lti": lti_arrays,
+    "help": help_texts,
+    "pipeline": pipeline_artifacts,
 }
 
 
-def sha256(arr: np.ndarray) -> str:
-    """The hash of an array's dtype, shape and bytes."""
+def sha256(arr) -> str:
+    """The hash of a byte string, or of an array's dtype, shape and bytes."""
+    if isinstance(arr, bytes):
+        return hashlib.sha256(arr).hexdigest()
     arr = np.ascontiguousarray(arr)
     h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
     h.update(arr.tobytes())
@@ -90,7 +167,7 @@ def sha256(arr: np.ndarray) -> str:
 def case_lines(case: str, dump=None) -> list:
     lines = []
     for name, arr in CASES[case]():
-        if dump is not None:
+        if dump is not None and isinstance(arr, np.ndarray):
             np.save(os.path.join(dump, f"{case}.{name}.npy"), arr)
         lines.append(f"{case} {name} {sha256(arr)}")
     return lines

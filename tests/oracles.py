@@ -64,6 +64,13 @@ def nc_ssd_graph(x, proj, d):
     return T.add(y, T.mul(d, x))
 
 
+def selective_scan_chunked(x, proj, a, d, chunk: int = 3):
+    """The chunked scan, every step recorded on the graph: the oracle for the
+    fused ``selective.selective_scan_sequential``. The default chunk of 3
+    leaves odd tails on most sequence lengths."""
+    return S.selective_scan_parallel(x, proj, a, d, chunk)
+
+
 def conv1d_slices(x, weight, bias, causal: bool):
     """The slice-and-add 1D depthwise conv: the oracle for the fused op."""
     k = weight.shape[-1]

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv1d_slices, conv2d_slices, nc_ssd_graph, pad_axis, per_direction_update
+from oracles import (
+    conv1d_slices,
+    conv2d_slices,
+    nc_ssd_graph,
+    pad_axis,
+    per_direction_update,
+    selective_scan_chunked,
+)
 from vissm import blocks as B
 from vissm import scan2d
 from vissm import selective as S
@@ -431,17 +438,75 @@ def test_fused_ncssd_blocks_match_graph_oracle(scan, monkeypatch):
         assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
 
 
+FUSED_OP_ORACLES = {
+    "selective_scan_sequential": selective_scan_chunked,
+    "nc_ssd": nc_ssd_graph,
+    "conv1d_depthwise": conv1d_slices,
+    "conv2d_depthwise3": conv2d_slices,
+}
+
+
+def _draw_grid(draw, scan):
+    """A 1x1, 1xk, kx1 or square patch grid that ``scan`` fits (local and
+    efficient need extents that 2 divides)."""
+    if scan in ("local", "efficient"):
+        k = draw(st.sampled_from((2, 4)))
+        return draw(st.sampled_from([(k, k), (2, 4), (4, 2)]))
+    k = draw(st.integers(2, 4))
+    return draw(st.sampled_from([(1, 1), (1, k), (k, 1), (k, k)]))
+
+
+@st.composite
+def model_configs(draw):
+    """Small models of every family, scan strategy, direction tying and stem,
+    on every kind of grid ``_draw_grid`` draws: vssd sees L = 1, and vim and
+    mambavision L = 2 with their class token."""
+    family = draw(st.sampled_from(B.FAMILIES))
+    scan = draw(st.sampled_from(scan2d.STRATEGIES))
+    grid = _draw_grid(draw, scan)
+    patch = draw(st.integers(1, 2))
+    embed = draw(st.sampled_from((2, 4, 6)) if family == "mambavision" else st.integers(2, 6))
+    return ModelConfig(family=family, image_h=grid[0] * patch, image_w=grid[1] * patch,
+                       patch=patch, embed_dim=embed, state_dim=draw(st.integers(1, 3)),
+                       depth=draw(st.integers(1, 2)), scan=scan, overlap=draw(st.booleans()),
+                       tie_directions=draw(st.booleans()))
+
+
+def _edge(family, scan, h, w, **kw):
+    return ModelConfig(family=family, image_h=h, image_w=w, patch=1, embed_dim=4,
+                       state_dim=1, depth=1, scan=scan, **kw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=model_configs(), batch=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(cfg=_edge("vim", "cross", 1, 1, tie_directions=True), batch=1, seed=1)
+@example(cfg=_edge("mambavision", "bidirectional", 1, 3, overlap=True), batch=2, seed=2)
+@example(cfg=_edge("vssd", "zigzag", 3, 1), batch=1, seed=3)
+@example(cfg=_edge("vim", "local", 2, 4), batch=2, seed=4)
+def test_fused_ops_match_their_oracles_in_drawn_models(cfg, batch, seed):
+    """Every fused op that ``blocks`` binds, swapped at once for its graph
+    oracle: the logits agree within 1e-12 and every parameter gradient within
+    1e-10 relative."""
+    model = build_model(cfg, seed=seed)
+    imgs = SplitMix64(seed).uniform_array((batch, cfg.image_h, cfg.image_w))
+    readout = SplitMix64(seed + 1).normal_array((batch, cfg.classes))
+    fused, fused_grads = _logits_and_grads(model, imgs, readout)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, oracle_op in FUSED_OP_ORACLES.items():
+            mp.setattr(B, name, oracle_op)
+        oracle, oracle_grads = _logits_and_grads(model, imgs, readout)
+    assert np.max(np.abs(fused - oracle)) < 1e-12
+    for name, g in oracle_grads.items():
+        assert fused_grads[name] is not None, name
+        assert rel_err(fused_grads[name], g) < 1e-10, (name, rel_err(fused_grads[name], g))
+
+
 @st.composite
 def vssd_configs(draw):
     """Small vssd configs over every scan strategy, with 1x1, 1xk, kx1 and
     square patch grids (local and efficient need extents that 2 divides)."""
     scan = draw(st.sampled_from(scan2d.STRATEGIES))
-    if scan in ("local", "efficient"):
-        k = draw(st.sampled_from((2, 4)))
-        grid = draw(st.sampled_from([(k, k), (2, 4), (4, 2)]))
-    else:
-        k = draw(st.integers(2, 4))
-        grid = draw(st.sampled_from([(1, 1), (1, k), (k, 1), (k, k)]))
+    grid = _draw_grid(draw, scan)
     patch = draw(st.integers(1, 2))
     return ModelConfig(family="vssd", image_h=grid[0] * patch, image_w=grid[1] * patch,
                        patch=patch, embed_dim=draw(st.integers(4, 16)),
@@ -450,8 +515,7 @@ def vssd_configs(draw):
 
 
 def _vssd_edge(scan, h, w):
-    return ModelConfig(family="vssd", image_h=h, image_w=w, patch=1, embed_dim=4,
-                       state_dim=1, depth=1, scan=scan)
+    return _edge("vssd", scan, h, w)
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,3 +27,9 @@ def test_gaps_report_only_the_arrays_that_moved(tmp_path, capsys):
     assert lines == ["lti dense.kernel 5.00e-13",
                      f"lti diag.kernel only in {a}",
                      "moved 1 of 10 arrays; worst gap: dense 5.00e-13"]
+
+
+def test_help_lines_cover_every_command_and_repeat():
+    first = digest.case_lines("help")
+    assert first == digest.case_lines("help")
+    assert [line.split()[1] for line in first] == ["vissm", *digest.cli.COMMANDS]

@@ -167,6 +167,34 @@ def test_non_finite_state_names_the_first_bad_step():
     assert str(ei.value) == "non-finite hidden state at step 2"
 
 
+@pytest.mark.parametrize("cause, length, step", [
+    *((cause, length, step) for cause in ("nan", "inf")
+      for length, step in ((6, 0), (6, 1), (6, 4), (6, 5), (1, 0))),
+    *(("decay", 6, step) for step in (1, 4, 5)),  # step 0 has no decay
+])
+def test_non_finite_state_is_found_from_the_last_state(cause, length, step):
+    """The scan checks only its last state and, on failure, names the first bad
+    step: a NaN or inf in x at that token, or a decay exp(dt * A) that
+    overflows there (A > 0, with dt = softplus(x) large at that token only)."""
+    rng = SplitMix64(47)
+    ch, n = 2, 3
+    if cause == "decay":
+        proj = S.constant_projection(ch, n, b_const=1.0, c_const=1.0, delta_const=1.0)
+        proj.w_dt_down = Tensor(np.ones((ch, 1)) / ch)
+        proj.w_dt_up = Tensor(np.ones((1, ch)))
+        a = Tensor(np.full((ch, n), 1.0))
+        x = np.ones((2, length, ch))
+        x[1, step] = 800.0  # dt ~ 800 there: exp(800) overflows, the injection does not
+    else:
+        proj = random_projection(rng, ch, n)
+        a = random_decay(rng, ch, n)
+        x = rng.normal_array((2, length, ch))
+        x[1, step, 0] = np.nan if cause == "nan" else np.inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
+        S.selective_scan_sequential(Tensor(x), proj, a, Tensor(np.ones(ch)))
+    assert str(ei.value) == f"non-finite hidden state at step {step}"
+
+
 # -- chunk-parallel scan ----------------------------------------------------------
 
 
