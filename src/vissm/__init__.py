@@ -28,7 +28,7 @@ from .blocks import (
 )
 from .data import DetectionDataset, SynthGenSpec, make_dataset, synth_fake, synth_real
 from .rng import SplitMix64
-from .scan2d import MultiScan, ScanOrder, gather, make_scan, scatter
+from .scan2d import MultiScan, ScanOrder, make_scan
 from .selective import (
     SelectiveProjection,
     nc_ssd,

@@ -69,6 +69,8 @@ class ModelConfig:
         for size in ("patch", "embed_dim", "depth", "state_dim"):
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
+        if self.tie_directions and self.family != "vim":
+            raise ValueError(f"tie_directions applies to vim only, not {self.family}")
         if self.family == "mambavision" and self.embed_dim % 2:
             raise ValueError("mambavision needs an even embed_dim (half-width branches)")
         if self.image_h % self.patch or self.image_w % self.patch:
@@ -246,10 +248,6 @@ class Model:
     cfg: ModelConfig
     params: dict = field(repr=False)
 
-    def scan(self):
-        # raster is the identity ordering: skip the gather/scatter plumbing
-        return None if self.cfg.scan == "raster" else self.cfg.make_scan()
-
 
 def build_model(cfg: ModelConfig, seed: int) -> Model:
     """Materialize parameters deterministically from the seed."""
@@ -361,22 +359,25 @@ def _scan_path(x, params, prefix, causal: bool):
 # -- directional plumbing --------------------------------------------------------------
 
 
-def merged_update(streams, core_fn, scan):
-    """Run a sequence core once per scan direction and merge on the grid.
+def merged_update(streams, core_fn, scan, equivariant=False):
+    """Run a sequence core once per group of ``scan.groups`` and merge on the grid.
 
-    This is the route of vim and mambavision, whose causal and convolutional
-    cores depend on the visiting order; vssd's order-free core takes
-    ``cell_set_update`` instead.
+    The one directional route of every family. A group is a scan direction
+    or, when ``equivariant`` (vssd's core does not depend on the visiting
+    order), a distinct set of cells in raster order, its update weighted by
+    the number of directions that visit it. ``streams`` are token-aligned
+    tensors that the core consumes (e.g. the scan input and its gate), each
+    gathered identically per group; an identity order passes them as they
+    are, with no gather or scatter. The group outputs are scattered back to
+    grid order and summed BEFORE any output projection, which the caller
+    applies to the merged result.
 
-    ``streams`` are token-aligned tensors that the core consumes (e.g. the
-    scan input and its gate); each is gathered identically per direction.
-    The per-direction core outputs are scattered back to grid order and
-    summed BEFORE any output projection, which the caller applies to the
-    merged result. The class token slot is inferred from the token count: a
-    sequence one token longer than the scan grid carries a class token at
-    slot 0, pinned at slot 0 of every direction's index, so it never enters
-    the reordering and its updates sum like those of a cell every direction
-    visits. Any other count but the grid's own raises ShapeError.
+    The class token slot is inferred from the token count: a sequence one
+    token longer than the scan grid carries a class token at slot 0, pinned
+    at slot 0 of every group's index, so it never enters the reordering and
+    its updates sum like those of a cell every direction visits. Any other
+    count but the grid's own raises ShapeError. ``scan=None`` runs the core
+    once on streams that sit on no grid.
     """
     if scan is None:
         return core_fn(*streams)
@@ -387,33 +388,16 @@ def merged_update(streams, core_fn, scan):
                          f"nor it plus a class token")
 
     acc = None
-    for order in scan.directions:
-        idx = np.concatenate([np.zeros(start, np.intp), order.order + start])
-        upd = core_fn(*[T.take(s, idx, axis=-2) for s in streams])
-        scat = T.scatter_axis(upd, idx, axis=-2, size=total)
-        acc = scat if acc is None else T.add(acc, scat)
-    return acc
-
-
-def cell_set_update(seq, core_fn, scan):
-    """``merged_update([seq], core_fn, scan)`` for a permutation-equivariant core,
-    with the core run once per distinct set of cells rather than per direction.
-
-    Each set is visited in raster order and its update weighted by the number
-    of directions that visit it; a set covering the whole grid needs no gather
-    or scatter. ``seq`` holds exactly the grid's tokens (no class token).
-    """
-    if scan is None:
-        return core_fn(seq)
-    total = seq.shape[-2]
-    acc = None
-    for cells, count in scan.cell_sets():
-        whole = len(cells) == total
-        upd = core_fn(seq if whole else T.take(seq, cells, axis=-2))
+    for order, count, identity in scan.groups(equivariant):
+        if identity:
+            upd = core_fn(*streams)
+        else:
+            idx = np.concatenate([np.zeros(start, np.intp), order + start])
+            upd = core_fn(*[T.take(s, idx, axis=-2) for s in streams])
         if count > 1:
             upd = T.mul(upd, float(count))
-        if not whole:
-            upd = T.scatter_axis(upd, cells, axis=-2, size=total)
+        if not identity:
+            upd = T.scatter_axis(upd, idx, axis=-2, size=total)
         acc = upd if acc is None else T.add(acc, upd)
     return acc
 
@@ -472,12 +456,13 @@ def vssd_block(tokens, params, grid, prefix="", scan=None):
     The token mixer (norm, ``project_params`` and ``nc_ssd``'s shared state)
     acts on each token alone apart from one sum over all of them, so it is
     permutation-equivariant: every scan direction over the same cells returns
-    the same update on the grid. ``cell_set_update`` therefore runs it once per
-    distinct set of cells, weighted by the directions sharing the set, which
-    is the per-direction sum of ``merged_update``. The logits agree bit for bit
-    except where ``project_params``' BLAS matmuls give a row different bits at
-    different positions (output width <= 3, such as dt_rank 1); gradients
-    differ in the last bits, as their sums over tokens run in another order.
+    the same update on the grid. ``merged_update`` therefore runs it with
+    ``equivariant``, once per distinct set of cells and weighted by the
+    directions sharing the set, which equals its sum over the directions. The
+    logits agree bit for bit except where ``project_params``' BLAS matmuls give
+    a row different bits at different positions (output width <= 3, such as
+    dt_rank 1); gradients differ in the last bits, as their sums over tokens
+    run in another order.
     """
     lpu = conv2d_depthwise3(tokens, grid, params[f"{prefix}lpu.weight"],
                             params[f"{prefix}lpu.bias"])
@@ -488,7 +473,7 @@ def vssd_block(tokens, params, grid, prefix="", scan=None):
         proj = _projection_from(params, f"{prefix}ssd.proj.")
         return nc_ssd(xh, proj, params[f"{prefix}ssd.d"])
 
-    tokens = T.add(tokens, cell_set_update(tokens, core, scan))
+    tokens = T.add(tokens, merged_update([tokens], core, scan, equivariant=True))
 
     xh = rms_norm(tokens, params[f"{prefix}norm2.scale"])
     hid = T.silu(T.add(T.matmul(xh, params[f"{prefix}ffn.w1"]), params[f"{prefix}ffn.b1"]))
@@ -563,7 +548,7 @@ def features(model: Model, images) -> Tensor:
     """The classification layer's input (B, embed_dim): the normed class token,
     or the mean normed token for families without one."""
     tokens = patch_embed(images, model.cfg, model.params)
-    scan = model.scan()
+    scan = model.cfg.make_scan()
     for i in range(model.cfg.depth):
         tokens = apply_block(model, tokens, i, scan)
     normed = rms_norm(tokens, model.params["final_norm.scale"])

@@ -9,10 +9,11 @@ whose members jointly partition the grid) visits an injective subset.
 A MultiScan bundles one or more orders over the same grid; the models sum
 the per-direction outputs on the grid. ``make_scan`` always returns one, and
 returns the same one for the same arguments, so a model's forwards share it.
-``MultiScan.cell_sets`` groups the directions by the cells they visit, for
-cores whose output does not depend on the visiting order; it is computed
-once, when the scan is built. Every index array of a scan is read-only, so a
-shared scan cannot be changed under its users.
+``MultiScan.groups`` lists what a model runs its core on: each direction, or
+each distinct set of visited cells (``cell_sets``), for cores whose output
+does not depend on the visiting order. Both lists, and which of their orders
+is the identity, are computed once, when the scan is built. Every index array
+of a scan is read-only, so a shared scan cannot be changed under its users.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ScanOrder:
 @dataclass(frozen=True)
 class MultiScan:
     directions: tuple
-    _cell_sets: tuple = field(init=False, repr=False, compare=False)
+    _groups: tuple = field(init=False, repr=False, compare=False)  # (directions, cell sets)
 
     def __post_init__(self):
         dirs = tuple(self.directions)
@@ -66,12 +67,15 @@ class MultiScan:
         h, w = dirs[0].h, dirs[0].w
         if any(d.h != h or d.w != w for d in dirs):
             raise ValueError("all directions must share the same grid extents")
+        raster = tuple(range(h * w))
         counts: dict = {}
         for d in dirs:
             key = tuple(sorted(d.order.tolist()))
             counts[key] = counts.get(key, 0) + 1
-        object.__setattr__(self, "_cell_sets", tuple(
-            (_frozen(np.array(cells, dtype=np.intp)), count) for cells, count in counts.items()))
+        object.__setattr__(self, "_groups", (
+            tuple((d.order, 1, tuple(d.order.tolist()) == raster) for d in dirs),
+            tuple((_frozen(np.array(cells, dtype=np.intp)), count, cells == raster)
+                  for cells, count in counts.items())))
 
     @property
     def h(self):
@@ -85,7 +89,13 @@ class MultiScan:
         """(cells, count) per distinct set of visited cells, in order of first
         appearance: the set's flat raster indices, sorted, and how many
         directions visit exactly that set."""
-        return self._cell_sets
+        return tuple((cells, count) for cells, count, _ in self._groups[1])
+
+    def groups(self, equivariant: bool = False) -> tuple:
+        """(order, count, identity) per run of a sequence core: each direction
+        with count 1, or, when ``equivariant``, each of ``cell_sets``.
+        ``identity`` marks an order that visits every cell in raster order."""
+        return self._groups[equivariant]
 
 
 def _check_extents(h: int, w: int) -> None:
@@ -156,38 +166,6 @@ def efficient_scan(h: int, w: int, stride: int) -> MultiScan:
             sub = [r * w + c for r in range(i, h, stride) for c in range(j, w, stride)]
             orders.append(ScanOrder(h, w, np.array(sub, dtype=np.intp)))
     return MultiScan(tuple(orders))
-
-
-def gather(tokens, order: ScanOrder):
-    """Select tokens (axis -2, or axis 0 for 1-D input) in visitation order."""
-    arr = np.asarray(tokens)
-    axis = 0 if arr.ndim == 1 else arr.ndim - 2
-    if arr.shape[axis] != order.h * order.w:
-        raise ValueError(
-            f"token count {arr.shape[axis]} does not match grid size {order.h * order.w}"
-        )
-    return np.take(arr, order.order, axis=axis)
-
-
-def scatter(tokens, order: ScanOrder):
-    """Place visitation-ordered tokens back at their grid cells.
-
-    For a full order this inverts gather exactly; for a partial order the
-    unvisited cells are zero (partition members then sum to the identity).
-    """
-    arr = np.asarray(tokens)
-    axis = 0 if arr.ndim == 1 else arr.ndim - 2
-    if arr.shape[axis] != len(order):
-        raise ValueError(
-            f"token count {arr.shape[axis]} does not match order length {len(order)}"
-        )
-    shape = list(arr.shape)
-    shape[axis] = order.h * order.w
-    out = np.zeros(shape, dtype=arr.dtype)
-    key = [slice(None)] * arr.ndim
-    key[axis] = order.order
-    out[tuple(key)] = arr
-    return out
 
 
 def rank_grid(order: ScanOrder) -> np.ndarray:

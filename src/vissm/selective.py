@@ -70,27 +70,6 @@ class SelectiveProjection:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def constant_projection(channels: int, state_dim: int, b_const, c_const,
-                        delta_const) -> SelectiveProjection:
-    """Projection with zero input weights: B, C, dt are the same every step.
-
-    delta_const is the desired positive timescale; the stored bias is its
-    softplus preimage.
-    """
-    delta_const = np.broadcast_to(np.asarray(delta_const, dtype=np.float64), (channels,))
-    base = np.log(np.expm1(delta_const))  # softplus^{-1}
-    rank = 1
-    return SelectiveProjection(
-        w_b=Tensor(np.zeros((channels, state_dim))),
-        w_c=Tensor(np.zeros((channels, state_dim))),
-        w_dt_down=Tensor(np.zeros((channels, rank))),
-        w_dt_up=Tensor(np.zeros((rank, channels))),
-        delta_base=Tensor(base.copy()),
-        b_b=Tensor(np.broadcast_to(np.asarray(b_const, dtype=np.float64), (state_dim,)).copy()),
-        b_c=Tensor(np.broadcast_to(np.asarray(c_const, dtype=np.float64), (state_dim,)).copy()),
-    )
-
-
 def project_params(x, proj: SelectiveProjection):
     """(B_t, C_t, dt) for every token: shapes (..., L, N), (..., L, N), (..., L, C)."""
     x = T.as_tensor(x)

@@ -506,30 +506,3 @@ def backward(root: Tensor) -> None:
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
             node.grad = None
-
-
-# -- finite differences ----------------------------------------------------------
-
-
-def finite_difference(fn, arrays: list, step: float = 1e-5) -> list:
-    """Central-difference gradients of a scalar fn w.r.t. each float array.
-
-    ``fn`` is called with the arrays (mutated in place around each entry)
-    and must return a plain float. This is the independent oracle used to
-    validate analytic gradients; it never touches the autodiff graph.
-    """
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = fn()
-            flat[i] = orig - step
-            f_minus = fn()
-            flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * step)
-        grads.append(g)
-    return grads

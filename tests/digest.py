@@ -9,6 +9,8 @@ prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
   and a fixed seed, under every scan strategy, and of desk-vim with tied
   directions under every strategy; the gradients are those of
   sum(logits * R) for a fixed random R
+- the same for each desk preset widened to embed_dim 32 (dt_rank 2) at
+  batch 1, under the raster and cross scans
 - the LTI forms: the discretized system, its convolution kernel, and the
   recurrent and FFT-convolution outputs, for one dense and one diagonal
   system
@@ -60,11 +62,11 @@ BATCH = 4
 SEED = 16
 
 
-def model_arrays(preset: str, **overrides) -> list:
+def model_arrays(preset: str, batch: int = BATCH, **overrides) -> list:
     cfg = B.config_from_preset(preset, **overrides)
     model = B.build_model(cfg, seed=SEED)
-    imgs = SplitMix64(SEED).uniform_array((BATCH, cfg.image_h, cfg.image_w))
-    readout = SplitMix64(SEED + 1).normal_array((BATCH, cfg.classes))
+    imgs = SplitMix64(SEED).uniform_array((batch, cfg.image_h, cfg.image_w))
+    readout = SplitMix64(SEED + 1).normal_array((batch, cfg.classes))
     logits = B.forward(model, imgs)
     T.backward(T.sum_(T.mul(logits, Tensor(readout))))
     return [("logits", logits.data)] + [(f"grad.{name}", p.grad)
@@ -148,6 +150,9 @@ CASES = {
        for family in B.FAMILIES for scan in scan2d.STRATEGIES},
     **{f"vim-tied.{scan}": partial(model_arrays, "desk-vim", scan=scan, tie_directions=True)
        for scan in scan2d.STRATEGIES},
+    **{f"{family}-wide.{scan}": partial(model_arrays, f"desk-{family}", batch=1, scan=scan,
+                                        embed_dim=32)
+       for family in B.FAMILIES for scan in ("raster", "cross")},
     "lti": lti_arrays,
     "help": help_texts,
     "pipeline": pipeline_artifacts,

@@ -3,8 +3,11 @@
 Each oracle composes a fused op from plain tensor ops, so autodiff derives
 its backward pass, or takes the slower route a fast path replaces; the
 library's op is tested against it on values and gradients. None of these is
-on the library's model path. The analytic G1 detector at the end is the
-hand-built reference the trained detectors are judged against.
+on the library's model path. The helpers after them build test inputs and
+independent references: a constant selective projection, central finite
+differences, and numpy gather/scatter along a scan order. The analytic G1
+detector at the end is the hand-built reference the trained detectors are
+judged against.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from vissm import blocks as B
 from vissm import data as D
 from vissm import selective as S
 from vissm import tensor as T
+from vissm.tensor import Tensor
 
 
 def ordered_sum(a, axis: int):
@@ -105,10 +109,90 @@ def conv2d_slices(tokens, grid, weight, bias):
     return T.reshape(acc, lead + (hp * wp, d))
 
 
-def per_direction_update(seq, core_fn, scan):
-    """vssd's token-mixer update with the core run once per scan direction:
-    the oracle for ``blocks.cell_set_update``."""
-    return B.merged_update([seq], core_fn, scan)
+_merged_update = B.merged_update  # captured before any test swaps it
+
+
+def per_direction_update(streams, core_fn, scan, equivariant=False):
+    """``blocks.merged_update`` with the core run once per scan direction,
+    whatever ``equivariant`` asks: the oracle for its cell-set groups."""
+    return _merged_update(streams, core_fn, scan)
+
+
+def constant_projection(channels: int, state_dim: int, b_const, c_const,
+                        delta_const) -> S.SelectiveProjection:
+    """Projection with zero input weights: B, C, dt are the same every step.
+
+    delta_const is the desired positive timescale; the stored bias is its
+    softplus preimage.
+    """
+    delta_const = np.broadcast_to(np.asarray(delta_const, dtype=np.float64), (channels,))
+    base = np.log(np.expm1(delta_const))  # softplus^{-1}
+    rank = 1
+    return S.SelectiveProjection(
+        w_b=Tensor(np.zeros((channels, state_dim))),
+        w_c=Tensor(np.zeros((channels, state_dim))),
+        w_dt_down=Tensor(np.zeros((channels, rank))),
+        w_dt_up=Tensor(np.zeros((rank, channels))),
+        delta_base=Tensor(base.copy()),
+        b_b=Tensor(np.broadcast_to(np.asarray(b_const, dtype=np.float64), (state_dim,)).copy()),
+        b_c=Tensor(np.broadcast_to(np.asarray(c_const, dtype=np.float64), (state_dim,)).copy()),
+    )
+
+
+def finite_difference(fn, arrays: list, step: float = 1e-5) -> list:
+    """Central-difference gradients of a scalar fn w.r.t. each float array.
+
+    ``fn`` is called with the arrays (mutated in place around each entry)
+    and must return a plain float. This is the independent oracle used to
+    validate analytic gradients; it never touches the autodiff graph.
+    """
+    grads = []
+    for arr in arrays:
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            f_plus = fn()
+            flat[i] = orig - step
+            f_minus = fn()
+            flat[i] = orig
+            gflat[i] = (f_plus - f_minus) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
+def gather(tokens, order):
+    """Select tokens (axis -2, or axis 0 for 1-D input) in a ScanOrder's visitation order."""
+    arr = np.asarray(tokens)
+    axis = 0 if arr.ndim == 1 else arr.ndim - 2
+    if arr.shape[axis] != order.h * order.w:
+        raise ValueError(
+            f"token count {arr.shape[axis]} does not match grid size {order.h * order.w}"
+        )
+    return np.take(arr, order.order, axis=axis)
+
+
+def scatter(tokens, order):
+    """Place visitation-ordered tokens back at their grid cells.
+
+    For a full order this inverts gather exactly; for a partial order the
+    unvisited cells are zero (partition members then sum to the identity).
+    """
+    arr = np.asarray(tokens)
+    axis = 0 if arr.ndim == 1 else arr.ndim - 2
+    if arr.shape[axis] != len(order):
+        raise ValueError(
+            f"token count {arr.shape[axis]} does not match order length {len(order)}"
+        )
+    shape = list(arr.shape)
+    shape[axis] = order.h * order.w
+    out = np.zeros(shape, dtype=arr.dtype)
+    key = [slice(None)] * arr.ndim
+    key[axis] = order.order
+    out[tuple(key)] = arr
+    return out
 
 
 def checkerboard_score(image: np.ndarray) -> float:

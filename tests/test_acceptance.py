@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import constant_projection, finite_difference, gather, scatter
 from vissm import blocks as B
 from vissm import cli
 from vissm import data as D
@@ -94,7 +95,7 @@ def test_criterion_2_selective_consistency():
         b_const = rng.normal_array((sn,))
         c_const = rng.normal_array((sn,))
         delta = rng.uniform_array((cch,), 0.05, 0.8)
-        proj = S.constant_projection(cch, sn, b_const, c_const, delta)
+        proj = constant_projection(cch, sn, b_const, c_const, delta)
         a = Tensor(-rng.uniform_array((cch, sn), 0.5, 4.0))
         dvec = Tensor(rng.normal_array((cch,)))
         x = rng.normal_array((ln, cch))
@@ -179,12 +180,12 @@ def test_criterion_4_scan_bijections():
             if strategy == "efficient":
                 combined = np.concatenate([o.order for o in orders])
                 assert sorted(combined.tolist()) == list(range(h * w))
-                total = sum(scan2d.scatter(scan2d.gather(x, o), o) for o in orders)
+                total = sum(scatter(gather(x, o), o) for o in orders)
                 assert np.array_equal(total, x)
             else:
                 for o in orders:
                     assert sorted(o.order.tolist()) == list(range(h * w))
-                    assert np.array_equal(scan2d.scatter(scan2d.gather(x, o), o), x)
+                    assert np.array_equal(scatter(gather(x, o), o), x)
             trials += 1
         zz = scan2d.zigzag_scan(h, w)
         for a, b in zip(zz.order[:-1], zz.order[1:]):
@@ -245,7 +246,7 @@ def test_criterion_5_gradient_checks():
             with T.no_grad():
                 return scan_loss(route, False)[0].item()
 
-        numeric = T.finite_difference(f, arrays, step=1e-5)
+        numeric = finite_difference(f, arrays, step=1e-5)
         for an, nu in zip(analytic, numeric):
             an = np.zeros_like(nu) if an is None else an
             assert rel_err(an, nu) < 1e-4, route

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     conv1d_slices,
     conv2d_slices,
+    finite_difference,
     nc_ssd_graph,
     pad_axis,
     per_direction_update,
@@ -287,6 +288,8 @@ def test_unknown_preset():
     (dict(depth=-2), "depth must be >= 1"),
     (dict(depth=0), "depth must be >= 1"),
     (dict(state_dim=0), "state_dim must be >= 1"),
+    (dict(tie_directions=True), "tie_directions applies to vim only, not vssd"),
+    (dict(family="mambavision", tie_directions=True), "applies to vim only, not mambavision"),
 ])
 def test_config_that_does_not_fit_is_rejected_at_construction(changes, message):
     with pytest.raises(ValueError, match=message):
@@ -388,12 +391,45 @@ def test_cross_scan_rotation_invariance_with_lti_core():
     assert np.max(np.abs(y_rot - y[:, ::-1])) < 1e-12
 
 
-@pytest.mark.parametrize("tokens", [15, 18])
-def test_merged_update_rejects_tokens_off_the_grid(tokens):
+@pytest.mark.parametrize("tokens, strategy, equivariant", [
+    (15, "cross", False), (18, "cross", False), (15, "raster", False), (18, "raster", False),
+    (15, "cross", True), (18, "cross", True),
+], ids=["15", "18", "raster-15", "raster-18", "equivariant-15", "equivariant-18"])
+def test_merged_update_rejects_tokens_off_the_grid(tokens, strategy, equivariant):
     # the class-token slot is inferred: 16 tokens fill the 4x4 grid, 17 carry one more
     x = Tensor(np.zeros((1, tokens, 2)))
     with pytest.raises(T.ShapeError, match=f"{tokens} tokens"):
-        B.merged_update([x], lambda s: s, scan2d.cross_scan(4, 4))
+        B.merged_update([x], lambda s: s, scan2d.make_scan(strategy, 4, 4), equivariant)
+
+
+def _recorded_groups(streams, strategy, equivariant):
+    """The stream tensors that ``merged_update``'s core receives, per group."""
+    seen = []
+
+    def core(*args):
+        seen.append(args)
+        return args[0]
+
+    B.merged_update(streams, core, scan2d.make_scan(strategy, 4, 4), equivariant)
+    return seen
+
+
+@pytest.mark.parametrize("cls, equivariant", [(0, False), (1, False), (0, True)])
+def test_merged_update_hands_the_identity_order_its_own_streams(cls, equivariant):
+    # cross's first direction, and its one whole-grid cell set, is the raster order
+    streams = [Tensor(np.zeros((1, 16 + cls, 2))), Tensor(np.ones((1, 16 + cls, 3)))]
+    seen = _recorded_groups(streams, "cross", equivariant)
+    assert len(seen) == (1 if equivariant else 4)
+    assert all(got is given for got, given in zip(seen[0], streams))
+    assert not any(got is given for args in seen[1:] for got, given in zip(args, streams))
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+def test_merged_update_gathers_every_partial_group(equivariant):
+    x = Tensor(np.zeros((1, 16, 2)))
+    seen = _recorded_groups([x], "efficient", equivariant)
+    assert [args[0].shape for args in seen] == [(1, 4, 2)] * 4
+    assert not any(args[0] is x for args in seen)
 
 
 def _logits_and_grads(model, imgs, readout):
@@ -469,7 +505,7 @@ def model_configs(draw):
     return ModelConfig(family=family, image_h=grid[0] * patch, image_w=grid[1] * patch,
                        patch=patch, embed_dim=embed, state_dim=draw(st.integers(1, 3)),
                        depth=draw(st.integers(1, 2)), scan=scan, overlap=draw(st.booleans()),
-                       tie_directions=draw(st.booleans()))
+                       tie_directions=draw(st.booleans()) and family == "vim")
 
 
 def _edge(family, scan, h, w, **kw):
@@ -531,7 +567,7 @@ def test_vssd_cell_set_route_matches_per_direction_oracle(cfg, batch, seed):
     readout = SplitMix64(seed + 1).normal_array((batch, 2))
     route, route_grads = _logits_and_grads(model, imgs, readout)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(B, "cell_set_update", per_direction_update)
+        mp.setattr(B, "merged_update", per_direction_update)
         oracle, oracle_grads = _logits_and_grads(model, imgs, readout)
     assert np.max(np.abs(route - oracle)) < 1e-12
     for name, g in oracle_grads.items():
@@ -544,7 +580,7 @@ def test_vssd_cell_set_route_logits_are_bit_identical_at_desk(scan, monkeypatch)
     model = build_model(config_from_preset("desk-vssd", scan=scan), seed=25)
     with T.no_grad():
         route = forward(model, imgs).data
-    monkeypatch.setattr(B, "cell_set_update", per_direction_update)
+    monkeypatch.setattr(B, "merged_update", per_direction_update)
     with T.no_grad():
         oracle = forward(model, imgs).data
     assert np.array_equal(route, oracle)
@@ -621,7 +657,7 @@ def test_fused_conv_gradients_match_finite_differences(conv, shapes):
     readout = rng.normal_array(shapes[0])
     operands = [Tensor(a, requires_grad=True) for a in arrays]
     T.backward(T.sum_(T.mul(conv(*operands), Tensor(readout))))
-    numeric = T.finite_difference(
+    numeric = finite_difference(
         lambda: float(np.sum(conv(*[Tensor(a) for a in arrays]).data * readout)), arrays)
     for t, n in zip(operands, numeric):
         assert rel_err(t.grad, n) < 1e-8
@@ -661,7 +697,7 @@ def test_pad_axis_oracle_gradients_match_finite_differences():
             with T.no_grad():
                 return fn(Tensor(arrs[0]), Tensor(arrs[1])).item()
 
-        numeric = T.finite_difference(scalar_fn, arrs, step=1e-5)
+        numeric = finite_difference(scalar_fn, arrs, step=1e-5)
         for analytic, nu in zip((ta.grad, tb.grad), numeric):
             assert rel_err(analytic, nu) < 1e-4, (seed, rel_err(analytic, nu))
 

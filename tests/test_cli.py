@@ -184,6 +184,19 @@ def test_eval_checkpoint_from_before_classes_was_a_constant_is_runtime_error(
     assert not out.exists()
 
 
+def test_eval_checkpoint_with_tied_directions_off_vim_is_runtime_error(
+        tiny_data, tmp_path, capsys):
+    # only vim has a second direction's parameters to tie
+    ckpt = tmp_path / "model.ckpt"
+    B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)
+    rewrite_header(ckpt, tie_directions=True)
+    out = tmp_path / "eval"
+    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
+                "--out", str(out)]) == 2
+    assert "tie_directions applies to vim only, not vssd" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_checkpoint_with_trailing_bytes_is_runtime_error(tiny_data, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)

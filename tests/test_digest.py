@@ -3,11 +3,13 @@ import numpy as np
 
 
 def test_digest_case_repeats():
-    first = digest.case_lines("vssd.cross")
-    assert first == digest.case_lines("vssd.cross")
-    assert first[0].startswith("vssd.cross logits ")
-    assert len(first) == 1 + len(digest.B.param_specs(
-        digest.B.config_from_preset("desk-vssd")))
+    for case, cfg in (("vssd.cross", digest.B.config_from_preset("desk-vssd")),
+                      ("mambavision-wide.cross",
+                       digest.B.config_from_preset("desk-mambavision", embed_dim=32))):
+        first = digest.case_lines(case)
+        assert first == digest.case_lines(case)
+        assert first[0].startswith(f"{case} logits ")
+        assert len(first) == 1 + len(digest.B.param_specs(cfg))
 
 
 def test_gaps_report_only_the_arrays_that_moved(tmp_path, capsys):

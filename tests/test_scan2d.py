@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gather, scatter
 from vissm import scan2d
 from vissm.rng import SplitMix64
 from vissm.scan2d import (
@@ -10,12 +11,10 @@ from vissm.scan2d import (
     ScanOrder,
     cross_scan,
     efficient_scan,
-    gather,
     local_scan,
     make_scan,
     raster_scan,
     rank_grid,
-    scatter,
     zigzag_scan,
 )
 

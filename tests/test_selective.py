@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ordered_sum, shared_state_graph
+from oracles import constant_projection, finite_difference, ordered_sum, shared_state_graph
 from test_blocks import values_and_grads
 from vissm import selective as S
 from vissm import tensor as T
@@ -34,7 +34,7 @@ def random_decay(rng, channels, state_dim):
 
 
 def test_projection_zero_token_softplus_bias():
-    proj = S.constant_projection(3, 4, b_const=0.0, c_const=0.0, delta_const=math.log(2.0))
+    proj = constant_projection(3, 4, b_const=0.0, c_const=0.0, delta_const=math.log(2.0))
     # delta_base chosen so softplus gives back log 2; now force it to zero
     proj.delta_base = Tensor(np.zeros(3))
     x = Tensor(np.zeros((1, 3)))
@@ -45,7 +45,7 @@ def test_projection_zero_token_softplus_bias():
 def test_zero_weight_projection_reduces_to_feedthrough():
     # B = C = 0 -> state contributes nothing; y = D (*) x = 0 for D = 0... use D=1, x arbitrary
     rng = SplitMix64(2)
-    proj = S.constant_projection(3, 4, b_const=0.0, c_const=0.0, delta_const=0.1)
+    proj = constant_projection(3, 4, b_const=0.0, c_const=0.0, delta_const=0.1)
     x = Tensor(rng.normal_array((5, 3)))
     a = random_decay(rng, 3, 4)
     y = S.selective_scan_sequential(x, proj, a, Tensor(np.ones(3)))
@@ -56,7 +56,7 @@ def test_zero_weight_projection_reduces_to_feedthrough():
 
 
 def test_identity_projection_passes_basis_vector():
-    proj = S.constant_projection(4, 4, b_const=0.0, c_const=0.0, delta_const=0.1)
+    proj = constant_projection(4, 4, b_const=0.0, c_const=0.0, delta_const=0.1)
     proj.w_b = Tensor(np.eye(4))
     e1 = np.zeros((1, 4))
     e1[0, 0] = 1.0
@@ -65,7 +65,7 @@ def test_identity_projection_passes_basis_vector():
 
 
 def test_projection_dim_mismatch():
-    proj = S.constant_projection(3, 4, 0.0, 0.0, 0.1)
+    proj = constant_projection(3, 4, 0.0, 0.0, 0.1)
     with pytest.raises(T.ShapeError):
         S.project_params(Tensor(np.zeros((2, 5))), proj)
 
@@ -99,7 +99,7 @@ def test_lti_reduction_matches_core_recurrence():
         b_const = rng.normal_array((n,))
         c_const = rng.normal_array((n,))
         delta = rng.uniform_array((ch,), 0.05, 0.8)
-        proj = S.constant_projection(ch, n, b_const, c_const, delta)
+        proj = constant_projection(ch, n, b_const, c_const, delta)
         a = random_decay(rng, ch, n)
         d = Tensor(rng.normal_array((ch,)))
         x = rng.normal_array((length, ch))
@@ -135,7 +135,7 @@ def test_channel_independence_with_constant_params():
     # with input-independent parameters the channels are fully decoupled
     rng = SplitMix64(9)
     ch, n, length = 5, 3, 10
-    proj = S.constant_projection(ch, n, rng.normal_array((n,)), rng.normal_array((n,)),
+    proj = constant_projection(ch, n, rng.normal_array((n,)), rng.normal_array((n,)),
                                  rng.uniform_array((ch,), 0.05, 0.5))
     a = random_decay(rng, ch, n)
     d = Tensor(rng.normal_array((ch,)))
@@ -149,7 +149,7 @@ def test_channel_independence_with_constant_params():
 
 
 def test_non_finite_state_reports_step():
-    proj = S.constant_projection(1, 1, b_const=1e308, c_const=1e308, delta_const=1.0)
+    proj = constant_projection(1, 1, b_const=1e308, c_const=1e308, delta_const=1.0)
     a = Tensor(np.array([[-0.001]]))
     x = Tensor(np.full((3, 1), 1e308))
     with np.errstate(over="ignore"), pytest.raises(T.NumericError) as ei:
@@ -159,7 +159,7 @@ def test_non_finite_state_reports_step():
 
 def test_non_finite_state_names_the_first_bad_step():
     # exp(dt * A) = e^700 per step: h_0 = 1, h_1 ~ 1e304, h_2 overflows
-    proj = S.constant_projection(1, 1, b_const=1.0, c_const=1.0, delta_const=1.0)
+    proj = constant_projection(1, 1, b_const=1.0, c_const=1.0, delta_const=1.0)
     a = Tensor(np.array([[700.0]]))
     x = Tensor(np.ones((4, 1)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
@@ -179,7 +179,7 @@ def test_non_finite_state_is_found_from_the_last_state(cause, length, step):
     rng = SplitMix64(47)
     ch, n = 2, 3
     if cause == "decay":
-        proj = S.constant_projection(ch, n, b_const=1.0, c_const=1.0, delta_const=1.0)
+        proj = constant_projection(ch, n, b_const=1.0, c_const=1.0, delta_const=1.0)
         proj.w_dt_down = Tensor(np.ones((ch, 1)) / ch)
         proj.w_dt_up = Tensor(np.ones((1, ch)))
         a = Tensor(np.full((ch, n), 1.0))
@@ -235,7 +235,7 @@ def test_parallel_batched_input():
 
 
 def test_parallel_rejects_bad_chunk():
-    proj = S.constant_projection(2, 2, 0.0, 0.0, 0.1)
+    proj = constant_projection(2, 2, 0.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         S.selective_scan_parallel(Tensor(np.zeros((4, 2))), proj,
                                   Tensor(-np.ones((2, 2))), Tensor(np.ones(2)), 0)
@@ -346,7 +346,7 @@ def test_ncssd_permutation_equivariance():
 
 
 def test_ncssd_zero_projection_feedthrough():
-    proj = S.constant_projection(3, 4, 0.0, 0.0, 0.1)
+    proj = constant_projection(3, 4, 0.0, 0.0, 0.1)
     x = SplitMix64(21).normal_array((6, 3))
     y = S.nc_ssd(Tensor(x), proj, Tensor(np.ones(3))).data
     assert np.array_equal(y, x)
@@ -413,7 +413,7 @@ def test_ordered_sum_oracle_gradients_match_finite_differences():
             with T.no_grad():
                 return T.sum_(T.mul(ordered_sum(Tensor(arrs[0]), 1), Tensor(arrs[1]))).item()
 
-        numeric = T.finite_difference(scalar_fn, arrs, step=1e-5)
+        numeric = finite_difference(scalar_fn, arrs, step=1e-5)
         for analytic, nu in zip((ta.grad, tb.grad), numeric):
             assert rel_err(analytic, nu) < 1e-4, (seed, rel_err(analytic, nu))
 
@@ -463,7 +463,7 @@ def test_scan_gradients_match_finite_differences(route):
         with T.no_grad():
             return run(record=False)[0].item()
 
-    numeric = T.finite_difference(f, arrays, step=1e-5)
+    numeric = finite_difference(f, arrays, step=1e-5)
     for name, an, nu in zip(list(proj.tensors()) + ["a_log", "d", "x"], analytic, numeric):
         an = np.zeros_like(nu) if an is None else an
         assert rel_err(an, nu) < 1e-4, (route, name, rel_err(an, nu))
