@@ -283,7 +283,9 @@ def _depthwise(x, weight, bias, grid, pads):
     the channel axis, and the bias gradient is a sum over the flattened rows.
     Both accumulate row by row, as the sum of the tap products did, so the
     gradients keep its bits whenever C >= 2 (at C = 1 numpy's sum is
-    pairwise, and the two differ in the last bits).
+    pairwise, and the two differ in the last bits). The padded input
+    gradient comes from ``T.buffer``, so inside a ``T.workspace`` a training
+    step reuses the previous step's.
     """
     x, weight, bias = T.as_tensor(x), T.as_tensor(weight), T.as_tensor(bias)
     lead, ch = x.shape[:-2], x.shape[-1]
@@ -312,7 +314,8 @@ def _depthwise(x, weight, bias, grid, pads):
     def backward(g):
         g = g.reshape(shape)
         if x.requires_grad:
-            gxp, term_g = np.zeros_like(xp), np.empty_like(g)
+            gxp, term_g = T.buffer(xp.shape), np.empty_like(g)
+            gxp.fill(0.0)
             for win, tap in zip(windows, taps):
                 gxp[win] += np.multiply(g, tap, out=term_g)
             T._accumulate(x, gxp[inner].reshape(x.shape))

@@ -89,12 +89,6 @@ def _time_major(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(arr, -2, 0))
 
 
-def _decay(dt_t: np.ndarray, a_t: np.ndarray) -> np.ndarray:
-    """exp(dt_t * A) for every step, laid out (L, ..., N, C); a_t is A transposed."""
-    out = np.einsum("l...c,nc->l...nc", dt_t, a_t)
-    return np.exp(out, out=out)
-
-
 def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     """Exact step-by-step evaluation of the selective recurrence, as one fused op.
 
@@ -126,7 +120,10 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and the backward's
     dt_t * A) are einsums with no summed index, so they hold the products of
     the broadcast forms bit for bit without their slow broadcast loops; the
-    readout is added into D (*) x in place.
+    readout is added into D (*) x in place. The three (L, ..., N, C) arrays,
+    the hidden states and the backward's adjoint and decay factors, come
+    from ``T.buffer``, so inside a ``T.workspace`` a training step reuses
+    the previous step's.
     """
     x, a, d = (T.as_tensor(t) for t in (x, a, d))
     if x.shape[-1] != proj.channels:
@@ -137,6 +134,7 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     weights = tuple(proj.tensors().values())
     w_b, w_c, w_down, w_up, delta_base, b_b, b_c = (t.data for t in weights)
     length, ch, n = x.shape[-2], proj.channels, proj.state_dim
+    states = (length,) + x.shape[:-2] + (n, ch)
     a_t = np.ascontiguousarray(np.broadcast_to(a.data, (ch, n)).T)
     r_t = _time_major(np.matmul(x.data, w_down))
     # one GEMM over every (step, lead) row; for L >= 2 the token-major product
@@ -148,7 +146,8 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     b_t = _time_major(np.matmul(x.data, w_b) + b_b)
     c_t = _time_major(np.matmul(x.data, w_c) + b_c)
     u_t = dt_t * x_t
-    hs = np.einsum("l...n,l...c->l...nc", b_t, u_t)  # the injections, then the states
+    # the injections, then the states
+    hs = np.einsum("l...n,l...c->l...nc", b_t, u_t, out=T.buffer(states))
     decay = np.empty_like(hs[0])  # one step's exp(dt_t * A), reused every step
     for t in range(1, length):
         np.exp(np.multiply(dt_t[t][..., None, :], a_t, out=decay), out=decay)
@@ -162,8 +161,9 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     def backward(g):
         T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
         g_t = _time_major(g)
-        dh = np.einsum("l...n,l...c->l...nc", c_t, g_t)
-        decay = _decay(dt_t, a_t)
+        dh = np.einsum("l...n,l...c->l...nc", c_t, g_t, out=T.buffer(states))
+        decay = np.einsum("l...c,nc->l...nc", dt_t, a_t, out=T.buffer(states))
+        np.exp(decay, out=decay)  # exp(dt_t * A) for every step
         carry = np.empty_like(dh[0])
         for t in range(length - 2, -1, -1):
             dh[t] += np.multiply(decay[t + 1], dh[t + 1], out=carry)

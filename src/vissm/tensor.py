@@ -6,7 +6,10 @@ the recorded operations once, in reverse topological order. Layout is
 row-major and broadcasting follows numpy's trailing-dimension rule; both
 are fixed contracts of this module.
 
-The module holds the ops the library records on its graph and nothing else.
+The module holds the ops the library records on its graph and the
+per-thread state they run under: grad mode, and the ``workspace`` whose
+``buffer`` lets an op with a large per-call array reuse one a finished
+training step has let go of.
 
 Everything is float64. At the scale this package targets, precision is
 cheap and lets the equivalence tests use tight tolerances.
@@ -20,11 +23,14 @@ the saturation points, and raise no floating-point warning.
 
 A recorded graph has a single owner: tensors and their backward closures
 must not be shared across threads. Pure ops on disjoint graphs are safe to
-run concurrently.
+run concurrently: grad mode (``no_grad``) and the ``workspace`` are per
+thread, so one thread's ``no_grad`` or workspace never touches another's.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,23 +44,73 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-_grad_enabled = True
+class _ThreadState(threading.local):
+    """Per-thread state; every thread starts out recording, with no workspace."""
+
+    grad_enabled = True
+    pool = None  # the open workspace's buffers
+
+
+_thread = _ThreadState()
 _debug_finite = False
 
 
 class no_grad:
-    """Context manager that suspends graph recording (inference/data paths)."""
+    """Context manager that suspends graph recording in the calling thread
+    (inference/data paths)."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _thread.grad_enabled
+        _thread.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _thread.grad_enabled = self._prev
         return False
+
+
+class workspace:
+    """Context manager under which ``buffer`` reuses, in the calling thread,
+    the arrays it has handed out once no live array holds them. The buffers
+    are released when the scope exits."""
+
+    def __enter__(self):
+        self._prev = _thread.pool
+        _thread.pool = []
+        return self
+
+    def __exit__(self, *exc):
+        _thread.pool = self._prev
+        return False
+
+
+def _refcounts(pool: list):
+    """Each array of ``pool`` with its ``sys.getrefcount``, read the same way
+    for every array, so the count of a free one can be measured once."""
+    for buf in pool:
+        refs = sys.getrefcount(buf)
+        yield buf, refs
+
+
+# The count _refcounts reads for an array that only its pool holds (a view
+# holds its base too). It is measured rather than assumed, because how many
+# references getrefcount sees from its caller differs between interpreters.
+_FREE_REFS = next(_refcounts([np.empty(0)]))[1]
+
+
+def buffer(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: inside a ``workspace`` one
+    it holds that no live array or view holds, else a new one it keeps;
+    outside a workspace always a new one."""
+    pool = _thread.pool
+    if pool is None:
+        return np.empty(shape)
+    for buf, refs in _refcounts(pool):
+        if refs == _FREE_REFS and buf.shape == shape:
+            return buf
+    buf = np.empty(shape)
+    pool.append(buf)
+    return buf
 
 
 def set_debug_finite(flag: bool) -> None:
@@ -122,7 +178,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     if _debug_finite and not np.all(np.isfinite(data)):
         raise NumericError("operation produced a non-finite value")
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _thread.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

@@ -161,6 +161,11 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     boundary without shortening the learning-rate schedule (for sliced runs);
     ``resume`` takes the (state, optimizer, best_params) triple from
     load_train_state and continues the exact uninterrupted trajectory.
+
+    Each step's graph is dropped once its backward pass has run, before the
+    optimizer step, and each epoch's steps run inside a ``T.workspace`` that
+    hands the large buffers of the fused scans and convs from one step to the
+    next and is released before the epoch's validation.
     """
     train_ds, val = bundle.train, bundle.val
     cfg = cfg or TrainConfig()
@@ -189,19 +194,21 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     for epoch in range(start_epoch, stop_epoch):
         order = list(range(n))
         rng.shuffle(order)
-        for lo in range(0, n, cfg.batch):
-            idx = order[lo:lo + cfg.batch]
-            logits = B.forward(model, train_ds.images[idx])
-            loss = cross_entropy(logits, labels_int[idx])
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                raise NumericError(f"training loss diverged at step {state.step}")
-            for p in model.params.values():
-                p.zero_grad()
-            T.backward(loss)
-            optimizer.step(cosine_lr(cfg.lr, state.step, total_steps))
-            state.loss_history.append(loss_val)
-            state.step += 1
+        with T.workspace():  # each step's large buffers serve the next step
+            for lo in range(0, n, cfg.batch):
+                idx = order[lo:lo + cfg.batch]
+                logits = B.forward(model, train_ds.images[idx])
+                loss = cross_entropy(logits, labels_int[idx])
+                loss_val = loss.item()
+                if not np.isfinite(loss_val):
+                    raise NumericError(f"training loss diverged at step {state.step}")
+                for p in model.params.values():
+                    p.zero_grad()
+                T.backward(loss)
+                del logits, loss  # the step's graph dies here, not at the next forward
+                optimizer.step(cosine_lr(cfg.lr, state.step, total_steps))
+                state.loss_history.append(loss_val)
+                state.step += 1
         val_acc = evaluate(model, [val]).mean_accuracy
         state.val_history.append(val_acc)
         state.epoch = epoch + 1

@@ -663,6 +663,29 @@ def test_fused_conv_gradients_match_finite_differences(conv, shapes):
         assert rel_err(t.grad, n) < 1e-8
 
 
+def test_conv_input_gradient_from_a_reused_workspace_buffer():
+    """Inside a workspace the second backward pass takes the first one's
+    padded gradient buffer again: it must start from zero, so both passes
+    give the input gradient taken outside a workspace, bit for bit."""
+    rng = SplitMix64(47)
+    arrays = [rng.normal_array((2, 6, 3)), rng.normal_array((3, 3, 3)), rng.normal_array((3,))]
+    readout = rng.normal_array((2, 6, 3))
+
+    def input_grad():
+        x = Tensor(arrays[0], requires_grad=True)
+        out = B.conv2d_depthwise3(x, (3, 2), Tensor(arrays[1]), Tensor(arrays[2]))
+        T.backward(T.sum_(T.mul(out, Tensor(readout))))
+        return x.grad
+
+    plain = input_grad()
+    with T.workspace():
+        pool = T._thread.pool
+        grads = [input_grad() for _ in range(2)]
+        assert len(pool) == 1
+    for g in grads:
+        assert np.array_equal(g, plain)
+
+
 def test_each_conv_call_adds_one_graph_node():
     rng = SplitMix64(46)
     x = Tensor(rng.normal_array((2, 6, 3)), requires_grad=True)

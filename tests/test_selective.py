@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +317,87 @@ def test_fused_scan_partial_gradients_match_parallel_oracle(live):
             continue
         assert rel_err(gf, go) < 1e-10, (name, rel_err(gf, go))
     assert sum(g is not None for g in fused) == (1 if live == "x" else 7)
+
+
+# -- the workspace ------------------------------------------------------------------
+
+
+def _scan_operands(seed):
+    """A fused scan's shared parameters (all requiring grad), two inputs and
+    their readouts."""
+    rng = SplitMix64(seed)
+    ch, n, length = 4, 3, 6
+    proj = random_projection(rng, ch, n)
+    a = Tensor(-rng.uniform_array((ch, n), 0.5, 4.0), requires_grad=True)
+    d = Tensor(rng.normal_array((ch,)), requires_grad=True)
+    xs = [Tensor(rng.normal_array((2, length, ch)), requires_grad=True) for _ in range(2)]
+    readouts = [rng.normal_array((2, length, ch)) for _ in range(2)]
+    return (a, d) + tuple(proj.tensors().values()), proj, xs, readouts
+
+
+def _scan_loss(x, proj, a, d, readout):
+    return T.sum_(T.mul(S.selective_scan_sequential(x, proj, a, d), Tensor(readout)))
+
+
+def _two_forwards_then_backwards():
+    """Each input's gradients and the shared parameters', from two fused scans
+    that are both recorded before either backward pass runs."""
+    params, proj, xs, readouts = _scan_operands(81)
+    a, d = params[:2]
+    losses = [_scan_loss(x, proj, a, d, r) for x, r in zip(xs, readouts)]
+    grads = []
+    for x, loss in zip(xs, losses):
+        T.backward(loss)
+        grads.append([t.grad for t in (x,) + params])
+        for t in params:
+            t.zero_grad()
+    return grads
+
+
+def _backward_twice():
+    """One pass's gradients, then the second pass's, over one fused-scan graph."""
+    params, proj, xs, readouts = _scan_operands(82)
+    leaves = (xs[0],) + params
+    loss = _scan_loss(xs[0], proj, *params[:2], readouts[0])
+    T.backward(loss)
+    once = [t.grad.copy() for t in leaves]
+    T.backward(loss)
+    return once, [t.grad for t in leaves]
+
+
+def test_workspace_keeps_recorded_states_apart():
+    """Two recorded forwards over shared parameters hold their own states
+    until their backward passes: the gradients are those taken outside a
+    workspace, bit for bit."""
+    plain = _two_forwards_then_backwards()
+    with T.workspace():
+        pooled = _two_forwards_then_backwards()
+    for grads, refs in zip(pooled, plain):
+        for g, ref in zip(grads, refs):
+            assert np.array_equal(g, ref)
+
+
+def test_workspace_backward_twice_over_one_graph_doubles_the_gradient():
+    plain_once, _ = _backward_twice()
+    with T.workspace():
+        once, twice = _backward_twice()
+    for g1, g2, ref in zip(once, twice, plain_once):
+        assert np.array_equal(g1, ref)
+        assert np.array_equal(g2, 2.0 * ref)
+
+
+def test_workspace_serves_the_next_step_and_is_released_on_exit():
+    params, proj, xs, readouts = _scan_operands(83)
+    a, d = params[:2]
+    with T.workspace():
+        pool = T._thread.pool
+        for x, r in zip(xs, readouts):
+            T.backward(_scan_loss(x, proj, a, d, r))  # the graph dies with the statement
+            assert len(pool) == 3  # states, adjoint and decays; the second step reuses them
+        held = [weakref.ref(buf) for buf in pool]
+    del pool
+    assert T._thread.pool is None
+    assert all(ref() is None for ref in held)
 
 
 # -- non-causal variant -------------------------------------------------------------

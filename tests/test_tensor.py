@@ -1,6 +1,7 @@
 import decimal
 import inspect
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -324,6 +325,61 @@ def test_no_grad_suppresses_recording():
     with T.no_grad():
         y = T.mul(x, x)
     assert not y.requires_grad and y._backward_fn is None
+
+
+def test_grad_mode_is_per_thread():
+    """A no_grad held open in one thread leaves recording on in another."""
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with T.no_grad():
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=hold_no_grad)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        x = Tensor([1.0], requires_grad=True)
+        y = T.mul(x, x)
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert y.requires_grad and y._parents == (x, x)
+
+
+def test_workspace_buffer_is_reused_only_when_nothing_holds_it():
+    assert T.buffer((2, 3)) is not T.buffer((2, 3))  # outside a workspace: always new
+    with T.workspace():
+        first = T.buffer((2, 3))
+        first_id = id(first)
+        view = first[1:]
+        del first
+        assert id(T.buffer((2, 3))) != first_id  # its view still holds it
+        del view
+        assert id(T.buffer((2, 3))) == first_id
+        assert id(T.buffer((3, 2))) != first_id  # only an equal shape is reused
+
+
+def test_workspace_buffer_held_by_a_closure_is_not_reused():
+    """A backward closure that holds a forward's buffer, and nothing else
+    does, keeps it from being handed out again until the closure dies."""
+
+    def forward():
+        states = T.buffer((2, 3))
+
+        def backward():
+            return states
+
+        return backward
+
+    with T.workspace():
+        backward = forward()
+        held_id = id(backward())
+        assert id(T.buffer((2, 3))) != held_id
+        del backward
+        assert id(T.buffer((2, 3))) == held_id
 
 
 def test_debug_finite_mode():

@@ -1,3 +1,7 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -177,6 +181,52 @@ def test_best_epoch_restoration():
     _, state = TR.train(model, bundle, cfg=TR.TrainConfig(epochs=3, seed=5))
     assert state.best_epoch >= 0
     assert state.best_val_acc == max(state.val_history)
+
+
+def test_step_graph_dies_before_optimizer_step(monkeypatch):
+    logits, checked = [], []
+    forward, step = B.forward, TR.Adam.step
+
+    def keep_forward(model, images):
+        out = forward(model, images)
+        logits.append(weakref.ref(out.data))
+        return out
+
+    def check_step(self, lr):
+        checked.append(logits[-1]() is None)
+        step(self, lr)
+
+    monkeypatch.setattr(B, "forward", keep_forward)
+    monkeypatch.setattr(TR.Adam, "step", check_step)
+    TR.train(tiny_model(family="vim"), tiny_bundle(), cfg=TR.TrainConfig(batch=8, epochs=2))
+    assert checked == [True] * 6
+
+
+def test_concurrent_trainings_match_sequential_runs():
+    """Grad mode is per thread: one training's validation under no_grad does
+    not stop another thread's training from recording its graph."""
+    bundle = tiny_bundle(train=96, val=64)
+    cfg = TR.TrainConfig(batch=16, epochs=3, seed=4)
+    families = ("vim", "vssd")
+    sequential = [TR.train(tiny_model(family=f), bundle, cfg=cfg)[1].loss_history
+                  for f in families]
+    concurrent = [None, None]
+
+    def run(i):
+        concurrent[i] = TR.train(tiny_model(family=families[i]), bundle, cfg=cfg)[1].loss_history
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the two trainings densely
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert concurrent == sequential
 
 
 # -- evaluation ---------------------------------------------------------------------
