@@ -114,15 +114,15 @@ class ModelConfig:
         return self.patch + 2 if self.overlap else self.patch
 
 
+DESK = dict(embed_dim=16, depth=2, state_dim=4)  # every desk preset's sizes
 PRESETS = {
     # full-scale structural reference point (parameter count check only)
     "vim-tiny": dict(family="vim", image_h=224, image_w=224, channels=3,
                      patch=16, embed_dim=192, depth=24, state_dim=16),
     # desk-scale configs: 32x32 grayscale, 8x8 patch grid, minute-scale CPU training
-    "desk-vim": dict(family="vim", embed_dim=16, depth=2, state_dim=4),
-    "desk-mambavision": dict(family="mambavision", embed_dim=16, depth=2,
-                             state_dim=4, overlap=True),
-    "desk-vssd": dict(family="vssd", embed_dim=16, depth=2, state_dim=4),
+    "desk-vim": dict(family="vim", **DESK),
+    "desk-mambavision": dict(family="mambavision", **DESK, overlap=True),
+    "desk-vssd": dict(family="vssd", **DESK),
 }
 
 

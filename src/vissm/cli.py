@@ -2,15 +2,18 @@
 
 One subcommand per pipeline stage: kernel benchmarks, scan-order rendering,
 data synthesis, training, evaluation, feature export, and the full
-cross-generator experiment. Every command that produces artifacts writes the
-fully resolved configuration next to them, so a run can be reproduced from
-its output directory alone.
+cross-generator experiment. Once a handler returns, ``main`` writes the run
+record, the fully resolved options under the command's name, as the run's
+last file: ``<out>/resolved_config.json`` where ``--out`` is a directory,
+``<out>.config.json`` for ``export-features``, none for ``scan-show``. So a
+run can be reproduced from its output directory alone.
 
 Each option is declared once: in ``COMMANDS``, or in a group that several
 commands splice in (``CORPUS``, ``TRAINING``, ``DATA``, ``CHECKPOINT``).
-Options may also come from a plain-text config file (``key = value`` lines,
-``#`` comments), each parsed like its flag by ``Option.parse``; explicit flags
-override them.
+A default is the value it stands for: ``train`` builds ``blocks.DESK`` with
+``ModelConfig``'s scan unless told otherwise. Options may also come from a
+plain-text config file (``key = value`` lines, ``#`` comments), each parsed
+like its flag by ``Option.parse``; explicit flags override them.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 correctness
 failure (a benchmark cross-check did not hold).
@@ -117,10 +120,6 @@ def prepare_outdir(path: str, no_clobber: bool) -> str:
     return path
 
 
-def echo_config(path: str, command: str, resolved: dict) -> None:
-    files.write_json(path, {"schema": "vissm.run_config/1", "command": command, **resolved})
-
-
 def _load_bundle(data_path: str):
     if os.path.isdir(data_path):
         data_path = os.path.join(data_path, "manifest.json")
@@ -132,7 +131,7 @@ def _load_bundle(data_path: str):
 # -- bench-kernels ------------------------------------------------------------------
 
 
-def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
+def cmd_bench_kernels(opt: dict, no_clobber: bool) -> None:
     lengths = [int(n) for n in opt["lengths"].split(",")]
     outdir = prepare_outdir(opt["out"], no_clobber)
     rng = SplitMix64(hash_combine(opt["seed"], 0xBE7C4))
@@ -196,9 +195,7 @@ def cmd_bench_kernels(opt: dict, no_clobber: bool) -> int:
     files.write_json(os.path.join(outdir, "bench.json"), report)
     files.write_csv(os.path.join(outdir, "bench.csv"), ["method", "length", "seconds"],
               [(m, l, f"{s:.6f}") for m, l, s in rows])
-    echo_config(os.path.join(outdir, "resolved_config.json"), "bench-kernels", opt)
     print(f"wrote {outdir}/bench.json and bench.csv")
-    return 0
 
 
 # -- scan-show ---------------------------------------------------------------------
@@ -215,7 +212,7 @@ def _ppm_heatmap(grid: np.ndarray, path: str) -> None:
     files.write_netpbm(path, np.stack([r, g, b], axis=-1))
 
 
-def cmd_scan_show(opt: dict) -> int:
+def cmd_scan_show(opt: dict) -> None:
     scan = _usage(scan2d.make_scan, opt["strategy"], opt["height"], opt["width"],
                   win=opt["win"], stride=opt["stride"])
     orders = scan.directions
@@ -231,7 +228,6 @@ def cmd_scan_show(opt: dict) -> int:
     if opt["ppm"]:
         _ppm_heatmap(scan2d.rank_grid(orders[0]), opt["ppm"])
         print(f"wrote {opt['ppm']}")
-    return 0
 
 
 # -- make-data ---------------------------------------------------------------------
@@ -245,7 +241,7 @@ def _corpus(opt: dict) -> dict:
     return corpus
 
 
-def cmd_make_data(opt: dict, no_clobber: bool) -> int:
+def cmd_make_data(opt: dict, no_clobber: bool) -> None:
     # beyond the corpus check, make_dataset rejects only image extents below its minimum
     bundle = _usage(make_dataset, seed=opt["seed"], h=opt["height"], w=opt["width"],
                     **_corpus(opt))
@@ -256,11 +252,9 @@ def cmd_make_data(opt: dict, no_clobber: bool) -> int:
         for ds in bundle.test_subsets:
             for i in range(min(opt["dump_pgm"], len(ds))):
                 write_pgm(ds.images[i], os.path.join(sample_dir, f"{ds.subset_tag}_{i}.pgm"))
-    echo_config(os.path.join(outdir, "resolved_config.json"), "make-data", opt)
     print(f"wrote {outdir}/manifest.json "
           f"(train {len(bundle.train)}, val {len(bundle.val)}, "
           f"test {len(bundle.test_subsets)}x{opt['test']})")
-    return 0
 
 
 # -- train -------------------------------------------------------------------------
@@ -270,11 +264,10 @@ def _train_config(opt: dict, seed: int) -> TR.TrainConfig:
     return _usage(TR.TrainConfig, seed=seed, **{o.key: opt[o.key] for o in TRAINING})
 
 
-def cmd_train(opt: dict, no_clobber: bool) -> int:
+def cmd_train(opt: dict, no_clobber: bool) -> None:
     train_cfg = _train_config(opt, opt["seed"])
-    # 0 and "" leave the preset's value in place
-    overrides = {k: opt[k] for k in ("embed_dim", "depth", "state_dim", "scan") if opt[k]}
-    cfg = _usage(B.config_from_preset, f"desk-{opt['family']}", **overrides)
+    cfg = _usage(B.config_from_preset, f"desk-{opt['family']}",
+                 **{key: opt[key] for key in (*B.DESK, "scan")})
     bundle = _load_bundle(opt["data"])
     # a model that does not fit the data's image extents is a runtime error
     cfg = replace(cfg, image_h=bundle.manifest["image"]["h"],
@@ -285,7 +278,7 @@ def cmd_train(opt: dict, no_clobber: bool) -> int:
     model, state = TR.train(model, bundle, cfg=train_cfg,
                             state_path=os.path.join(outdir, "train_state.bin"))
 
-    ckpt = os.path.join(outdir, "checkpoint.bin")
+    ckpt = os.path.join(outdir, CHECKPOINT_NAME)
     B.save_checkpoint(model, ckpt)
     files.write_csv(os.path.join(outdir, "loss_history.csv"), ["step", "loss"],
               [(i, repr(loss)) for i, loss in enumerate(state.loss_history)])
@@ -295,16 +288,14 @@ def cmd_train(opt: dict, no_clobber: bool) -> int:
                "val_history": state.val_history,
                "steps": state.step}
     files.write_json(os.path.join(outdir, "train_summary.json"), summary)
-    echo_config(os.path.join(outdir, "resolved_config.json"), "train", opt)
     print(f"best val acc {state.best_val_acc:.4f} (epoch {state.best_epoch}); "
           f"wrote {ckpt}")
-    return 0
 
 
 # -- eval --------------------------------------------------------------------------
 
 
-def cmd_eval(opt: dict, no_clobber: bool) -> int:
+def cmd_eval(opt: dict, no_clobber: bool) -> None:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
     outdir = prepare_outdir(opt["out"], no_clobber)
@@ -314,17 +305,15 @@ def cmd_eval(opt: dict, no_clobber: bool) -> int:
     files.write_csv(os.path.join(outdir, "eval_report.csv"), ["subset", "accuracy"],
               [(tag, f"{report.per_subset[tag]:.6f}") for tag in sorted(report.per_subset)]
               + [("mean", f"{report.mean_accuracy:.6f}")])
-    echo_config(os.path.join(outdir, "resolved_config.json"), "eval", opt)
     for tag in sorted(report.per_subset):
         print(f"{tag}: {report.per_subset[tag]:.4f}")
     print(f"mean: {report.mean_accuracy:.4f}")
-    return 0
 
 
 # -- export-features ------------------------------------------------------------------
 
 
-def cmd_export_features(opt: dict) -> int:
+def cmd_export_features(opt: dict) -> None:
     bundle = _load_bundle(opt["data"])
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
@@ -335,15 +324,13 @@ def cmd_export_features(opt: dict) -> int:
         ds = getattr(bundle, opt["split"])
         images, tags, labels = ds.images, [ds.subset_tag] * len(ds), ds.labels
     count = TR.export_features(model, images, tags, labels, opt["out"])
-    echo_config(opt["out"] + ".config.json", "export-features", opt)
     print(f"wrote {count} feature rows to {opt['out']}")
-    return 0
 
 
 # -- cross-gen -------------------------------------------------------------------------
 
 
-def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
+def cmd_cross_gen(opt: dict, no_clobber: bool) -> None:
     families = opt["families"].split(",")
     seeds = [int(s) for s in opt["seeds"].split(",")]
     train_cfg, corpus = _train_config(opt, 0), _corpus(opt)
@@ -360,12 +347,10 @@ def cmd_cross_gen(opt: dict, no_clobber: bool) -> int:
               [(row["family"], row["seed"], tag, f"{acc:.6f}")
                for row in bundle_report["results"]
                for tag, acc in sorted(row["per_subset"].items())])
-    echo_config(os.path.join(outdir, "resolved_config.json"), "cross-gen", opt)
     for family, agg in bundle_report["aggregates"].items():
         ind, ood = agg["in_distribution"], agg["out_of_distribution"]
         print(f"{family}: in-dist {ind['mean']:.3f}+/-{ind['sd']:.3f}  "
               f"ood {ood['mean']:.3f}+/-{ood['sd']:.3f}")
-    return 0
 
 
 # -- wiring -------------------------------------------------------------------------------
@@ -388,8 +373,6 @@ class Option(NamedTuple):
 
     def parse(self, text: str):
         """A flag's or a config-file line's text as the option's value."""
-        if text == str(self.default):  # so `--scan ""` keeps the preset's scan
-            return self.default
         entries = text.split(",") if self.item else [text]
         values = [self._entry(entry) for entry in entries]
         if self.item and ("" in entries or len(set(values)) < len(values)):
@@ -411,7 +394,7 @@ class Option(NamedTuple):
 
 
 class Command(NamedTuple):
-    handler: Callable[..., int]  # (opt) or, where --no-clobber acts, (opt, no_clobber)
+    handler: Callable[..., None]  # (opt[, no_clobber]); ``main`` writes the record
     help: str
     options: tuple
 
@@ -430,8 +413,10 @@ TRAINING = (
     Option("batch", TR.TrainConfig.batch),
     Option("lr", TR.TrainConfig.lr),
 )
-DATA = Option("data", "data_out", "dataset directory or manifest path")
-CHECKPOINT = Option("checkpoint", "train_out/checkpoint.bin")
+# make-data's and train's --out defaults, and the file train writes its checkpoint to
+DATA_OUT, TRAIN_OUT, CHECKPOINT_NAME = "data_out", "train_out", "checkpoint.bin"
+DATA = Option("data", DATA_OUT, "dataset directory or manifest path")
+CHECKPOINT = Option("checkpoint", os.path.join(TRAIN_OUT, CHECKPOINT_NAME))
 
 COMMANDS = {
     "bench-kernels": Command(cmd_bench_kernels, "cross-check and time the kernel routes", (
@@ -460,18 +445,16 @@ COMMANDS = {
         Option("height", 32),
         Option("width", 32),
         Option("dump_pgm", 0, "also write N sample PGMs per subset", above=-1),
-        Option("out", "data_out"),
+        Option("out", DATA_OUT),
     )),
     "train": Command(cmd_train, "train a detector on a dataset manifest", (
         DATA,
         Option("family", "vim", choices=B.FAMILIES),
         Option("seed", 0),
         *TRAINING,
-        Option("embed_dim", 0),
-        Option("depth", 0),
-        Option("state_dim", 0),
-        Option("scan", "", choices=scan2d.STRATEGIES),
-        Option("out", "train_out"),
+        *(Option(key, size) for key, size in B.DESK.items()),
+        Option("scan", B.ModelConfig.scan, choices=scan2d.STRATEGIES),
+        Option("out", TRAIN_OUT),
     )),
     "eval": Command(cmd_eval, "evaluate a checkpoint on the test subsets", (
         CHECKPOINT,
@@ -518,7 +501,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         flags = {"no_clobber": args.no_clobber} if "no_clobber" in vars(args) else {}
-        return COMMANDS[args.command].handler(resolve_options(args), **flags)
+        opt = resolve_options(args)
+        COMMANDS[args.command].handler(opt, **flags)
+        if "out" in opt:  # the run record; --out is a directory where --no-clobber acts
+            path = (os.path.join(opt["out"], "resolved_config.json") if flags
+                    else opt["out"] + ".config.json")
+            files.write_json(path, {"schema": "vissm.run_config/1", "command": args.command,
+                                    **opt})
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,10 +10,10 @@ A MultiScan bundles one or more orders over the same grid; the models sum
 the per-direction outputs on the grid. ``make_scan`` always returns one, and
 returns the same one for the same arguments, so a model's forwards share it.
 ``MultiScan.groups`` lists what a model runs its core on: each direction, or
-each distinct set of visited cells (``cell_sets``), for cores whose output
-does not depend on the visiting order. Both lists, and which of their orders
-is the identity, are computed once, when the scan is built. Every index array
-of a scan is read-only, so a shared scan cannot be changed under its users.
+each distinct set of visited cells, for cores whose output does not depend
+on the visiting order. Both lists, and which of their orders is the
+identity, are computed once, when the scan is built. Every index array of a
+scan is read-only, so a shared scan cannot be changed under its users.
 """
 
 from __future__ import annotations
@@ -85,16 +85,12 @@ class MultiScan:
     def w(self):
         return self.directions[0].w
 
-    def cell_sets(self) -> tuple:
-        """(cells, count) per distinct set of visited cells, in order of first
-        appearance: the set's flat raster indices, sorted, and how many
-        directions visit exactly that set."""
-        return tuple((cells, count) for cells, count, _ in self._groups[1])
-
     def groups(self, equivariant: bool = False) -> tuple:
         """(order, count, identity) per run of a sequence core: each direction
-        with count 1, or, when ``equivariant``, each of ``cell_sets``.
-        ``identity`` marks an order that visits every cell in raster order."""
+        with count 1, or, when ``equivariant``, each distinct set of visited
+        cells, in order of first appearance, as its flat raster indices sorted,
+        with how many directions visit exactly that set. ``identity`` marks an
+        order that visits every cell in raster order."""
         return self._groups[equivariant]
 
 

@@ -72,11 +72,15 @@ class no_grad:
 class workspace:
     """Context manager under which ``buffer`` reuses, in the calling thread,
     the arrays it has handed out once no live array holds them. The buffers
-    are released when the scope exits."""
+    belong to the workspace object: entering it again hands out the same
+    ones, and they are released when the object is dropped."""
+
+    def __init__(self):
+        self._pool = []
 
     def __enter__(self):
         self._prev = _thread.pool
-        _thread.pool = []
+        _thread.pool = self._pool
         return self
 
     def __exit__(self, *exc):

@@ -163,9 +163,9 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     load_train_state and continues the exact uninterrupted trajectory.
 
     Each step's graph is dropped once its backward pass has run, before the
-    optimizer step, and each epoch's steps run inside a ``T.workspace`` that
-    hands the large buffers of the fused scans and convs from one step to the
-    next and is released before the epoch's validation.
+    optimizer step, and every epoch's steps run inside one ``T.workspace``
+    that hands the large buffers of the fused scans and convs from one step
+    to the next, across epochs; validation runs outside it, unpooled.
     """
     train_ds, val = bundle.train, bundle.val
     cfg = cfg or TrainConfig()
@@ -191,10 +191,11 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
 
     stop_epoch = cfg.epochs if run_until is None else min(run_until, cfg.epochs)
     labels_int = train_ds.labels.astype(np.intp)
+    workspace = T.workspace()  # each step's large buffers serve the next step
     for epoch in range(start_epoch, stop_epoch):
         order = list(range(n))
         rng.shuffle(order)
-        with T.workspace():  # each step's large buffers serve the next step
+        with workspace:
             for lo in range(0, n, cfg.batch):
                 idx = order[lo:lo + cfg.batch]
                 logits = B.forward(model, train_ds.images[idx])

@@ -345,7 +345,7 @@ def test_forwards_share_one_scan_built_once(monkeypatch):
     assert built == [(8, 8)]
     assert len(returned) == 4 and all(s is returned[0] for s in returned)
     order = returned[0].directions[1]
-    cells, _ = returned[0].cell_sets()[0]
+    cells, _, _ = returned[0].groups(equivariant=True)[0]
     for arr in (order.order, order.inverse, cells):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

@@ -280,6 +280,23 @@ def test_cross_gen_rejects_bad_lists_before_output(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, text", [("embed_dim", "0"), ("depth", "0"), ("state_dim", "0"),
+                                       ("scan", "")])
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_train_zero_size_or_empty_scan_is_usage_error_before_output(tiny_data, tmp_path, capsys,
+                                                                    key, text, route):
+    out, cfgfile = tmp_path / "run", tmp_path / "opts.cfg"
+    argv = ["train", "--data", str(tiny_data), "--out", str(out)]
+    if route == "flag":
+        argv += ["--" + key.replace("_", "-"), text]
+    else:
+        cfgfile.write_text(f"{key} = {text}\n")
+        argv += ["--config", str(cfgfile)]
+    assert run(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("make_flags, train_flags", [
     (["--height", "30"], []),  # patch 4 does not divide 30
     (["--height", "36", "--width", "36"], ["--scan", "local"]),  # window 2, 9x9 grid
@@ -370,6 +387,12 @@ def test_shared_option_keys_have_one_declaration():
     scan_show = {opt.key: opt.default for opt in cli.COMMANDS["scan-show"].options}
     for key in ("win", "stride"):
         assert scan_show[key] == scan_defaults[key].default, key
+    # train builds, by default, what every desk preset builds
+    train = {opt.key: opt.default for opt in cli.COMMANDS["train"].options}
+    for family in B.FAMILIES:
+        cfg = B.config_from_preset(f"desk-{family}")
+        for key in ("embed_dim", "depth", "state_dim", "scan"):
+            assert train[key] == getattr(cfg, key), (family, key)
 
 
 def _other_value(opt):
@@ -508,11 +531,12 @@ def test_exit_code_contract_over_the_option_table(fuzz_inputs, draw):
 # -- options and flags act where they are accepted -----------------------------------
 
 
-def _tiny_argv(name, inputs, out):
-    """``name`` with every declared option set to a small valid text, and its
-    output path (``--out``, or scan-show's ``--ppm``) to ``out``."""
+def _tiny_argv(name, inputs, out, unset=()):
+    """``name`` with every declared option but those in ``unset`` set to a
+    small valid text, and its output path (``--out``, or scan-show's
+    ``--ppm``) to ``out``."""
     texts = {**FUZZ_VALID, **inputs, "out": out, "ppm": out}
-    return [name] + [arg for opt in cli.COMMANDS[name].options
+    return [name] + [arg for opt in cli.COMMANDS[name].options if opt.key not in unset
                      for arg in ("--" + opt.key.replace("_", "-"),
                                  texts.get(opt.key, str(opt.default)))]
 
@@ -543,8 +567,41 @@ def test_every_declared_option_is_read(fuzz_inputs, tmp_path, monkeypatch, name)
     assert {opt.key for opt in cli.COMMANDS[name].options} - resolved[0].read == set()
 
 
-@pytest.mark.parametrize("name", [name for name, command in cli.COMMANDS.items()
-                                  if any(opt.key == "out" for opt in command.options)])
+RECORDED = [name for name, command in cli.COMMANDS.items()
+            if any(opt.key == "out" for opt in command.options)]
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_run_record_is_the_resolved_options_and_the_last_file_written(fuzz_inputs, tmp_path,
+                                                                      monkeypatch, name):
+    written, resolved = [], []
+    write, resolve = cli.files.write_bytes, cli.resolve_options
+
+    def recording_write(path, data):
+        written.append(os.fspath(path))
+        write(path, data)
+
+    def recording_resolve(args):
+        resolved.append(resolve(args))
+        return resolved[-1]
+
+    monkeypatch.setattr(cli.files, "write_bytes", recording_write)
+    monkeypatch.setattr(cli, "resolve_options", recording_resolve)
+    out = str(tmp_path / "out")
+    model_keys = ("embed_dim", "depth", "state_dim", "scan")  # train's, left at their defaults
+    assert run(_tiny_argv(name, fuzz_inputs[1], out, unset=model_keys)) == 0
+    directory = "no_clobber" in inspect.signature(cli.COMMANDS[name].handler).parameters
+    path = os.path.join(out, "resolved_config.json") if directory else out + ".config.json"
+    assert written[-1] == path
+    record = json.loads(Path(path).read_text())
+    assert record == {"schema": "vissm.run_config/1", "command": name, **resolved[0]}
+    if name == "train":  # the record names the model the checkpoint holds
+        built = json.loads(Path(out, "checkpoint.bin.json").read_text())
+        assert {key: record[key] for key in model_keys} == {key: built[key] for key in model_keys}
+        assert {key: record[key] for key in model_keys} == {**B.DESK, "scan": "raster"}
+
+
+@pytest.mark.parametrize("name", RECORDED)
 def test_empty_out_is_usage_error_before_output(fuzz_inputs, tmp_path, monkeypatch, capsys,
                                                 name):
     monkeypatch.chdir(tmp_path)

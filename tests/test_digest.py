@@ -35,3 +35,8 @@ def test_help_lines_cover_every_command_and_repeat():
     first = digest.case_lines("help")
     assert first == digest.case_lines("help")
     assert [line.split()[1] for line in first] == ["vissm", *digest.cli.COMMANDS]
+
+
+def test_pipeline_runs_every_command():
+    """So every run record writer stays under the bit-identity check."""
+    assert {argv[0] for _, argv in digest.PIPELINE} == set(digest.cli.COMMANDS)

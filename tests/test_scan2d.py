@@ -258,7 +258,7 @@ def test_make_scan_returns_multiscan_for_every_strategy():
         scan = make_scan(strategy, 4, 4)
         assert isinstance(scan, MultiScan)
         assert len(scan.directions) == counts[strategy]
-        sets = [(cells.tolist(), count) for cells, count in scan.cell_sets()]
+        sets = [(cells.tolist(), count) for cells, count, _ in scan.groups(equivariant=True)]
         if strategy == "efficient":
             # stride 2: four disjoint sets of 4 cells, one direction each
             assert [(len(cells), count) for cells, count in sets] == [(4, 1)] * 4

@@ -3,6 +3,7 @@ import inspect
 import math
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -360,6 +361,18 @@ def test_workspace_buffer_is_reused_only_when_nothing_holds_it():
         del view
         assert id(T.buffer((2, 3))) == first_id
         assert id(T.buffer((3, 2))) != first_id  # only an equal shape is reused
+
+
+def test_workspace_entered_twice_hands_out_the_same_free_buffer():
+    workspace = T.workspace()
+    with workspace:
+        first = weakref.ref(T.buffer((2, 3)))
+    assert T._thread.pool is None
+    assert first() is not None  # the workspace, not the scope, holds its buffers
+    with workspace:
+        assert T.buffer((2, 3)) is first()
+    del workspace
+    assert first() is None
 
 
 def test_workspace_buffer_held_by_a_closure_is_not_reused():
