@@ -442,8 +442,8 @@ COMMANDS = {
     "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", (
         Option("seed", 1),
         *CORPUS,
-        Option("height", 32),
-        Option("width", 32),
+        Option("height", _MAKE_DATASET["h"].default),
+        Option("width", _MAKE_DATASET["w"].default),
         Option("dump_pgm", 0, "also write N sample PGMs per subset", above=-1),
         Option("out", DATA_OUT),
     )),
@@ -468,7 +468,7 @@ COMMANDS = {
         Option("out", "features.csv"),
     )),
     "cross-gen": Command(cmd_cross_gen, "train on one generator, test on all", (
-        Option("families", "vim,mambavision,vssd", "comma-separated model families",
+        Option("families", ",".join(B.FAMILIES), "comma-separated model families",
                choices=B.FAMILIES, item=str),
         Option("seeds", "1,2,3", "comma-separated seeds", item=int),
         *CORPUS,

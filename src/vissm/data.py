@@ -15,8 +15,7 @@ alone; datasets are never stored as pixels unless explicitly exported.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,6 +83,8 @@ def _checker(h: int, w: int) -> np.ndarray:
 
 
 def _base_parts(seed: int, h: int, w: int):
+    if h < 8 or w < 8:
+        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
     rng = SplitMix64(hash_combine(seed, _TAG_BASE))
     field = _smooth_field(rng, h, w)
     noise = rng.normal_array((h, w), 0.0, NOISE_SIGMA)
@@ -92,8 +93,6 @@ def _base_parts(seed: int, h: int, w: int):
 
 def synth_real(seed: int, h: int, w: int) -> np.ndarray:
     """Deterministic pseudo-natural image in [0, 1]."""
-    if h < 8 or w < 8:
-        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
     field, noise = _base_parts(seed, h, w)
     return np.clip(field + noise, 0.0, 1.0)
 
@@ -121,8 +120,6 @@ def synth_fake(seed: int, h: int, w: int, spec: SynthGenSpec) -> np.ndarray:
 
     As artifact_strength -> 0 this converges to synth_real(seed, h, w).
     """
-    if h < 8 or w < 8:
-        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
     field, noise = _base_parts(seed, h, w)
     art = _artifact(seed, h, w, field, spec)
     return np.clip(field + art + noise, 0.0, 1.0)
@@ -136,7 +133,6 @@ class DetectionDataset:
     images: np.ndarray  # (M, H, W) in [0, 1]
     labels: np.ndarray  # (M,) bool, True = fake
     subset_tag: str
-    split: str
 
     def __len__(self):
         return len(self.images)
@@ -150,26 +146,20 @@ class DatasetBundle:
     manifest: dict
 
 
-# disjoint sample-index blocks per (split, subset); 2^20 samples each is
-# far beyond any desk-scale count
+# a manifest's "seed_ranges": the first and last sample index of each disjoint
+# "split/subset" block; 2^20 samples each is far beyond any desk-scale count
 _BLOCK_WIDTH = 1 << 20
-_RANGE_KEYS = (
-    ("train", "real"), ("train", "fake"),
-    ("val", "real"), ("val", "fake"),
-    ("test", "real"),
-    ("test", GENERATORS[0]), ("test", GENERATORS[1]), ("test", GENERATORS[2]),
-)
-_RANGE_OFFSET = {key: i * _BLOCK_WIDTH for i, key in enumerate(_RANGE_KEYS)}
-
-
-def _sample_seed(dataset_seed: int, split: str, subset: str, index: int) -> int:
-    return hash_combine(dataset_seed, _RANGE_OFFSET[(split, subset)] + index)
+SEED_RANGES = {key: [i * _BLOCK_WIDTH, (i + 1) * _BLOCK_WIDTH - 1] for i, key in enumerate((
+    "train/real", "train/fake", "val/real", "val/fake", "test/real",
+    *(f"test/{g}" for g in GENERATORS)))}
+SCHEMA = "vissm.dataset/1"
 
 
 def _gen_block(dataset_seed, split, subset, count, h, w, spec=None):
+    first = SEED_RANGES[f"{split}/{subset}"][0]
     imgs = np.empty((count, h, w))
     for i in range(count):
-        seed = _sample_seed(dataset_seed, split, subset, i)
+        seed = hash_combine(dataset_seed, first + i)
         imgs[i] = synth_real(seed, h, w) if spec is None else synth_fake(seed, h, w, spec)
     return imgs
 
@@ -182,101 +172,94 @@ def check_corpus(train_count: int, val_count: int, test_count: int,
     SynthGenSpec(train_generator, strength)
 
 
+def _spec_list(strength) -> list:
+    """A manifest's "specs": every generator in ``GENERATORS`` at ``strength``."""
+    return [{"generator_id": g, "artifact_strength": strength} for g in GENERATORS]
+
+
 def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
                  h: int = 32, w: int = 32,
                  train_generator: str = "G1_checkerboard",
-                 strength: float = 0.8,
-                 specs: list | None = None) -> DatasetBundle:
-    """Train/val on one generator; test subsets for every generator plus real.
+                 strength: float = 0.8) -> DatasetBundle:
+    """Train/val on one generator; test subsets for real and for every
+    generator in ``GENERATORS``, all fakes drawn at one ``strength``.
 
     train_count / val_count are totals, split evenly between real and fake
     (real gets the extra sample when odd). test_count is per subset. Each
-    (split, subset) pair draws from its own disjoint sample-seed block.
+    (split, subset) pair draws from its own disjoint sample-seed block. The
+    bundle's manifest holds these arguments, and ``load_manifest`` reads only
+    manifests of that form.
     """
     check_corpus(train_count, val_count, test_count, train_generator, strength)
-    if specs is None:
-        specs = [SynthGenSpec(g, strength) for g in GENERATORS]
-    if not specs:
-        raise ValueError("at least one generator spec is required")
-    by_id = {s.generator_id: s for s in specs}
-    if train_generator not in by_id:
-        raise ValueError(f"training generator {train_generator!r} not in specs")
-    train_spec = by_id[train_generator]
+    specs = {g: SynthGenSpec(g, strength) for g in GENERATORS}
 
     def mixed(split, total):
         n_real = (total + 1) // 2
         n_fake = total - n_real
         reals = _gen_block(seed, split, "real", n_real, h, w)
-        fakes = _gen_block(seed, split, "fake", n_fake, h, w, train_spec)
+        fakes = _gen_block(seed, split, "fake", n_fake, h, w, specs[train_generator])
         images = np.concatenate([reals, fakes])
         labels = np.concatenate([np.zeros(n_real, bool), np.ones(n_fake, bool)])
-        return DetectionDataset(images, labels, subset_tag=f"real+{train_generator}",
-                                split=split)
+        return DetectionDataset(images, labels, subset_tag=f"real+{train_generator}")
 
     train = mixed("train", train_count)
     val = mixed("val", val_count)
 
-    tests = [DetectionDataset(
-        _gen_block(seed, "test", "real", test_count, h, w),
-        np.zeros(test_count, bool), subset_tag="real", split="test")]
-    for s in specs:
-        tests.append(DetectionDataset(
-            _gen_block(seed, "test", s.generator_id, test_count, h, w, s),
-            np.ones(test_count, bool), subset_tag=s.generator_id, split="test"))
+    # specs has no "real" entry, so the real subset draws with spec None
+    tests = [DetectionDataset(_gen_block(seed, "test", tag, test_count, h, w, specs.get(tag)),
+                              np.full(test_count, tag != "real"), subset_tag=tag)
+             for tag in ("real", *GENERATORS)]
 
     manifest = {
-        "schema": "vissm.dataset/1",
+        "schema": SCHEMA,
         "seed": seed,
         "image": {"h": h, "w": w},
         "counts": {"train": train_count, "val": val_count, "test_per_subset": test_count},
         "train_generator": train_generator,
-        "specs": [{"generator_id": s.generator_id,
-                   "artifact_strength": s.artifact_strength} for s in specs],
-        "seed_ranges": {f"{sp}/{su}": [_RANGE_OFFSET[(sp, su)],
-                                       _RANGE_OFFSET[(sp, su)] + _BLOCK_WIDTH - 1]
-                        for sp, su in _RANGE_KEYS},
+        "specs": _spec_list(strength),
+        "seed_ranges": {key: list(ends) for key, ends in SEED_RANGES.items()},
     }
     return DatasetBundle(train=train, val=val, test_subsets=tests, manifest=manifest)
 
 
-def _manifest_value(doc: dict, name: str, kinds: tuple, path) -> object:
-    """The value under the dotted key ``name``; ValueError naming the key if it
-    is missing or of another type (exact types: neither a bool nor a float is
-    an int)."""
-    value = doc
-    for key in name.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"{path}: manifest key {name!r} is missing")
-        value = value[key]
-    if type(value) not in kinds:
-        raise ValueError(f"{path}: manifest key {name!r} must be "
-                         f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
+_MANIFEST_KINDS = {
+    "schema": str, "seed": int, "image": {"h": int, "w": int},
+    "counts": {"train": int, "val": int, "test_per_subset": int},
+    "train_generator": str, "specs": list, "seed_ranges": dict,
+}
 
 
 def load_manifest(path) -> dict:
-    """Read a manifest and check every value that ``dataset_from_manifest`` uses."""
+    """A manifest ``make_dataset`` could have written: exactly the keys and types
+    of ``_MANIFEST_KINDS``, the values it always writes and one strength for every
+    generator. ValueError naming the file and key if not; value ranges are left
+    to ``make_dataset``."""
     with open(path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or manifest.get("schema") != "vissm.dataset/1":
-        raise ValueError(f"{path} is not a dataset manifest (schema mismatch)")
-    for name in ("seed", "counts.train", "counts.val", "counts.test_per_subset",
-                 "image.h", "image.w"):
-        _manifest_value(manifest, name, (int,), path)
-    if manifest.get("train_generator") not in GENERATORS:
-        raise ValueError(f"{path}: manifest key 'train_generator' must be one of "
-                         f"{GENERATORS}, got {manifest.get('train_generator')!r}")
-    for i, spec in enumerate(_manifest_value(manifest, "specs", (list,), path)):
-        if not isinstance(spec, dict) or set(spec) != {"generator_id", "artifact_strength"}:
-            raise ValueError(f"{path}: manifest key 'specs' entry {i} must hold exactly "
-                             f"generator_id and artifact_strength, got {spec!r}")
-        _manifest_value(spec, "artifact_strength", (float, int), path)
+        text = fh.read()
+    try:
+        manifest = files.json_object(text, _MANIFEST_KINDS, _MANIFEST_KINDS, "manifest")
+        specs = manifest["specs"]
+        strength = specs[0].get("artifact_strength") if specs and type(specs[0]) is dict else None
+        for key, ok, want in (
+                ("schema", manifest["schema"] == SCHEMA, f"must be {SCHEMA!r}"),
+                ("train_generator", manifest["train_generator"] in GENERATORS,
+                 f"must be one of {GENERATORS}"),
+                ("specs", type(strength) in (int, float) and specs == _spec_list(strength)
+                 and {type(spec["artifact_strength"]) for spec in specs} == {type(strength)},
+                 f"must list every generator of {GENERATORS} in order at one "
+                 f"int or float artifact_strength"),
+                ("seed_ranges", manifest["seed_ranges"] == SEED_RANGES,
+                 "must equal the sample-index blocks make_dataset draws from")):
+            if not ok:
+                raise ValueError(f"manifest key {key!r} {want}, got {manifest[key]!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return manifest
 
 
 def dataset_from_manifest(manifest: dict) -> DatasetBundle:
-    """Regenerate the full bundle; bit-identical for equal manifests."""
-    specs = [SynthGenSpec(**s) for s in manifest["specs"]]
+    """Regenerate the full bundle from a ``load_manifest`` result; bit-identical
+    for equal manifests."""
     return make_dataset(
         seed=manifest["seed"],
         train_count=manifest["counts"]["train"],
@@ -284,7 +267,7 @@ def dataset_from_manifest(manifest: dict) -> DatasetBundle:
         test_count=manifest["counts"]["test_per_subset"],
         h=manifest["image"]["h"], w=manifest["image"]["w"],
         train_generator=manifest["train_generator"],
-        specs=specs,
+        strength=manifest["specs"][0]["artifact_strength"],
     )
 
 

@@ -1,4 +1,5 @@
-"""Every file the library writes, and the binary container that holds arrays.
+"""Every file the library writes, the binary container that holds arrays, and
+the one check of every JSON object it reads (``json_object``).
 
 Each write goes to a temporary name beside its target and is then moved over
 it with ``os.replace``, so a write that fails midway leaves the previous file
@@ -65,19 +66,29 @@ def write_netpbm(path, pixels: np.ndarray) -> None:
 def json_object(text: str, kinds: dict, required, what: str) -> dict:
     """The JSON object in ``text``; ValueError naming the key if a ``required``
     key is missing, a key is not in ``kinds`` or its value is not exactly of
-    that type (neither a bool nor a float is an int). ``what`` names it."""
+    that type (neither a bool nor a float is an int). A dict kind is a nested
+    object whose keys are all required; messages name them by dotted path
+    (``'counts.train'``). ``what`` names the object."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
-    for key in sorted(set(raw) | set(required)):
-        if key not in raw:
-            raise ValueError(f"{what} key {key!r} is missing")
-        if key not in kinds:
-            raise ValueError(f"unknown {what} key {key!r}")
-        if type(raw[key]) is not kinds[key]:
-            raise ValueError(f"{what} {key!r} must be a {kinds[key].__name__}, "
-                             f"got {raw[key]!r}")
+    _check_keys(raw, kinds, required, what, "")
     return raw
+
+
+def _check_keys(raw: dict, kinds: dict, required, what: str, prefix: str) -> None:
+    for key in sorted(set(raw) | set(required)):
+        name, kind = prefix + key, kinds.get(key)
+        if key not in raw:
+            raise ValueError(f"{what} key {name!r} is missing")
+        if kind is None:
+            raise ValueError(f"unknown {what} key {name!r}")
+        if isinstance(kind, dict):
+            if type(raw[key]) is not dict:
+                raise ValueError(f"{what} key {name!r} must be an object, got {raw[key]!r}")
+            _check_keys(raw[key], kind, kind, what, name + ".")
+        elif type(raw[key]) is not kind:
+            raise ValueError(f"{what} key {name!r} must be {kind.__name__}, got {raw[key]!r}")
 
 
 # -- the array container ------------------------------------------------------------

@@ -238,7 +238,10 @@ class EvalReport:
     schema: str = "vissm.eval_report/1"
 
 
-def evaluate(model: B.Model, subsets: list, seeds=None, batch: int = 64) -> EvalReport:
+EVAL_BATCH = 64  # images per no-grad forward in evaluate and export_features
+
+
+def evaluate(model: B.Model, subsets: list, seeds=None, batch: int = EVAL_BATCH) -> EvalReport:
     """The model's per-subset accuracy plus the unweighted mean over subsets."""
     if not subsets:
         raise ValueError("no test subsets given")
@@ -322,7 +325,7 @@ def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConf
 
 
 def export_features(model: B.Model, images: np.ndarray, tags, labels, path,
-                    batch: int = 64) -> int:
+                    batch: int = EVAL_BATCH) -> int:
     """Penultimate-layer features as CSV: subset_tag, label, f_0..f_{D-1}.
 
     Floats are written with repr-exact formatting so re-exports are

@@ -335,6 +335,36 @@ def test_train_on_mistyped_manifest_is_runtime_error(tiny_data, tmp_path, capsys
     assert not out.exists()
 
 
+# hand edits that leave every key well typed, but describe no corpus make_dataset draws
+NOT_MAKE_DATASETS = {
+    "generator-twice": lambda m: m["specs"].append(m["specs"][0]),
+    "generator-dropped": lambda m: m["specs"].pop(1),
+    "generators-reordered": lambda m: m["specs"].reverse(),
+    "strength-per-generator": lambda m: m["specs"][2].update(artifact_strength=0.5),
+    "seed-ranges-edited": lambda m: m["seed_ranges"]["test/real"].reverse(),
+    "unknown-key": lambda m: m.update(note="hand edited"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit", NOT_MAKE_DATASETS.values(), ids=NOT_MAKE_DATASETS.keys())
+def test_manifest_make_dataset_did_not_write_is_runtime_error(tiny_data, tmp_path, capsys,
+                                                              command, edit):
+    path = tiny_data / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    argv = [command, "--data", str(tiny_data), "--out", str(out)]
+    if command == "eval":
+        ckpt = tmp_path / "model.ckpt"
+        B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=0), ckpt)
+        argv += ["--checkpoint", str(ckpt)]
+    assert run(argv) == 2
+    assert f"{path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_data_bad_strength_leaves_no_output(tmp_path):
     out = tmp_path / "d"
     assert run(["make-data", "--out", str(out), "--strength", "2"]) == 1
@@ -383,6 +413,13 @@ def test_shared_option_keys_have_one_declaration():
     for opt in cli.CORPUS:
         if opt.key in corpus_defaults:
             assert opt.default == corpus_defaults[opt.key].default, opt.key
+    make_data = {opt.key: opt.default for opt in cli.COMMANDS["make-data"].options}
+    assert (make_data["height"], make_data["width"]) == (corpus_defaults["h"].default,
+                                                         corpus_defaults["w"].default)
+    cross_gen = {opt.key: opt.default for opt in cli.COMMANDS["cross-gen"].options}
+    assert cross_gen["families"] == ",".join(B.FAMILIES)
+    for fn in (TR.evaluate, TR.export_features):
+        assert inspect.signature(fn).parameters["batch"].default is TR.EVAL_BATCH, fn
     scan_defaults = inspect.signature(scan2d.make_scan).parameters
     scan_show = {opt.key: opt.default for opt in cli.COMMANDS["scan-show"].options}
     for key in ("win", "stride"):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import analytic_g1_detector
 from vissm import data as D
@@ -149,13 +151,14 @@ def test_manifest_schema_guard(tmp_path):
     (("seed",), 1.5, "'seed' must be int"),
     (("seed",), True, "'seed' must be int"),
     (("image", "h"), "32", "'image.h' must be int"),
-    (("image",), [32, 32], "'image.h' is missing"),
+    (("image",), [32, 32], "'image' must be an object"),
     (("counts", "val"), None, "'counts.val' must be int"),
     (("train_generator",), "G9_unknown", "'train_generator' must be one of"),
     (("specs",), {}, "'specs' must be list"),
-    (("specs", 0, "artifact_strength"), "0.8", "'artifact_strength' must be float"),
-    (("specs", 1), {"generator_id": "G2_ringing"}, "'specs' entry 1"),
+    (("specs", 0, "artifact_strength"), "0.8", "'specs' must list"),
+    (("specs", 1), {"generator_id": "G2_ringing"}, "'specs' must list"),
     (("counts", "test_per_subset"), KeyError, "'counts.test_per_subset' is missing"),
+    (("image", "d"), 1, "unknown manifest key 'image.d'"),
 ])
 def test_manifest_values_are_checked_on_load(tmp_path, keys, value, message):
     manifest = make_dataset(seed=2, train_count=2, val_count=2, test_count=1).manifest
@@ -173,11 +176,43 @@ def test_manifest_values_are_checked_on_load(tmp_path, keys, value, message):
         D.load_manifest(path)
 
 
+@pytest.mark.parametrize("other", [True, 1.0])
+def test_manifest_strengths_share_one_type(tmp_path, other):
+    # True == 1 == 1.0 in Python, but make_dataset writes one strength of one type
+    manifest = make_dataset(seed=2, train_count=2, val_count=2, test_count=1,
+                            strength=1).manifest
+    manifest["specs"][2]["artifact_strength"] = other
+    path = tmp_path / "manifest.json"
+    write_json(path, manifest)
+    with pytest.raises(ValueError, match="'specs' must list"):
+        D.load_manifest(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), counts=st.tuples(*[st.integers(1, 5)] * 3),
+       h=st.integers(8, 12), w=st.integers(8, 12), train_generator=st.sampled_from(D.GENERATORS),
+       strength=st.sampled_from([1, 1.0, 0.8]) | st.floats(0.01, 1.0))
+def test_every_manifest_make_dataset_writes_loads_and_regenerates(
+        tmp_path_factory, seed, counts, h, w, train_generator, strength):
+    bundle = make_dataset(seed, *counts, h=h, w=w, train_generator=train_generator,
+                          strength=strength)
+    path = tmp_path_factory.mktemp("m") / "manifest.json"
+    write_json(path, bundle.manifest)
+    manifest = D.load_manifest(path)
+    assert manifest == bundle.manifest
+    assert type(manifest["specs"][0]["artifact_strength"]) is type(strength)
+    again = D.dataset_from_manifest(manifest)
+    assert again.manifest == bundle.manifest
+    for ours, theirs in zip([bundle.train, bundle.val, *bundle.test_subsets],
+                            [again.train, again.val, *again.test_subsets]):
+        assert ours.subset_tag == theirs.subset_tag
+        assert np.array_equal(ours.images, theirs.images)
+        assert np.array_equal(ours.labels, theirs.labels)
+
+
 def test_make_dataset_validation():
     with pytest.raises(ValueError):
         make_dataset(seed=0, train_count=0, val_count=10, test_count=10)
-    with pytest.raises(ValueError):
-        make_dataset(seed=0, train_count=10, val_count=10, test_count=10, specs=[])
     with pytest.raises(ValueError):
         make_dataset(seed=0, train_count=10, val_count=10, test_count=10,
                      train_generator="G9_unknown")

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 from pathlib import Path
 
@@ -59,3 +60,56 @@ def test_write_creates_missing_directories(tmp_path):
     target = tmp_path / "a" / "b" / "rows.csv"
     files.write_csv(target, ["x", "y"], [(1, 2)])
     assert target.read_bytes() == b"x,y\n1,2\n"
+
+
+def test_only_files_module_parses_json():
+    readers = {"load", "loads"}
+
+    def parses(tree):
+        return sorted(node.lineno for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in readers
+                      and isinstance(node.value, ast.Name) and node.value.id == "json"
+                      or isinstance(node, ast.ImportFrom) and node.module == "json"
+                      and readers & {alias.name for alias in node.names})
+
+    probe = "json.load(fh)\njson.dumps(x)\nf = json.loads\nfrom json import dumps, loads\n"
+    assert parses(ast.parse(probe)) == [1, 3, 4]
+    found = {path.name: parses(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py")) if path.name != "files.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# -- json_object -------------------------------------------------------------------------
+
+
+KINDS = {"name": str, "image": {"h": int, "size": {"w": int}}}
+
+
+def test_json_object_accepts_nested_kinds():
+    text = '{"name": "a", "image": {"h": 8, "size": {"w": 9}}}'
+    assert files.json_object(text, KINDS, KINDS, "doc") == {
+        "name": "a", "image": {"h": 8, "size": {"w": 9}}}
+
+
+@pytest.mark.parametrize("image, message", [
+    ({"size": {"w": 9}}, "doc key 'image.h' is missing"),
+    ({"h": 8, "size": {}}, "doc key 'image.size.w' is missing"),
+    ({"h": 8, "d": 1, "size": {"w": 9}}, "unknown doc key 'image.d'"),
+    ({"h": 8, "size": {"w": 9, "x": 0}}, "unknown doc key 'image.size.x'"),
+    ({"h": 8.0, "size": {"w": 9}}, "doc key 'image.h' must be int, got 8.0"),
+    ({"h": 8, "size": {"w": True}}, "doc key 'image.size.w' must be int, got True"),
+    ([8, 9], r"doc key 'image' must be an object, got \[8, 9\]"),
+    ({"h": 8, "size": [9]}, r"doc key 'image.size' must be an object, got \[9\]"),
+])
+def test_json_object_names_nested_keys_by_dotted_path(image, message):
+    text = json.dumps({"name": "a", "image": image})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        files.json_object(text, KINDS, KINDS, "doc")
+
+
+def test_json_object_requires_only_the_named_top_level_keys():
+    assert files.json_object('{"image": {"h": 1, "size": {"w": 2}}}', KINDS, (), "doc")
+    with pytest.raises(ValueError, match="doc key 'name' is missing"):
+        files.json_object("{}", KINDS, ("name",), "doc")
+    with pytest.raises(ValueError, match="doc must be a JSON object"):
+        files.json_object("[]", KINDS, (), "doc")

@@ -233,7 +233,7 @@ def test_concurrent_trainings_match_sequential_runs():
 
 
 def subset(tag, images, labels):
-    return DetectionDataset(np.asarray(images), np.asarray(labels, bool), tag, "test")
+    return DetectionDataset(np.asarray(images), np.asarray(labels, bool), tag)
 
 
 def labelling_model(monkeypatch, labels_of):
@@ -267,7 +267,7 @@ def test_evaluate_permutation_invariant(monkeypatch):
     rng = SplitMix64(31)
     perm = list(range(len(ds)))
     rng.shuffle(perm)
-    shuffled = DetectionDataset(ds.images[perm], ds.labels[perm], ds.subset_tag, "test")
+    shuffled = DetectionDataset(ds.images[perm], ds.labels[perm], ds.subset_tag)
     model = labelling_model(monkeypatch, lambda batch: analytic_g1_detector(batch).astype(int))
     a = TR.evaluate(model, [ds]).per_subset[ds.subset_tag]
     b = TR.evaluate(model, [shuffled]).per_subset[ds.subset_tag]
