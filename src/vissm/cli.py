@@ -120,12 +120,14 @@ def prepare_outdir(path: str, no_clobber: bool) -> str:
     return path
 
 
-def _load_bundle(data_path: str):
+def _load_bundle(data_path: str, splits: tuple):
+    """The corpus of the manifest at ``data_path`` (or in that directory),
+    with only ``splits`` drawn."""
     if os.path.isdir(data_path):
         data_path = os.path.join(data_path, "manifest.json")
     if not os.path.isfile(data_path):
         raise FileNotFoundError(f"dataset manifest not found: {data_path}")
-    return dataset_from_manifest(load_manifest(data_path))
+    return dataset_from_manifest(load_manifest(data_path), splits)
 
 
 # -- bench-kernels ------------------------------------------------------------------
@@ -268,7 +270,7 @@ def cmd_train(opt: dict, no_clobber: bool) -> None:
     train_cfg = _train_config(opt, opt["seed"])
     cfg = _usage(B.config_from_preset, f"desk-{opt['family']}",
                  **{key: opt[key] for key in (*B.DESK, "scan")})
-    bundle = _load_bundle(opt["data"])
+    bundle = _load_bundle(opt["data"], ("train", "val"))
     # a model that does not fit the data's image extents is a runtime error
     cfg = replace(cfg, image_h=bundle.manifest["image"]["h"],
                   image_w=bundle.manifest["image"]["w"])
@@ -296,7 +298,7 @@ def cmd_train(opt: dict, no_clobber: bool) -> None:
 
 
 def cmd_eval(opt: dict, no_clobber: bool) -> None:
-    bundle = _load_bundle(opt["data"])
+    bundle = _load_bundle(opt["data"], ("test",))
     model = B.load_checkpoint(opt["checkpoint"])
     outdir = prepare_outdir(opt["out"], no_clobber)
     report = TR.evaluate(model, bundle.test_subsets,
@@ -314,7 +316,7 @@ def cmd_eval(opt: dict, no_clobber: bool) -> None:
 
 
 def cmd_export_features(opt: dict) -> None:
-    bundle = _load_bundle(opt["data"])
+    bundle = _load_bundle(opt["data"], (opt["split"],))
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
         images = np.concatenate([ds.images for ds in bundle.test_subsets])

@@ -140,9 +140,9 @@ class DetectionDataset:
 
 @dataclass
 class DatasetBundle:
-    train: DetectionDataset
-    val: DetectionDataset
-    test_subsets: list
+    train: DetectionDataset | None
+    val: DetectionDataset | None
+    test_subsets: list | None
     manifest: dict
 
 
@@ -191,25 +191,6 @@ def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
     manifests of that form.
     """
     check_corpus(train_count, val_count, test_count, train_generator, strength)
-    specs = {g: SynthGenSpec(g, strength) for g in GENERATORS}
-
-    def mixed(split, total):
-        n_real = (total + 1) // 2
-        n_fake = total - n_real
-        reals = _gen_block(seed, split, "real", n_real, h, w)
-        fakes = _gen_block(seed, split, "fake", n_fake, h, w, specs[train_generator])
-        images = np.concatenate([reals, fakes])
-        labels = np.concatenate([np.zeros(n_real, bool), np.ones(n_fake, bool)])
-        return DetectionDataset(images, labels, subset_tag=f"real+{train_generator}")
-
-    train = mixed("train", train_count)
-    val = mixed("val", val_count)
-
-    # specs has no "real" entry, so the real subset draws with spec None
-    tests = [DetectionDataset(_gen_block(seed, "test", tag, test_count, h, w, specs.get(tag)),
-                              np.full(test_count, tag != "real"), subset_tag=tag)
-             for tag in ("real", *GENERATORS)]
-
     manifest = {
         "schema": SCHEMA,
         "seed": seed,
@@ -219,7 +200,32 @@ def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
         "specs": _spec_list(strength),
         "seed_ranges": {key: list(ends) for key, ends in SEED_RANGES.items()},
     }
-    return DatasetBundle(train=train, val=val, test_subsets=tests, manifest=manifest)
+    return dataset_from_manifest(manifest)
+
+
+SPLITS = ("train", "val", "test")
+
+
+def draw_split(manifest: dict, split: str):
+    """One split of the corpus ``manifest`` describes, as ``make_dataset`` draws
+    it: a DetectionDataset for "train" and "val", the list of test subsets
+    (real, then each generator in ``GENERATORS``) for "test"."""
+    seed, h, w = manifest["seed"], manifest["image"]["h"], manifest["image"]["w"]
+    specs = {spec["generator_id"]: SynthGenSpec(**spec) for spec in manifest["specs"]}
+    if split == "test":
+        count = manifest["counts"]["test_per_subset"]
+        # specs has no "real" entry, so the real subset draws with spec None
+        return [DetectionDataset(_gen_block(seed, "test", tag, count, h, w, specs.get(tag)),
+                                 np.full(count, tag != "real"), subset_tag=tag)
+                for tag in ("real", *GENERATORS)]
+    total, generator = manifest["counts"][split], manifest["train_generator"]
+    n_real = (total + 1) // 2
+    n_fake = total - n_real
+    reals = _gen_block(seed, split, "real", n_real, h, w)
+    fakes = _gen_block(seed, split, "fake", n_fake, h, w, specs[generator])
+    images = np.concatenate([reals, fakes])
+    labels = np.concatenate([np.zeros(n_real, bool), np.ones(n_fake, bool)])
+    return DetectionDataset(images, labels, subset_tag=f"real+{generator}")
 
 
 _MANIFEST_KINDS = {
@@ -257,18 +263,11 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def dataset_from_manifest(manifest: dict) -> DatasetBundle:
-    """Regenerate the full bundle from a ``load_manifest`` result; bit-identical
-    for equal manifests."""
-    return make_dataset(
-        seed=manifest["seed"],
-        train_count=manifest["counts"]["train"],
-        val_count=manifest["counts"]["val"],
-        test_count=manifest["counts"]["test_per_subset"],
-        h=manifest["image"]["h"], w=manifest["image"]["w"],
-        train_generator=manifest["train_generator"],
-        strength=manifest["specs"][0]["artifact_strength"],
-    )
+def dataset_from_manifest(manifest: dict, splits=SPLITS) -> DatasetBundle:
+    """Regenerate the bundle from a ``load_manifest`` result, bit-identical for
+    equal manifests; a split left out of ``splits`` is not drawn and is None."""
+    drawn = [draw_split(manifest, split) if split in splits else None for split in SPLITS]
+    return DatasetBundle(*drawn, manifest=manifest)
 
 
 # -- image export -------------------------------------------------------------------

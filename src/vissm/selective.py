@@ -14,9 +14,12 @@ decay factors stay inside (0, 1); callers parameterize it as -exp(A_log).
 Three evaluation routes are provided. The sequential route is the model
 path: one fused tensor op covers the whole scan path, from the B, C and dt
 projections through softplus, dt * x and the recurrence to the D * x skip.
-It runs the recurrence step by step, keeps only the hidden states, and
-back-propagates through a hand-derived reverse-time adjoint that recomputes
-the decay factors (the recipe of Mamba, section 3.3). The chunked route
+It runs the recurrence step by step in one loop over blocks of steps, keeps
+only the hidden states, and back-propagates through a hand-derived
+reverse-time adjoint that recomputes the decay factors (the recipe of
+Mamba, section 3.3). Only a recorded scan keeps all L states; under no-grad
+one cache-sized block of states is reused, so the state never fills main
+memory (Mamba's kernel keeps it in SRAM). The chunked route
 projects with ``project_params``, composes affine maps h -> a (*) h + b and
 records every step on the tensor graph; it is the oracle the fused op is
 tested against. The non-causal variant collapses the recurrence into one
@@ -84,6 +87,11 @@ def project_params(x, proj: SelectiveProjection):
     return b, c, dt
 
 
+# the hidden-state bytes a no-grad scan holds at once, so its block of steps
+# stays in cache (256 KiB to 1 MiB measured alike; all L steps slower)
+_BLOCK_BYTES = 1 << 19
+
+
 def _time_major(arr: np.ndarray) -> np.ndarray:
     """(..., L, K) -> contiguous (L, ..., K)."""
     return np.ascontiguousarray(np.moveaxis(arr, -2, 0))
@@ -101,7 +109,13 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     are those of the composed route bit for bit (for a single token, L = 1,
     only at dt_rank 1).
 
-    The forward loop keeps the hidden states; the backward pass runs the
+    The forward is one recurrence loop over blocks of steps, and each
+    block's last state carries into the next. When the op records (see
+    ``T.recording``) the block is all L hidden states, which the backward
+    pass reads; otherwise it is one array of about ``_BLOCK_BYTES`` that
+    every block reuses, so no (L, ..., N, C) array exists. Either way each
+    value is computed by the same arithmetic, and the no-grad result equals
+    the recorded one bit for bit. The backward pass runs the
     adjoint recurrence dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1}
     in reverse time, recomputing the decay factors rather than storing them,
     takes softplus' derivative from the op's own output (sigmoid(z) =
@@ -109,21 +123,27 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     the flattened batch and tokens. Raises NumericError naming the first
     step whose hidden state is not finite. A non-finite entry stays
     non-finite through every later step, because the decay is >= 0 or NaN, so
-    only the last state is checked; the steps are read one by one only after
-    it fails.
+    only each block's last state is checked; the block's steps are read one
+    by one only after it fails.
 
     Internally every per-step array is time-major with the state axis ahead
     of the channel axis, (L, ..., N, C), so the elementwise work runs along
     the longer channel axis; the token-major projections are dropped as soon
     as their time-major copies exist, and dt_pre is formed from the
-    time-major low-rank projection. The outer products (the injections
-    outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and the backward's
-    dt_t * A) are einsums with no summed index, so they hold the products of
-    the broadcast forms bit for bit without their slow broadcast loops; the
-    readout is added into D (*) x in place. The three (L, ..., N, C) arrays,
-    the hidden states and the backward's adjoint and decay factors, come
-    from ``T.buffer``, so inside a ``T.workspace`` a training step reuses
-    the previous step's.
+    time-major low-rank projection. A no-grad scan reads x through a
+    time-major view, where a recorded one copies it for the backward's
+    weight gradients while it is still in cache (copied in the backward pass
+    it cost about 5% of that pass), and each block's readout is formed
+    token-major and added into its tokens of D (*) x, so a no-grad block's
+    u = dt (*) x and readout are its only arrays besides its states. The
+    outer products (the injections outer(u_t, B_t), the adjoint seeds
+    outer(dy_t, C_t) and the backward's dt_t * A) are einsums with no summed
+    index, so they hold the products of the broadcast forms bit for bit
+    without their slow broadcast loops. The three (L, ..., N, C) arrays
+    of a recorded scan, the hidden states and the backward's adjoint and
+    decay factors, come from ``T.buffer``, so inside a ``T.workspace`` a
+    training step reuses the previous step's. The no-grad block is not
+    pooled: from a pool it raised the page faults of a no-grad forward.
     """
     x, a, d = (T.as_tensor(t) for t in (x, a, d))
     if x.shape[-1] != proj.channels:
@@ -142,21 +162,32 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     # vector kernel there instead, which agrees only at dt_rank 1)
     dt_t = T._softplus_np(np.matmul(r_t.reshape(-1, r_t.shape[-1]), w_up) + delta_base)
     dt_t = dt_t.reshape(r_t.shape[:-1] + (ch,))
-    x_t = _time_major(x.data)
     b_t = _time_major(np.matmul(x.data, w_b) + b_b)
     c_t = _time_major(np.matmul(x.data, w_c) + b_c)
-    u_t = dt_t * x_t
-    # the injections, then the states
-    hs = np.einsum("l...n,l...c->l...nc", b_t, u_t, out=T.buffer(states))
-    decay = np.empty_like(hs[0])  # one step's exp(dt_t * A), reused every step
-    for t in range(1, length):
-        np.exp(np.multiply(dt_t[t][..., None, :], a_t, out=decay), out=decay)
-        hs[t] += np.multiply(decay, hs[t - 1], out=decay)
-    if not np.isfinite(hs[-1]).all():  # non-finite entries persist: the last state decides
-        finite = np.isfinite(hs.reshape(length, -1)).all(axis=1)
-        raise NumericError(f"non-finite hidden state at step {int(np.argmin(finite))}")
+    parents = (x, a, d) + weights
+    if T.recording(parents):  # backward reads x_t and every state: one block of all L steps
+        x_t, block = _time_major(x.data), T.buffer(states)
+    else:  # a time-major view of x, and one cache-sized block of steps that every block reuses
+        k = max(1, _BLOCK_BYTES // (8 * int(np.prod(states[1:]))))
+        x_t, block = np.moveaxis(x.data, -2, 0), np.empty((min(k, length),) + states[1:])
     y = d.data * x.data
-    y += np.moveaxis(np.einsum("l...nc,l...n->l...c", hs, c_t), 0, -2)
+    decay = np.empty_like(block[0])  # one step's exp(dt_t * A), reused every step
+    carry = np.empty_like(block[0])  # the state before the block's first step
+    for start in range(0, length, len(block)):
+        hs = block[:length - start]
+        steps = slice(start, start + len(hs))
+        u_t = dt_t[steps] * x_t[steps]
+        # the injections, then the states
+        np.einsum("l...n,l...c->l...nc", b_t[steps], u_t, out=hs)
+        for t in range(max(start, 1), steps.stop):  # step 0 has no predecessor
+            i = t - start
+            np.exp(np.multiply(dt_t[t][..., None, :], a_t, out=decay), out=decay)
+            hs[i] += np.multiply(decay, hs[i - 1] if i else carry, out=decay)
+        if not np.isfinite(hs[-1]).all():  # non-finite entries persist: the last state decides
+            finite = np.isfinite(hs.reshape(len(hs), -1)).all(axis=1)
+            raise NumericError(f"non-finite hidden state at step {start + int(np.argmin(finite))}")
+        y[..., steps, :] += np.einsum("l...nc,l...n->...lc", hs, c_t[steps])
+        np.copyto(carry, hs[-1])
 
     def backward(g):
         T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
@@ -193,7 +224,7 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
             g_x += np.matmul(g_r, w_down.T)
             T._accumulate(x, np.moveaxis(g_x, 0, -2) + g * d.data)
 
-    return T._make(y, (x, a, d) + weights, backward)
+    return T._make(y, parents, backward)
 
 
 def compose_affine(a2, b2, a1, b1):

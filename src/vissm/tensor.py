@@ -9,7 +9,9 @@ are fixed contracts of this module.
 The module holds the ops the library records on its graph and the
 per-thread state they run under: grad mode, and the ``workspace`` whose
 ``buffer`` lets an op with a large per-call array reuse one a finished
-training step has let go of.
+training step has let go of. ``recording`` is the one test of whether an
+op goes on the graph, so an op that keeps arrays only for its backward
+pass can ask it first.
 
 Everything is float64. At the scale this package targets, precision is
 cheap and lets the equivalence tests use tight tolerances.
@@ -177,12 +179,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` goes on the graph: grad mode is on in the
+    calling thread and some parent requires grad."""
+    return _thread.grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """Wrap an op result, recording it on the graph when gradients are live."""
+    """Wrap an op result, recording it on the graph when ``recording(parents)``."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise NumericError("operation produced a non-finite value")
     out = Tensor(data)
-    if _thread.grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

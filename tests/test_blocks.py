@@ -32,6 +32,7 @@ from vissm.blocks import (
     param_specs,
     patch_embed,
     penultimate,
+    predict,
     save_checkpoint,
 )
 from vissm.rng import SplitMix64
@@ -522,11 +523,18 @@ def _edge(family, scan, h, w, **kw):
 def test_fused_ops_match_their_oracles_in_drawn_models(cfg, batch, seed):
     """Every fused op that ``blocks`` binds, swapped at once for its graph
     oracle: the logits agree within 1e-12 and every parameter gradient within
-    1e-10 relative."""
+    1e-10 relative. The no-grad logits, with the scan's default blocks and
+    with blocks of one step, equal the recorded ones bit for bit, and so
+    does ``predict``."""
     model = build_model(cfg, seed=seed)
     imgs = SplitMix64(seed).uniform_array((batch, cfg.image_h, cfg.image_w))
     readout = SplitMix64(seed + 1).normal_array((batch, cfg.classes))
     fused, fused_grads = _logits_and_grads(model, imgs, readout)
+    for block_bytes in (S._BLOCK_BYTES, 1):
+        with pytest.MonkeyPatch.context() as mp, T.no_grad():
+            mp.setattr(S, "_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(forward(model, imgs).data, fused)
+            assert np.array_equal(predict(model, imgs), np.argmax(fused, axis=-1))
     with pytest.MonkeyPatch.context() as mp:
         for name, oracle_op in FUSED_OP_ORACLES.items():
             mp.setattr(B, name, oracle_op)

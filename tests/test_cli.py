@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_blocks import rewrite_header
+from test_data import record_drawn_splits
 from vissm import blocks as B
 from vissm import cli
 from vissm import data as D
@@ -127,6 +128,20 @@ def test_train_eval_export_pipeline(tiny_data, tmp_path):
     assert len(lines) == 1 + 4 * 8
     assert lines[0].startswith("subset_tag,label,f_0")
     assert "np.float64" not in lines[1]
+
+
+def test_each_command_draws_only_the_splits_it_reads(tiny_data, tmp_path, monkeypatch):
+    drawn = record_drawn_splits(monkeypatch)
+    ckpt = str(tmp_path / "run" / "checkpoint.bin")
+    for argv, splits in (
+            (["train", "--seed", "7", "--out", str(tmp_path / "run"), *TINY_TRAIN],
+             {"train", "val"}),
+            (["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "eval")], {"test"}),
+            *((["export-features", "--checkpoint", ckpt, "--split", split,
+                "--out", str(tmp_path / f"{split}.csv")], {split}) for split in D.SPLITS)):
+        drawn.clear()
+        assert run([*argv, "--data", str(tiny_data)]) == 0
+        assert set(drawn) == splits, argv
 
 
 def test_train_determinism_byte_identical(tiny_data, tmp_path):

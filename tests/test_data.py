@@ -139,6 +139,36 @@ def test_dataset_regenerates_from_manifest(tmp_path):
     assert np.array_equal(again.test_subsets[2].images, bundle.test_subsets[2].images)
 
 
+def record_drawn_splits(monkeypatch) -> list:
+    """A list that gets the split of every block of images drawn from now on."""
+    drawn, gen_block = [], D._gen_block
+
+    def recorded(seed, split, *args):
+        drawn.append(split)
+        return gen_block(seed, split, *args)
+
+    monkeypatch.setattr(D, "_gen_block", recorded)
+    return drawn
+
+
+def test_a_manifest_draws_only_the_splits_asked_for(monkeypatch):
+    bundle = make_dataset(seed=6, train_count=5, val_count=3, test_count=2)
+    drawn = record_drawn_splits(monkeypatch)
+    for splits in (("test",), ("train", "val"), ("val",)):
+        drawn.clear()
+        part = D.dataset_from_manifest(bundle.manifest, splits)
+        assert set(drawn) == set(splits)
+        for split, ours, theirs in zip(D.SPLITS, (part.train, part.val, part.test_subsets),
+                                       (bundle.train, bundle.val, bundle.test_subsets)):
+            if split not in splits:
+                assert ours is None
+                continue
+            for a, b in zip(*((ds,) if split != "test" else ds for ds in (ours, theirs))):
+                assert (a.subset_tag, len(a)) == (b.subset_tag, len(b))
+                assert np.array_equal(a.images, b.images)
+                assert np.array_equal(a.labels, b.labels)
+
+
 def test_manifest_schema_guard(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "other/9"}))

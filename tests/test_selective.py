@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -149,34 +150,66 @@ def test_channel_independence_with_constant_params():
     assert np.array_equal(y[:, keep], yz[:, keep])
 
 
+def _block_bytes(steps, x_shape, n):
+    """The ``_BLOCK_BYTES`` at which a no-grad scan of an x of ``x_shape`` with
+    state size n runs blocks of ``steps`` steps."""
+    return steps * 8 * math.prod(x_shape[:-2]) * n * x_shape[-1]
+
+
+def _scan_on_route(route, x, proj, a, d, block_steps=None):
+    """The fused scan of the array x, recorded (x requires grad) or under
+    no_grad, in blocks of ``block_steps`` steps if given."""
+    if route == "recorded":
+        return S.selective_scan_sequential(Tensor(x, requires_grad=True), proj, a, d)
+    with T.no_grad(), pytest.MonkeyPatch.context() as mp:
+        if block_steps is not None:
+            mp.setattr(S, "_BLOCK_BYTES", _block_bytes(block_steps, x.shape, proj.state_dim))
+        return S.selective_scan_sequential(Tensor(x), proj, a, d)
+
+
+ROUTES = ["recorded", "no-grad"]
+
+
+def _errors_on_routes(x, proj, a, d):
+    """The NumericError message of the fused scan of x on each route, the
+    no-grad one in blocks of 2 steps."""
+    messages = []
+    for route in ROUTES:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
+            _scan_on_route(route, x, proj, a, d, block_steps=2)
+        messages.append(str(ei.value))
+    return messages
+
+
 def test_non_finite_state_reports_step():
     proj = constant_projection(1, 1, b_const=1e308, c_const=1e308, delta_const=1.0)
     a = Tensor(np.array([[-0.001]]))
-    x = Tensor(np.full((3, 1), 1e308))
-    with np.errstate(over="ignore"), pytest.raises(T.NumericError) as ei:
-        S.selective_scan_sequential(x, proj, a, Tensor(np.ones(1)))
-    assert "step" in str(ei.value)
+    recorded, no_grad = _errors_on_routes(np.full((3, 1), 1e308), proj, a, Tensor(np.ones(1)))
+    assert "step" in recorded
+    assert no_grad == recorded
 
 
 def test_non_finite_state_names_the_first_bad_step():
-    # exp(dt * A) = e^700 per step: h_0 = 1, h_1 ~ 1e304, h_2 overflows
+    # exp(dt * A) = e^700 per step: h_0 = 1, h_1 ~ 1e304, h_2 overflows, the
+    # first step of the second no-grad block
     proj = constant_projection(1, 1, b_const=1.0, c_const=1.0, delta_const=1.0)
     a = Tensor(np.array([[700.0]]))
-    x = Tensor(np.ones((4, 1)))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
-        S.selective_scan_sequential(x, proj, a, Tensor(np.ones(1)))
-    assert str(ei.value) == "non-finite hidden state at step 2"
+    assert _errors_on_routes(np.ones((4, 1)), proj, a, Tensor(np.ones(1))) \
+        == ["non-finite hidden state at step 2"] * 2
 
 
 @pytest.mark.parametrize("cause, length, step", [
     *((cause, length, step) for cause in ("nan", "inf")
-      for length, step in ((6, 0), (6, 1), (6, 4), (6, 5), (1, 0))),
-    *(("decay", 6, step) for step in (1, 4, 5)),  # step 0 has no decay
+      for length, step in ((6, 0), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (1, 0))),
+    *(("decay", 6, step) for step in (1, 2, 3, 4, 5)),  # step 0 has no decay
 ])
 def test_non_finite_state_is_found_from_the_last_state(cause, length, step):
-    """The scan checks only its last state and, on failure, names the first bad
-    step: a NaN or inf in x at that token, or a decay exp(dt * A) that
-    overflows there (A > 0, with dt = softplus(x) large at that token only)."""
+    """The scan checks only the last state of each block and, on failure,
+    names the first bad step: a NaN or inf in x at that token, or a decay
+    exp(dt * A) that overflows there (A > 0, with dt = softplus(x) large at
+    that token only). Recorded and no-grad scans name it alike; the no-grad
+    one runs blocks of 2 steps, so steps 2 and 4 open a block and steps 3
+    and 5 lie inside a later one."""
     rng = SplitMix64(47)
     ch, n = 2, 3
     if cause == "decay":
@@ -191,9 +224,8 @@ def test_non_finite_state_is_found_from_the_last_state(cause, length, step):
         a = random_decay(rng, ch, n)
         x = rng.normal_array((2, length, ch))
         x[1, step, 0] = np.nan if cause == "nan" else np.inf
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
-        S.selective_scan_sequential(Tensor(x), proj, a, Tensor(np.ones(ch)))
-    assert str(ei.value) == f"non-finite hidden state at step {step}"
+    assert _errors_on_routes(x, proj, a, Tensor(np.ones(ch))) \
+        == [f"non-finite hidden state at step {step}"] * 2
 
 
 # -- chunk-parallel scan ----------------------------------------------------------
@@ -275,6 +307,58 @@ def test_fused_scan_matches_parallel_oracle(length, ch, n, lead, chunk, seed):
     names = list(proj.tensors()) + ["a_log", "d", "x"]
     for name, gf, go in zip(names, g_f, g_o):
         assert rel_err(gf, go) < 1e-10, (name, rel_err(gf, go))
+
+
+def _block_steps(kind, length):
+    """k steps per no-grad block: 1, 2, one full block and a shorter tail, or
+    more than the whole scan."""
+    return {"one": 1, "two": 2, "tail": length // 2 + 1, "all": length + 1}[kind]
+
+
+@settings(max_examples=80, deadline=None)
+@given(length=st.integers(1, 40), ch=st.integers(1, 16), n=st.integers(1, 8),
+       rank=st.integers(1, 3), lead=st.sampled_from([(), (1,), (2, 3)]),
+       block=st.sampled_from(["one", "two", "tail", "all"]), seed=st.integers(0, 2**32 - 1))
+@example(length=7, ch=3, n=2, rank=2, lead=(2, 3), block="tail", seed=1)
+@example(length=1, ch=1, n=1, rank=1, lead=(), block="one", seed=2)
+def test_no_grad_scan_equals_the_recorded_scan_bit_for_bit(length, ch, n, rank, lead, block,
+                                                           seed):
+    """The no-grad scan, which streams its states through a reused block of
+    k steps, against the recorded scan, which keeps all L of them."""
+    rng = SplitMix64(seed)
+    proj = random_projection(rng, ch, n, rank=rank)
+    a = random_decay(rng, ch, n)
+    d = Tensor(rng.normal_array((ch,)))
+    x = rng.normal_array(lead + (length, ch))
+    recorded = _scan_on_route("recorded", x, proj, a, d)
+    assert recorded.requires_grad
+    streamed = _scan_on_route("no-grad", x, proj, a, d, _block_steps(block, length))
+    assert not streamed.requires_grad
+    assert np.array_equal(streamed.data, recorded.data)
+
+
+def test_no_grad_scan_holds_less_than_one_stored_state_array():
+    """At the desk-vim scan shape (batch 64, L 65, C 32, N 4, dt_rank 1) the
+    tracemalloc peak of one no-grad call stays below the (L, 64, N, C) array
+    of hidden states that a recorded call keeps."""
+    rng = SplitMix64(91)
+    batch, length, ch, n = 64, 65, 32, 4
+    proj = random_projection(rng, ch, n, rank=1)
+    a = random_decay(rng, ch, n)
+    d = Tensor(rng.normal_array((ch,)))
+    x = rng.normal_array((batch, length, ch))
+    stored = length * batch * n * ch * 8
+
+    def peak(route):
+        tracemalloc.start()
+        try:
+            _scan_on_route(route, x, proj, a, d)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("recorded") > stored  # the measure sees the stored states
+    assert peak("no-grad") < stored
 
 
 def test_fused_scan_is_one_graph_node():

@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import inspect
 import math
@@ -326,6 +327,17 @@ def test_no_grad_suppresses_recording():
     with T.no_grad():
         y = T.mul(x, x)
     assert not y.requires_grad and y._backward_fn is None
+
+
+@pytest.mark.parametrize("grad_mode", [True, False])
+def test_an_op_records_exactly_when_recording_says_so(grad_mode):
+    live, dead = Tensor([1.0], requires_grad=True), Tensor([1.0])
+    for parents in ((), (dead,), (live,), (dead, live)):
+        with T.no_grad() if not grad_mode else contextlib.nullcontext():
+            says = T.recording(parents)
+            out = T._make(np.zeros(1), parents, lambda g: None)
+        assert says == (grad_mode and live in parents)
+        assert out.requires_grad == says and (out._backward_fn is not None) == says
 
 
 def test_grad_mode_is_per_thread():
