@@ -11,9 +11,9 @@ run can be reproduced from its output directory alone.
 Each option is declared once: in ``COMMANDS``, or in a group that several
 commands splice in (``CORPUS``, ``TRAINING``, ``DATA``, ``CHECKPOINT``).
 A default is the value it stands for: ``train`` builds ``blocks.DESK`` with
-``ModelConfig``'s scan unless told otherwise. Options may also come from a
-plain-text config file (``key = value`` lines, ``#`` comments), each parsed
-like its flag by ``Option.parse``; explicit flags override them.
+``ModelConfig``'s scan unless told otherwise. ``--config FILE`` reads a run
+record back: each value is checked as the JSON type the record writes, then
+parsed like its flag by ``Option.parse``; explicit flags override it.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 correctness
 failure (a benchmark cross-check did not hold).
@@ -66,28 +66,31 @@ class Parser(argparse.ArgumentParser):
 # -- config plumbing ---------------------------------------------------------------
 
 
-def read_config_file(path: str) -> dict:
-    """Plain-text ``key = value`` pairs; later keys win; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+RECORD_SCHEMA = "vissm.run_config/1"
+
+
+def read_config_file(path: str, command: str) -> dict:
+    """The option texts of the run record at ``path``, which must be one that
+    ``main`` writes for ``command``: every key optional but ``schema`` and
+    ``command``, each value of the JSON type the record writes."""
+    kinds = {opt.key: str if opt.item else type(opt.default)
+             for opt in COMMANDS[command].options}
+    with open(path, encoding="utf-8") as fh:
+        try:
+            record = files.json_object(fh.read(), {**kinds, "schema": str, "command": str},
+                                       ("schema", "command"), "config")
+            for key, want in (("schema", RECORD_SCHEMA), ("command", command)):
+                if record.pop(key) != want:
+                    raise ValueError(f"config key {key!r} must be {want!r}")
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+    return {key: str(value) for key, value in record.items()}
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags; returns the resolved mapping."""
     options = COMMANDS[args.command].options
-    file_values = read_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - {opt.key for opt in options}
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    file_values = read_config_file(args.config, args.command) if args.config else {}
     resolved = {}
     for opt in options:
         try:  # a bad file value fails even where a flag overrides it
@@ -118,6 +121,12 @@ def prepare_outdir(path: str, no_clobber: bool) -> str:
             raise RuntimeError(f"output directory {path!r} is not empty (--no-clobber)")
         print(f"warning: overwriting contents of {path!r}", file=sys.stderr)
     return path
+
+
+def check_outfile(path: str) -> None:
+    """Check a file output path before any work: a directory there is a runtime error."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
 def _load_bundle(data_path: str, splits: tuple):
@@ -217,6 +226,7 @@ def _ppm_heatmap(grid: np.ndarray, path: str) -> None:
 def cmd_scan_show(opt: dict) -> None:
     scan = _usage(scan2d.make_scan, opt["strategy"], opt["height"], opt["width"],
                   win=opt["win"], stride=opt["stride"])
+    check_outfile(opt["ppm"])
     orders = scan.directions
     for k, order in enumerate(orders):
         if len(orders) > 1:
@@ -316,6 +326,7 @@ def cmd_eval(opt: dict, no_clobber: bool) -> None:
 
 
 def cmd_export_features(opt: dict) -> None:
+    check_outfile(opt["out"])
     bundle = _load_bundle(opt["data"], (opt["split"],))
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
@@ -491,7 +502,7 @@ def build_parser() -> Parser:
             metavar = "{" + ",".join(opt.choices) + "}" if opt.choices and not opt.item else None
             p.add_argument("--" + opt.key.replace("_", "-"), type=opt.parse,
                            metavar=metavar, help=opt.help)
-        p.add_argument("--config", help="plain-text key = value option file")
+        p.add_argument("--config", help="options from a run record (resolved_config.json)")
         if "no_clobber" in inspect.signature(command.handler).parameters:
             p.add_argument("--no-clobber", action="store_true",
                            help="fail instead of overwriting a non-empty output directory")
@@ -508,8 +519,7 @@ def main(argv=None) -> int:
         if "out" in opt:  # the run record; --out is a directory where --no-clobber acts
             path = (os.path.join(opt["out"], "resolved_config.json") if flags
                     else opt["out"] + ".config.json")
-            files.write_json(path, {"schema": "vissm.run_config/1", "command": args.command,
-                                    **opt})
+            files.write_json(path, {"schema": RECORD_SCHEMA, "command": args.command, **opt})
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

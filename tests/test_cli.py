@@ -36,6 +36,18 @@ TINY_TRAIN = ["--family", "vssd", "--epochs", "1",
               "--embed-dim", "8", "--depth", "1", "--state-dim", "2"]
 
 
+def write_record(path, command, **values):
+    """A run record of ``command`` holding ``values`` at ``path``; returns the path."""
+    path.write_text(json.dumps({"schema": cli.RECORD_SCHEMA, "command": command, **values}))
+    return str(path)
+
+
+def _as_recorded(command, key, text):
+    """``text`` as the JSON value a run record holds for ``command``'s option ``key``."""
+    opt = next(opt for opt in cli.COMMANDS[command].options if opt.key == key)
+    return text if opt.item else type(opt.default)(text)
+
+
 # -- scan-show -------------------------------------------------------------------
 
 
@@ -250,21 +262,19 @@ def test_out_path_that_is_a_file_is_runtime_error(tmp_path):
 
 
 def test_config_file_provides_defaults_flags_override(tmp_path):
-    cfgfile = tmp_path / "opts.cfg"
-    cfgfile.write_text("# dataset options\nseed = 9\ntrain = 4\nval = 2\ntest = 2\n")
+    cfgfile = write_record(tmp_path / "opts.json", "make-data", seed=9, train=4, val=2, test=2)
     out = tmp_path / "d"
-    assert run(["make-data", "--config", str(cfgfile), "--out", str(out),
-                "--seed", "11"]) == 0
+    assert run(["make-data", "--config", cfgfile, "--out", str(out), "--seed", "11"]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["train"] == 4      # from file
     assert resolved["seed"] == 11      # flag wins
 
 
-def test_config_file_unknown_key(tmp_path):
-    cfgfile = tmp_path / "opts.cfg"
-    cfgfile.write_text("granularity = 9\n")
-    assert run(["make-data", "--config", str(cfgfile),
-                "--out", str(tmp_path / "d")]) == 1
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfgfile = write_record(tmp_path / "opts.json", "make-data", granularity=9)
+    assert run(["make-data", "--config", cfgfile, "--out", str(tmp_path / "d")]) == 1
+    assert "unknown config key 'granularity'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["opts.json"]
 
 
 @pytest.mark.parametrize("command, line", [
@@ -274,14 +284,17 @@ def test_config_file_unknown_key(tmp_path):
 ])
 def test_config_file_value_is_validated_like_its_flag(tiny_data, tmp_path, capsys,
                                                       command, line):
-    cfgfile = tmp_path / "opts.cfg"
-    cfgfile.write_text(line + "\n")
+    # a text where an int belongs fails the record's type check, a str that
+    # names no choice fails Option.parse, as its flag's text would
+    key, text = line.split(" = ")
+    cfgfile = write_record(tmp_path / "opts.json", command, **{key: text})
     out = tmp_path / "out"
-    argv = [command, "--config", str(cfgfile)]
+    argv = [command, "--config", cfgfile]
     if command != "scan-show":
         argv += ["--data", str(tiny_data), "--out", str(out)]
     assert run(argv) == 1
-    assert line.split()[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{cfgfile}: " in err and key in err
     assert not out.exists()
 
 
@@ -300,13 +313,13 @@ def test_cross_gen_rejects_bad_lists_before_output(tmp_path, flags):
 @pytest.mark.parametrize("route", ["flag", "file"])
 def test_train_zero_size_or_empty_scan_is_usage_error_before_output(tiny_data, tmp_path, capsys,
                                                                     key, text, route):
-    out, cfgfile = tmp_path / "run", tmp_path / "opts.cfg"
+    out = tmp_path / "run"
     argv = ["train", "--data", str(tiny_data), "--out", str(out)]
     if route == "flag":
         argv += ["--" + key.replace("_", "-"), text]
     else:
-        cfgfile.write_text(f"{key} = {text}\n")
-        argv += ["--config", str(cfgfile)]
+        argv += ["--config", write_record(tmp_path / "opts.json", "train",
+                                          **{key: _as_recorded("train", key, text)})]
     assert run(argv) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
@@ -459,7 +472,7 @@ def _other_value(opt):
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_config_file_and_flags_resolve_alike(tmp_path, name):
     parser = cli.build_parser()
-    cfgfile = tmp_path / "opts.cfg"
+    cfgfile = tmp_path / "opts.json"
 
     def resolve(*argv):
         return cli.resolve_options(parser.parse_args([name, *argv]))
@@ -468,14 +481,14 @@ def test_config_file_and_flags_resolve_alike(tmp_path, name):
     for opt in cli.COMMANDS[name].options:
         flag = "--" + opt.key.replace("_", "-")
         assert defaults[opt.key] == opt.default
-        # the default restated, as a file line or as a flag, changes nothing
-        cfgfile.write_text(f"{opt.key} = {opt.default}\n")
+        # the default restated, in a record or as a flag, changes nothing
+        write_record(cfgfile, name, **{opt.key: opt.default})
         assert resolve("--config", str(cfgfile)) == defaults
         assert resolve(flag, str(opt.default)) == defaults
         # one text, one value, whichever route it takes; a flag beats the file
         other = _other_value(opt)
         changed = {**defaults, opt.key: opt.parse(other)}
-        cfgfile.write_text(f"{opt.key} = {other}\n")
+        write_record(cfgfile, name, **{opt.key: opt.parse(other)})
         assert resolve("--config", str(cfgfile)) == changed
         assert resolve(flag, other) == changed
         assert resolve("--config", str(cfgfile), flag, str(opt.default)) == defaults
@@ -494,10 +507,12 @@ def test_table_declared_range_is_usage_error_before_output(tmp_path, capsys, arg
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 1
     assert argv[1] in capsys.readouterr().err
-    cfgfile = tmp_path / "opts.cfg"
-    cfgfile.write_text(f"{argv[1][2:]} = {argv[2]}\n")
-    assert run([argv[0], "--config", str(cfgfile), "--out", str(out)]) == 1
-    assert os.listdir(tmp_path) == ["opts.cfg"]
+    key = argv[1][2:].replace("-", "_")
+    cfgfile = write_record(tmp_path / "opts.json", argv[0],
+                           **{key: _as_recorded(argv[0], key, argv[2])})
+    assert run([argv[0], "--config", cfgfile, "--out", str(out)]) == 1
+    assert f"{cfgfile}: {key}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["opts.json"]
 
 
 # -- exit-code fuzz over the option table ----------------------------------------------
@@ -623,6 +638,12 @@ RECORDED = [name for name, command in cli.COMMANDS.items()
             if any(opt.key == "out" for opt in command.options)]
 
 
+def _record_path(name, out):
+    """Where ``main`` writes ``name``'s run record for the output path ``out``."""
+    directory = "no_clobber" in inspect.signature(cli.COMMANDS[name].handler).parameters
+    return os.path.join(out, "resolved_config.json") if directory else out + ".config.json"
+
+
 @pytest.mark.parametrize("name", RECORDED)
 def test_run_record_is_the_resolved_options_and_the_last_file_written(fuzz_inputs, tmp_path,
                                                                       monkeypatch, name):
@@ -642,11 +663,10 @@ def test_run_record_is_the_resolved_options_and_the_last_file_written(fuzz_input
     out = str(tmp_path / "out")
     model_keys = ("embed_dim", "depth", "state_dim", "scan")  # train's, left at their defaults
     assert run(_tiny_argv(name, fuzz_inputs[1], out, unset=model_keys)) == 0
-    directory = "no_clobber" in inspect.signature(cli.COMMANDS[name].handler).parameters
-    path = os.path.join(out, "resolved_config.json") if directory else out + ".config.json"
+    path = _record_path(name, out)
     assert written[-1] == path
     record = json.loads(Path(path).read_text())
-    assert record == {"schema": "vissm.run_config/1", "command": name, **resolved[0]}
+    assert record == {"schema": cli.RECORD_SCHEMA, "command": name, **resolved[0]}
     if name == "train":  # the record names the model the checkpoint holds
         built = json.loads(Path(out, "checkpoint.bin.json").read_text())
         assert {key: record[key] for key in model_keys} == {key: built[key] for key in model_keys}
@@ -675,11 +695,104 @@ def test_flag_a_command_does_not_act_on_is_usage_error(fuzz_inputs, tmp_path, mo
     assert flag in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
     key = flag[2:].replace("-", "_")
-    cfgfile = tmp_path / "opts.cfg"
-    cfgfile.write_text(f"{key} = {value or 'true'}\n")
-    assert run(argv + ["--config", str(cfgfile)]) == 1
-    assert key in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["opts.cfg"]
+    cfgfile = write_record(tmp_path / "opts.json", name, **{key: value or True})
+    assert run(argv + ["--config", cfgfile]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["opts.json"]
+
+
+@pytest.mark.parametrize("name", ["scan-show", "export-features"])
+def test_output_file_that_is_a_directory_is_runtime_error_before_work(
+        fuzz_inputs, tmp_path, monkeypatch, capsys, name):
+    out = tmp_path / "taken"
+    out.mkdir()
+    drawn = record_drawn_splits(monkeypatch)
+    assert run(_tiny_argv(name, fuzz_inputs[1], str(out))) == 2
+    captured = capsys.readouterr()
+    assert f"output path {str(out)!r} is a directory" in captured.err
+    assert captured.out == "" and drawn == []
+    assert os.listdir(tmp_path) == ["taken"] and os.listdir(out) == []
+
+
+# -- the run record reruns the run ------------------------------------------------------
+
+
+def _run_files(out):
+    """The bytes of every file a run wrote, by name relative to ``out``: the
+    files in its output directory, or a CSV and the record beside it."""
+    if os.path.isdir(out):
+        return {str(p.relative_to(out)): p.read_bytes() for p in Path(out).rglob("*")
+                if p.is_file()}
+    return {suffix: Path(out + suffix).read_bytes() for suffix in ("", ".config.json")}
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_rerun_from_the_run_record_is_byte_identical(fuzz_inputs, tmp_path, capsys, name):
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert run(_tiny_argv(name, fuzz_inputs[1], first)) == 0
+    printed = capsys.readouterr().out
+    assert run([name, "--config", _record_path(name, first), "--out", second]) == 0
+    assert capsys.readouterr().out == printed.replace(first, second)
+    before, after = _run_files(first), _run_files(second)
+    assert before.keys() == after.keys()
+    record = "resolved_config.json" if os.path.isdir(first) else ".config.json"
+    assert json.loads(after.pop(record)) == {**json.loads(before.pop(record)), "out": second}
+    if name == "bench-kernels":  # the rest of its report is timings
+        assert (json.loads(after.pop("bench.json"))["checks"]
+                == json.loads(before.pop("bench.json"))["checks"])
+        del after["bench.csv"], before["bench.csv"]
+    assert after == before
+
+
+# a file --config cannot read as a run record of the command, what its message
+# names, and the keys it changes in a record of the command or its whole text
+NOT_RECORDS = {
+    "other-command": ("export-features", "'command'", {"command": "eval", "data": "d"}),
+    "other-schema": ("make-data", "'schema'", {"schema": "vissm.run_config/2"}),
+    "no-schema": ("make-data", "'schema'", json.dumps({"command": "make-data"})),
+    "unknown-key": ("eval", "'merge'", {"merge": "sum"}),
+    "int-as-str": ("make-data", "'train'", {"train": "4"}),
+    "float-as-int": ("train", "'lr'", {"lr": 1}),
+    "bool": ("bench-kernels", "'repeats'", {"repeats": True}),
+    "null": ("scan-show", "'ppm'", {"ppm": None}),
+    "list": ("cross-gen", "'families'", {"families": ["vim"]}),
+    "object": ("export-features", "'split'", {"split": {}}),
+    "array": ("make-data", "must be a JSON object", "[]"),
+    "not-json": ("make-data", "Expecting value", "seed = 1\n"),
+}
+
+
+@pytest.mark.parametrize("name, named, content", NOT_RECORDS.values(), ids=NOT_RECORDS.keys())
+def test_config_that_is_not_a_run_record_is_usage_error_before_output(
+        tmp_path, monkeypatch, capsys, name, named, content):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(content, dict):
+        content = json.dumps({"schema": cli.RECORD_SCHEMA, "command": name, **content})
+    Path("opts.json").write_text(content)
+    argv = [name, "--config", "opts.json"] + ([] if name == "scan-show" else ["--out", "out"])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: opts.json: ") and named in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["opts.json"]
+
+
+def test_config_that_is_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys):
+    cfgfile = tmp_path / "opts.json"
+    cfgfile.write_bytes(b"\xff\xfe{}")
+    assert run(["make-data", "--config", str(cfgfile), "--out", str(tmp_path / "d")]) == 1
+    assert f"usage error: {cfgfile}: 'utf-8' codec" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["opts.json"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_config_file_that_cannot_be_opened_is_runtime_error(tmp_path, capsys, kind):
+    cfgfile = tmp_path / "opts.json"
+    if kind == "directory":
+        cfgfile.mkdir()
+    assert run(["make-data", "--config", str(cfgfile), "--out", str(tmp_path / "d")]) == 2
+    assert repr(str(cfgfile)) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ([] if kind == "missing" else ["opts.json"])
 
 
 # -- bench ------------------------------------------------------------------------
