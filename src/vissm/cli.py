@@ -129,6 +129,12 @@ def check_outfile(path: str) -> None:
         raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
+def record_path(out: str, directory: bool) -> str:
+    """Where ``main`` writes the run record of a run whose ``--out`` is ``out``:
+    inside it when it is a directory, else beside it."""
+    return os.path.join(out, "resolved_config.json") if directory else out + ".config.json"
+
+
 def _load_bundle(data_path: str, splits: tuple):
     """The corpus of the manifest at ``data_path`` (or in that directory),
     with only ``splits`` drawn."""
@@ -326,7 +332,8 @@ def cmd_eval(opt: dict, no_clobber: bool) -> None:
 
 
 def cmd_export_features(opt: dict) -> None:
-    check_outfile(opt["out"])
+    for path in (opt["out"], record_path(opt["out"], directory=False)):
+        check_outfile(path)
     bundle = _load_bundle(opt["data"], (opt["split"],))
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
@@ -517,9 +524,8 @@ def main(argv=None) -> int:
         opt = resolve_options(args)
         COMMANDS[args.command].handler(opt, **flags)
         if "out" in opt:  # the run record; --out is a directory where --no-clobber acts
-            path = (os.path.join(opt["out"], "resolved_config.json") if flags
-                    else opt["out"] + ".config.json")
-            files.write_json(path, {"schema": RECORD_SCHEMA, "command": args.command, **opt})
+            files.write_json(record_path(opt["out"], directory=bool(flags)),
+                             {"schema": RECORD_SCHEMA, "command": args.command, **opt})
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

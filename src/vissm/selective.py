@@ -14,18 +14,18 @@ decay factors stay inside (0, 1); callers parameterize it as -exp(A_log).
 Three evaluation routes are provided. The sequential route is the model
 path: one fused tensor op covers the whole scan path, from the B, C and dt
 projections through softplus, dt * x and the recurrence to the D * x skip.
-It runs the recurrence step by step in one loop over blocks of steps, keeps
-only the hidden states, and back-propagates through a hand-derived
-reverse-time adjoint that recomputes the decay factors (the recipe of
-Mamba, section 3.3). Only a recorded scan keeps all L states; under no-grad
-one cache-sized block of states is reused, so the state never fills main
-memory (Mamba's kernel keeps it in SRAM). The chunked route
-projects with ``project_params``, composes affine maps h -> a (*) h + b and
-records every step on the tensor graph; it is the oracle the fused op is
-tested against. The non-causal variant collapses the recurrence into one
-global state shared by all tokens; its core is one fused op too, with a
-four-matmul backward, and the graph composition it replaced is its test
-oracle (tests/oracles.py).
+It runs the recurrence step by step in one loop over blocks of steps, each
+block forming its own decay factors, keeps only the hidden states, and
+back-propagates through a hand-derived reverse-time adjoint that recomputes
+the decay factors (the recipe of Mamba, section 3.3). Only a recorded scan
+keeps all L states; under no-grad one cache-sized block of states is
+reused, so the state never fills main memory (Mamba's kernel keeps it in
+SRAM). The chunked route projects with ``project_params``, composes affine
+maps h -> a (*) h + b and records every step on the tensor graph; it is the
+oracle the fused op is tested against. The non-causal variant collapses
+the recurrence into one global state shared by all tokens; its core is one
+fused op too, with a four-matmul backward, and the graph composition it
+replaced is its test oracle (tests/oracles.py).
 
 All routes are differentiable through the tensor graph.
 """
@@ -87,8 +87,9 @@ def project_params(x, proj: SelectiveProjection):
     return b, c, dt
 
 
-# the hidden-state bytes a no-grad scan holds at once, so its block of steps
-# stays in cache (256 KiB to 1 MiB measured alike; all L steps slower)
+# the bytes of one block of steps' hidden states and decay factors together,
+# so a block stays in cache (a no-grad block of states alone at 256 KiB to
+# 1 MiB measured alike; all L steps slower)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -109,16 +110,20 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     are those of the composed route bit for bit (for a single token, L = 1,
     only at dt_rank 1).
 
-    The forward is one recurrence loop over blocks of steps, and each
-    block's last state carries into the next. When the op records (see
-    ``T.recording``) the block is all L hidden states, which the backward
-    pass reads; otherwise it is one array of about ``_BLOCK_BYTES`` that
-    every block reuses, so no (L, ..., N, C) array exists. Either way each
-    value is computed by the same arithmetic, and the no-grad result equals
-    the recorded one bit for bit. The backward pass runs the
-    adjoint recurrence dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1}
-    in reverse time, recomputing the decay factors rather than storing them,
-    takes softplus' derivative from the op's own output (sigmoid(z) =
+    The forward is one recurrence loop over blocks of k steps, and each
+    block's last state carries into the next. A block's states and its
+    decay factors fit in ``_BLOCK_BYTES`` together. Each block forms its
+    decays exp(dt_t * A) with one einsum and one exp, the backward pass's
+    own form, into one reused array, so a step is one multiply (into its
+    decay) and one add. When the op records (see ``T.recording``) a block
+    is a view of the L hidden states it stores, which the backward pass
+    reads; otherwise it is one array that every block reuses, so no
+    (L, ..., N, C) array exists. Every value is the same single rounding at
+    any k, so both routes give the same bits at every block size. The
+    backward pass runs the adjoint recurrence
+    dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1} in reverse
+    time, recomputing the decay factors rather than storing them, takes
+    softplus' derivative from the op's own output (sigmoid(z) =
     -expm1(-softplus(z))), and forms each weight gradient as one matmul over
     the flattened batch and tokens. Raises NumericError naming the first
     step whose hidden state is not finite. A non-finite entry stays
@@ -129,21 +134,24 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     Internally every per-step array is time-major with the state axis ahead
     of the channel axis, (L, ..., N, C), so the elementwise work runs along
     the longer channel axis; the token-major projections are dropped as soon
-    as their time-major copies exist, and dt_pre is formed from the
-    time-major low-rank projection. A no-grad scan reads x through a
+    as their time-major copies exist, and dt_pre is the GEMM of the
+    time-major low-rank projection, with delta_base added and softplus run
+    in place in that GEMM's output. A no-grad scan reads x through a
     time-major view, where a recorded one copies it for the backward's
     weight gradients while it is still in cache (copied in the backward pass
     it cost about 5% of that pass), and each block's readout is formed
     token-major and added into its tokens of D (*) x, so a no-grad block's
-    u = dt (*) x and readout are its only arrays besides its states. The
-    outer products (the injections outer(u_t, B_t), the adjoint seeds
-    outer(dy_t, C_t) and the backward's dt_t * A) are einsums with no summed
-    index, so they hold the products of the broadcast forms bit for bit
-    without their slow broadcast loops. The three (L, ..., N, C) arrays
-    of a recorded scan, the hidden states and the backward's adjoint and
-    decay factors, come from ``T.buffer``, so inside a ``T.workspace`` a
-    training step reuses the previous step's. The no-grad block is not
-    pooled: from a pool it raised the page faults of a no-grad forward.
+    u = dt (*) x and readout are its only arrays besides its states and
+    decays (the backward pass forms u again). The outer products (the
+    injections outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and the
+    decays' dt_t * A) are einsums with no summed index, so they hold the
+    products of the broadcast forms bit for bit without their slow
+    broadcast loops. The three (L, ..., N, C) arrays of a recorded scan, the
+    hidden states and the backward's adjoint and decay factors, come from
+    ``T.buffer``, so inside a ``T.workspace`` a training step reuses the
+    previous step's. The blocks of decays and no-grad states are not
+    pooled: from a pool the no-grad block raised the page faults of a
+    no-grad forward.
     """
     x, a, d = (T.as_tensor(t) for t in (x, a, d))
     if x.shape[-1] != proj.channels:
@@ -160,29 +168,31 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     # one GEMM over every (step, lead) row; for L >= 2 the token-major product
     # is a GEMM too and the rows agree bit for bit (at L = 1 numpy takes a
     # vector kernel there instead, which agrees only at dt_rank 1)
-    dt_t = T._softplus_np(np.matmul(r_t.reshape(-1, r_t.shape[-1]), w_up) + delta_base)
-    dt_t = dt_t.reshape(r_t.shape[:-1] + (ch,))
+    dt_t = np.matmul(r_t.reshape(-1, r_t.shape[-1]), w_up)
+    dt_t += delta_base
+    dt_t = T._softplus_np(dt_t, out=dt_t).reshape(r_t.shape[:-1] + (ch,))
     b_t = _time_major(np.matmul(x.data, w_b) + b_b)
     c_t = _time_major(np.matmul(x.data, w_c) + b_c)
     parents = (x, a, d) + weights
-    if T.recording(parents):  # backward reads x_t and every state: one block of all L steps
-        x_t, block = _time_major(x.data), T.buffer(states)
-    else:  # a time-major view of x, and one cache-sized block of steps that every block reuses
-        k = max(1, _BLOCK_BYTES // (8 * int(np.prod(states[1:]))))
-        x_t, block = np.moveaxis(x.data, -2, 0), np.empty((min(k, length),) + states[1:])
+    # k steps of states and of their decays fit in _BLOCK_BYTES together
+    k = min(length, max(1, _BLOCK_BYTES // (16 * int(np.prod(states[1:])))))
+    decays = np.empty((k,) + states[1:])
+    if T.recording(parents):  # backward reads x_t and every state: blocks are views of all L
+        x_t, hs_all = _time_major(x.data), T.buffer(states)
+    else:  # a time-major view of x, and one block of states that every block reuses
+        x_t, hs_all = np.moveaxis(x.data, -2, 0), None
+        block = np.empty_like(decays)
     y = d.data * x.data
-    decay = np.empty_like(block[0])  # one step's exp(dt_t * A), reused every step
-    carry = np.empty_like(block[0])  # the state before the block's first step
-    for start in range(0, length, len(block)):
-        hs = block[:length - start]
-        steps = slice(start, start + len(hs))
-        u_t = dt_t[steps] * x_t[steps]
+    carry = np.empty_like(decays[0])  # the state before the block's first step
+    for start in range(0, length, k):
+        steps = slice(start, min(start + k, length))
+        hs = block[:steps.stop - start] if hs_all is None else hs_all[steps]
+        decay = np.einsum("l...c,nc->l...nc", dt_t[steps], a_t, out=decays[:len(hs)])
+        np.exp(decay, out=decay)  # exp(dt_t * A) for the block's steps
         # the injections, then the states
-        np.einsum("l...n,l...c->l...nc", b_t[steps], u_t, out=hs)
-        for t in range(max(start, 1), steps.stop):  # step 0 has no predecessor
-            i = t - start
-            np.exp(np.multiply(dt_t[t][..., None, :], a_t, out=decay), out=decay)
-            hs[i] += np.multiply(decay, hs[i - 1] if i else carry, out=decay)
+        np.einsum("l...n,l...c->l...nc", b_t[steps], dt_t[steps] * x_t[steps], out=hs)
+        for i in range(1 if start == 0 else 0, len(hs)):  # step 0 has no predecessor
+            hs[i] += np.multiply(decay[i], hs[i - 1] if i else carry, out=decay[i])
         if not np.isfinite(hs[-1]).all():  # non-finite entries persist: the last state decides
             finite = np.isfinite(hs.reshape(len(hs), -1)).all(axis=1)
             raise NumericError(f"non-finite hidden state at step {start + int(np.argmin(finite))}")
@@ -192,19 +202,20 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     def backward(g):
         T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
         g_t = _time_major(g)
+        u_t = dt_t * x_t
         dh = np.einsum("l...n,l...c->l...nc", c_t, g_t, out=T.buffer(states))
         decay = np.einsum("l...c,nc->l...nc", dt_t, a_t, out=T.buffer(states))
         np.exp(decay, out=decay)  # exp(dt_t * A) for every step
         carry = np.empty_like(dh[0])
         for t in range(length - 2, -1, -1):
             dh[t] += np.multiply(decay[t + 1], dh[t + 1], out=carry)
-        g_c = np.einsum("l...c,l...nc->l...n", g_t, hs)
+        g_c = np.einsum("l...c,l...nc->l...n", g_t, hs_all)
         g_b = np.einsum("l...nc,l...c->l...n", dh, u_t)
         g_u = np.einsum("l...nc,l...n->l...c", dh, b_t)
         # gradient at z_t = dt_t * A: dh_t (*) h_{t-1} (*) exp(z_t), zero at t = 0
         g_z = decay[1:]
         g_z *= dh[1:]
-        g_z *= hs[:-1]
+        g_z *= hs_all[:-1]
         del dh
         g_a = np.einsum("knc,kc->cn", g_z.reshape(-1, n, ch), dt_t[1:].reshape(-1, ch))
         T._accumulate(a, T._unbroadcast(g_a, a.shape))

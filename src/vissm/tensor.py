@@ -11,17 +11,19 @@ per-thread state they run under: grad mode, and the ``workspace`` whose
 ``buffer`` lets an op with a large per-call array reuse one a finished
 training step has let go of. ``recording`` is the one test of whether an
 op goes on the graph, so an op that keeps arrays only for its backward
-pass can ask it first.
+pass can ask it first: when it does not record, SiLU makes its output from
+its sigmoid's array and flip returns a view.
 
 Everything is float64. At the scale this package targets, precision is
 cheap and lets the equivalence tests use tight tolerances.
 
 It also holds the library's one logistic sigmoid and one softplus
-kernel, each a few in-place array passes: the sigmoid is 1 / (1 + e^-x),
-within 4 ulp of the two-branch form that never exponentiates a positive
-number, and the softplus is max(x, 0) + log1p(e^-|x|), within 3 ulp of
-numpy's logaddexp(0, x). Both are exact at 0, at the infinities and past
-the saturation points, and raise no floating-point warning.
+kernel, each a few in-place array passes (the softplus can write into the
+array it is given): the sigmoid is 1 / (1 + e^-x), within 4 ulp of the
+two-branch form that never exponentiates a positive number, and the
+softplus is max(x, 0) + log1p(e^-|x|), within 3 ulp of numpy's
+logaddexp(0, x). Both are exact at 0, at the infinities and past the
+saturation points, and raise no floating-point warning.
 
 A recorded graph has a single owner: tensors and their backward closures
 must not be shared across threads. Pure ops on disjoint graphs are safe to
@@ -310,16 +312,19 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(s, out=s)
 
 
-def _softplus_np(x: np.ndarray) -> np.ndarray:
+def _softplus_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + e^x) as max(x, 0) + log1p(e^-|x|), the form of Mamba's delta_softplus.
 
-    The exponent is never positive, so nothing overflows.
+    The exponent is never positive, so nothing overflows. The result goes
+    into ``out``, which may be x itself, or else into a new array; either
+    way max(x, 0) is the one other array made.
     """
-    out = np.abs(x, out=np.empty_like(x))
+    pos = np.maximum(x, 0.0)
+    out = np.abs(x, out=np.empty_like(x) if out is None else out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
+    out += pos
     return out
 
 
@@ -338,9 +343,13 @@ def softplus(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
-    """x * sigmoid(x)."""
+    """x * sigmoid(x). An op that records keeps the sigmoid for its backward
+    pass; otherwise the sigmoid's array becomes the output, so one array is
+    made, not two (x stays the first factor, so even a NaN keeps its bits)."""
     a = as_tensor(a)
     s = _sigmoid_np(a.data)
+    if not recording((a,)):
+        return _make(np.multiply(a.data, s, out=s), (a,), None)
 
     def backward(g):
         d = np.subtract(1.0, s)  # s * (1 + x * (1 - s)), the derivative at x
@@ -420,7 +429,10 @@ def reshape(a, shape) -> Tensor:
 
 
 def flip(a, axis: int) -> Tensor:
+    """Reverse one axis: a copy when the op records, else the reversed view of a."""
     a = as_tensor(a)
+    if not recording((a,)):
+        return _make(np.flip(a.data, axis=axis), (a,), None)
 
     def backward(g):
         _accumulate(a, np.flip(g, axis=axis))

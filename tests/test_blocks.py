@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import probe_forward
 from oracles import (
     conv1d_slices,
     conv2d_slices,
@@ -352,6 +353,62 @@ def test_forwards_share_one_scan_built_once(monkeypatch):
             arr[0] = 0
 
 
+@pytest.mark.parametrize("scan", ["raster", "cross"])
+@pytest.mark.parametrize("family", B.FAMILIES)
+def test_no_grad_forward_writes_into_neither_images_nor_parameters(family, scan):
+    """The no-grad forms write into arrays they own (SiLU's sigmoid, the
+    scan's dt) and pass views on (flip), never into an input."""
+    m = build_model(config_from_preset(f"desk-{family}", scan=scan), seed=14)
+    imgs = SplitMix64(31).uniform_array((2, 32, 32))
+    before = imgs.tobytes(), {name: p.data.tobytes() for name, p in m.params.items()}
+    with T.no_grad():
+        forward(m, imgs)
+    assert (imgs.tobytes(), {name: p.data.tobytes() for name, p in m.params.items()}) == before
+
+
+# tracemalloc peaks of one no-grad batch-64 forward of each desk preset, in
+# MiB: the whole forward's, and the highest of one SiLU call and of one scan
+# call above the bytes traced at the call's entry (probe_forward.op_peaks).
+# Measured once SiLU, softplus and flip made no spare arrays there (numpy
+# 2.4); the parent read vim 9.49/13.57 MiB, mambavision 3.55/5.08 MiB for
+# the whole forward, and 2.03 (vim), 0.51 (mambavision) and 2.00 MiB (vssd)
+# for SiLU.
+NO_GRAD_PEAK_MIB = {
+    ("vim", "raster"): (8.22, 1.02, 3.13), ("vim", "cross"): (12.30, 1.02, 3.13),
+    ("mambavision", "raster"): (3.35, 0.25, 1.56), ("mambavision", "cross"): (4.88, 0.25, 1.56),
+    ("vssd", "raster"): (6.41, 1.00, 0.0), ("vssd", "cross"): (6.41, 1.00, 0.0),
+}
+# under the 0.25 MiB of the smallest (batch, tokens, channels) array at batch
+# 64 (mambavision's half-width branch), so one such array more fails
+PEAK_MARGIN_MIB = 0.2
+
+
+@pytest.mark.parametrize("family, scan", list(NO_GRAD_PEAK_MIB))
+def test_no_grad_forward_stays_inside_its_memory_budget(family, scan):
+    forward = probe_forward.desk_forward(family, scan, batch=64)
+    ops = probe_forward.op_peaks(forward)
+    peaks = (probe_forward.traced_peak(forward), ops["silu"], ops["scan"])
+    for name, peak, budget in zip(("forward", "silu", "scan"), peaks,
+                                  NO_GRAD_PEAK_MIB[family, scan]):
+        assert peak / 2**20 <= budget + PEAK_MARGIN_MIB, (name, peak / 2**20)
+
+
+def test_forward_probe_prints_every_case_and_op(capsys):
+    argv = ["--families", "vim,vssd", "--scans", "cross", "--batch", "2", "--repeats", "1",
+            "--per-op"]
+    originals = [getattr(mod, attr) for _, mod, attr in probe_forward.OPS]
+    assert probe_forward.main(argv) == 0
+    assert [getattr(mod, attr) for _, mod, attr in probe_forward.OPS] == originals
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:3] for line in lines if line[2] == "ms"] == [["vim", "cross", "ms"],
+                                                               ["vssd", "cross", "ms"]]
+    ops = [line for line in lines if line[2] != "ms"]
+    assert [op[2] for op in ops] == [name for name, _, _ in probe_forward.OPS] * 2
+    calls = {(op[0], op[2]): int(op[4]) for op in ops}
+    assert calls["vim", "scan"] == 16 and calls["vim", "nc_ssd"] == 0
+    assert calls["vssd", "nc_ssd"] == 2 and calls["vssd", "scan"] == 0
+
+
 def test_penultimate_dimension():
     cfg = config_from_preset("desk-vssd")
     m = build_model(cfg, seed=12)
@@ -525,16 +582,23 @@ def test_fused_ops_match_their_oracles_in_drawn_models(cfg, batch, seed):
     oracle: the logits agree within 1e-12 and every parameter gradient within
     1e-10 relative. The no-grad logits, with the scan's default blocks and
     with blocks of one step, equal the recorded ones bit for bit, and so
-    does ``predict``."""
+    does ``predict``; so do the recorded logits and gradients in one-step
+    blocks."""
     model = build_model(cfg, seed=seed)
     imgs = SplitMix64(seed).uniform_array((batch, cfg.image_h, cfg.image_w))
     readout = SplitMix64(seed + 1).normal_array((batch, cfg.classes))
     fused, fused_grads = _logits_and_grads(model, imgs, readout)
     for block_bytes in (S._BLOCK_BYTES, 1):
-        with pytest.MonkeyPatch.context() as mp, T.no_grad():
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(S, "_BLOCK_BYTES", block_bytes)
-            assert np.array_equal(forward(model, imgs).data, fused)
-            assert np.array_equal(predict(model, imgs), np.argmax(fused, axis=-1))
+            if block_bytes == 1:  # the recorded route in one-step blocks too
+                logits, grads = _logits_and_grads(model, imgs, readout)
+                assert np.array_equal(logits, fused)
+                for name, g in grads.items():
+                    assert np.array_equal(g, fused_grads[name]), name
+            with T.no_grad():
+                assert np.array_equal(forward(model, imgs).data, fused)
+                assert np.array_equal(predict(model, imgs), np.argmax(fused, axis=-1))
     with pytest.MonkeyPatch.context() as mp:
         for name, oracle_op in FUSED_OP_ORACLES.items():
             mp.setattr(B, name, oracle_op)

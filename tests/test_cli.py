@@ -641,7 +641,7 @@ RECORDED = [name for name, command in cli.COMMANDS.items()
 def _record_path(name, out):
     """Where ``main`` writes ``name``'s run record for the output path ``out``."""
     directory = "no_clobber" in inspect.signature(cli.COMMANDS[name].handler).parameters
-    return os.path.join(out, "resolved_config.json") if directory else out + ".config.json"
+    return cli.record_path(out, directory)
 
 
 @pytest.mark.parametrize("name", RECORDED)
@@ -701,17 +701,21 @@ def test_flag_a_command_does_not_act_on_is_usage_error(fuzz_inputs, tmp_path, mo
     assert os.listdir(tmp_path) == ["opts.json"]
 
 
-@pytest.mark.parametrize("name", ["scan-show", "export-features"])
+@pytest.mark.parametrize("name, taken", [("scan-show", "f.csv"), ("export-features", "f.csv"),
+                                         ("export-features", "f.csv.config.json")],
+                         ids=["scan-show", "export-features", "export-features-record"])
 def test_output_file_that_is_a_directory_is_runtime_error_before_work(
-        fuzz_inputs, tmp_path, monkeypatch, capsys, name):
-    out = tmp_path / "taken"
-    out.mkdir()
+        fuzz_inputs, tmp_path, monkeypatch, capsys, name, taken):
+    """A directory at the output file, or at export-features' run record
+    beside it, fails before any work and is named."""
+    taken = tmp_path / taken
+    taken.mkdir()
     drawn = record_drawn_splits(monkeypatch)
-    assert run(_tiny_argv(name, fuzz_inputs[1], str(out))) == 2
+    assert run(_tiny_argv(name, fuzz_inputs[1], str(tmp_path / "f.csv"))) == 2
     captured = capsys.readouterr()
-    assert f"output path {str(out)!r} is a directory" in captured.err
+    assert f"output path {str(taken)!r} is a directory" in captured.err
     assert captured.out == "" and drawn == []
-    assert os.listdir(tmp_path) == ["taken"] and os.listdir(out) == []
+    assert os.listdir(tmp_path) == [taken.name] and os.listdir(taken) == []
 
 
 # -- the run record reruns the run ------------------------------------------------------

@@ -151,28 +151,29 @@ def test_channel_independence_with_constant_params():
 
 
 def _block_bytes(steps, x_shape, n):
-    """The ``_BLOCK_BYTES`` at which a no-grad scan of an x of ``x_shape`` with
-    state size n runs blocks of ``steps`` steps."""
-    return steps * 8 * math.prod(x_shape[:-2]) * n * x_shape[-1]
+    """The ``_BLOCK_BYTES`` at which a scan of an x of ``x_shape`` with state
+    size n runs blocks of ``steps`` steps: a step's states and its decays."""
+    return steps * 16 * math.prod(x_shape[:-2]) * n * x_shape[-1]
 
 
 def _scan_on_route(route, x, proj, a, d, block_steps=None):
     """The fused scan of the array x, recorded (x requires grad) or under
     no_grad, in blocks of ``block_steps`` steps if given."""
-    if route == "recorded":
-        return S.selective_scan_sequential(Tensor(x, requires_grad=True), proj, a, d)
-    with T.no_grad(), pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         if block_steps is not None:
             mp.setattr(S, "_BLOCK_BYTES", _block_bytes(block_steps, x.shape, proj.state_dim))
-        return S.selective_scan_sequential(Tensor(x), proj, a, d)
+        if route == "recorded":
+            return S.selective_scan_sequential(Tensor(x, requires_grad=True), proj, a, d)
+        with T.no_grad():
+            return S.selective_scan_sequential(Tensor(x), proj, a, d)
 
 
 ROUTES = ["recorded", "no-grad"]
 
 
 def _errors_on_routes(x, proj, a, d):
-    """The NumericError message of the fused scan of x on each route, the
-    no-grad one in blocks of 2 steps."""
+    """The NumericError message of the fused scan of x on each route, in
+    blocks of 2 steps."""
     messages = []
     for route in ROUTES:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NumericError) as ei:
@@ -310,8 +311,8 @@ def test_fused_scan_matches_parallel_oracle(length, ch, n, lead, chunk, seed):
 
 
 def _block_steps(kind, length):
-    """k steps per no-grad block: 1, 2, one full block and a shorter tail, or
-    more than the whole scan."""
+    """k steps per block: 1, 2, one full block and a shorter tail, or more
+    than the whole scan."""
     return {"one": 1, "two": 2, "tail": length // 2 + 1, "all": length + 1}[kind]
 
 
@@ -335,6 +336,32 @@ def test_no_grad_scan_equals_the_recorded_scan_bit_for_bit(length, ch, n, rank, 
     streamed = _scan_on_route("no-grad", x, proj, a, d, _block_steps(block, length))
     assert not streamed.requires_grad
     assert np.array_equal(streamed.data, recorded.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 40), ch=st.integers(1, 16), n=st.integers(1, 8),
+       rank=st.integers(1, 3), lead=st.sampled_from([(), (1,), (2, 3)]),
+       block=st.sampled_from(["one", "two", "tail", "all"]), seed=st.integers(0, 2**32 - 1))
+@example(length=7, ch=3, n=2, rank=2, lead=(2, 3), block="tail", seed=1)
+@example(length=2, ch=1, n=1, rank=1, lead=(), block="one", seed=2)
+def test_recorded_scan_in_any_blocks_equals_the_default_blocks_bit_for_bit(
+        length, ch, n, rank, lead, block, seed):
+    """The recorded scan writes its stored states block by block, each block
+    with its own decays: its values and all ten gradients at k steps per
+    block equal those at the default block (here all L steps) bit for bit."""
+    rng = SplitMix64(seed)
+    proj = random_projection(rng, ch, n, rank=rank)
+    a_log = rng.normal_array((ch, n)) * 0.3
+    d = rng.normal_array((ch,))
+    x = rng.normal_array(lead + (length, ch))
+    readout = rng.normal_array(x.shape)
+    y, grads = _scan_values_and_grads(S.selective_scan_sequential, proj, a_log, d, x, readout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_BLOCK_BYTES", _block_bytes(_block_steps(block, length), x.shape, n))
+        y_k, grads_k = _scan_values_and_grads(S.selective_scan_sequential, proj, a_log, d, x,
+                                              readout)
+    assert y_k.tobytes() == y.tobytes()
+    assert [g.tobytes() for g in grads_k] == [g.tobytes() for g in grads]
 
 
 def test_no_grad_scan_holds_less_than_one_stored_state_array():

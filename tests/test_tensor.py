@@ -89,6 +89,35 @@ def test_sigmoid_and_softplus_kernels_are_exact_at_the_edges_and_close_elsewhere
         assert _ulps(T._softplus_np(x), np.logaddexp(0.0, x)) <= 3
 
 
+def test_no_grad_forms_hold_the_bytes_of_the_recorded_ones_at_the_edges():
+    """No-grad SiLU turns its sigmoid array into the output, softplus can
+    write into its input and no-grad flip is a view: each gives the bytes of
+    the form it stands for, -0.0 and NaNs of either sign included."""
+    edges = np.concatenate([EDGES, -EDGES])
+    x = Tensor(edges, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is NaN on both routes
+        recorded = T.silu(x)
+        with T.no_grad():
+            plain = T.silu(x)
+    in_place = edges.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no floating-point warning escapes
+        assert T._softplus_np(in_place, out=in_place) is in_place
+    assert recorded.requires_grad and not plain.requires_grad
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    assert in_place.tobytes() == T._softplus_np(edges).tobytes()
+
+    grid = Tensor(edges.reshape(2, 13), requires_grad=True)
+    for axis in (0, 1, -1):
+        copy = T.flip(grid, axis)
+        with T.no_grad():
+            view = T.flip(grid, axis)
+        assert np.shares_memory(view.data, grid.data)
+        assert not np.shares_memory(copy.data, grid.data)
+        assert view.data.tobytes() == copy.data.tobytes()
+    assert edges.tobytes() == grid.data.tobytes() == x.data.tobytes()
+
+
 def test_shape_mismatch_error_names_both_shapes():
     with pytest.raises(T.ShapeError) as ei:
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
