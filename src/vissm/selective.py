@@ -14,18 +14,18 @@ decay factors stay inside (0, 1); callers parameterize it as -exp(A_log).
 Three evaluation routes are provided. The sequential route is the model
 path: one fused tensor op covers the whole scan path, from the B, C and dt
 projections through softplus, dt * x and the recurrence to the D * x skip.
-It runs the recurrence step by step in one loop over blocks of steps, each
-block forming its own decay factors, keeps only the hidden states, and
-back-propagates through a hand-derived reverse-time adjoint that recomputes
-the decay factors (the recipe of Mamba, section 3.3). Only a recorded scan
-keeps all L states; under no-grad one cache-sized block of states is
-reused, so the state never fills main memory (Mamba's kernel keeps it in
-SRAM). The chunked route projects with ``project_params``, composes affine
-maps h -> a (*) h + b and records every step on the tensor graph; it is the
-oracle the fused op is tested against. The non-causal variant collapses
-the recurrence into one global state shared by all tokens; its core is one
-fused op too, with a four-matmul backward, and the graph composition it
-replaced is its test oracle (tests/oracles.py).
+It runs the recurrence step by step in one reused cache-sized block of
+steps, each block forming its own decay factors, so the state never fills
+main memory (Mamba's kernel keeps it in SRAM). Its forward is the same
+whether it records or not: a recorded scan keeps only the state entering
+each block, and its hand-derived reverse-time adjoint reruns each block
+from that state rather than storing all L states (the recipe of Mamba,
+section 3.3). The chunked route projects with ``project_params``, composes
+affine maps h -> a (*) h + b and records every step on the tensor graph;
+it is the oracle the fused op is tested against. The non-causal variant
+collapses the recurrence into one global state shared by all tokens; its
+core is one fused op too, with a four-matmul backward, and the graph
+composition it replaced is its test oracle (tests/oracles.py).
 
 All routes are differentiable through the tensor graph.
 """
@@ -110,26 +110,34 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     are those of the composed route bit for bit (for a single token, L = 1,
     only at dt_rank 1).
 
-    The forward is one recurrence loop over blocks of k steps, and each
-    block's last state carries into the next. A block's states and its
-    decay factors fit in ``_BLOCK_BYTES`` together. Each block forms its
-    decays exp(dt_t * A) with one einsum and one exp, the backward pass's
-    own form, into one reused array, so a step is one multiply (into its
-    decay) and one add. When the op records (see ``T.recording``) a block
-    is a view of the L hidden states it stores, which the backward pass
-    reads; otherwise it is one array that every block reuses, so no
-    (L, ..., N, C) array exists. Every value is the same single rounding at
-    any k, so both routes give the same bits at every block size. The
-    backward pass runs the adjoint recurrence
-    dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1} in reverse
-    time, recomputing the decay factors rather than storing them, takes
-    softplus' derivative from the op's own output (sigmoid(z) =
-    -expm1(-softplus(z))), and forms each weight gradient as one matmul over
-    the flattened batch and tokens. Raises NumericError naming the first
-    step whose hidden state is not finite. A non-finite entry stays
-    non-finite through every later step, because the decay is >= 0 or NaN, so
-    only each block's last state is checked; the block's steps are read one
-    by one only after it fails.
+    One nested ``run`` does a block of k steps' work: it forms the block's
+    decays exp(dt_t * A) with one einsum and one exp, then its states, each
+    step one multiply into a reused state-sized product and one add, from
+    the state entering the block. A block's states and decays fit in
+    ``_BLOCK_BYTES`` together, and every block reuses the same array, so no
+    (L, ..., N, C) array is made by the forward. The forward walks the
+    blocks with ``run`` and is the same whether the op records (see
+    ``T.recording``) or not: recording decides only what the op keeps for
+    its backward pass, which is the state entering each block and a
+    time-major copy of x. Every value is the same single rounding at any k,
+    so the op gives the same bits at every block size. Raises NumericError
+    naming the first step whose hidden state is not finite. A non-finite
+    entry stays non-finite through every later step, because the decay is
+    >= 0 or NaN, so only each block's last state is checked; the block's
+    steps are read one by one only after it fails.
+
+    The backward pass runs the adjoint recurrence
+    dh_t = outer(dy_t, C_t) + exp(dt_{t+1} * A) (*) dh_{t+1} in reverse time
+    in one (L, ..., N, C) array, the op's only one. It walks the blocks
+    last first: it reruns each with ``run`` from its stored entry state,
+    pushes the adjoint through the block and into the block before, forms
+    the block's gradients at C, B and u = dt (*) x, and then turns the
+    block of dh into the gradient at z_t = dt_t * A in place. The gradient
+    of A is one contraction over every step of that array, as though all L
+    states had been kept, so every gradient keeps its bits. softplus'
+    derivative comes from the op's own output (sigmoid(z) =
+    -expm1(-softplus(z))), and each weight gradient is one matmul over the
+    flattened batch and tokens.
 
     Internally every per-step array is time-major with the state axis ahead
     of the channel axis, (L, ..., N, C), so the elementwise work runs along
@@ -140,18 +148,14 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     time-major view, where a recorded one copies it for the backward's
     weight gradients while it is still in cache (copied in the backward pass
     it cost about 5% of that pass), and each block's readout is formed
-    token-major and added into its tokens of D (*) x, so a no-grad block's
-    u = dt (*) x and readout are its only arrays besides its states and
-    decays (the backward pass forms u again). The outer products (the
-    injections outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and the
-    decays' dt_t * A) are einsums with no summed index, so they hold the
+    token-major and added into its tokens of D (*) x. The outer products
+    (the injections outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and
+    the decays' dt_t * A) are einsums with no summed index, so they hold the
     products of the broadcast forms bit for bit without their slow
-    broadcast loops. The three (L, ..., N, C) arrays of a recorded scan, the
-    hidden states and the backward's adjoint and decay factors, come from
-    ``T.buffer``, so inside a ``T.workspace`` a training step reuses the
-    previous step's. The blocks of decays and no-grad states are not
-    pooled: from a pool the no-grad block raised the page faults of a
-    no-grad forward.
+    broadcast loops. The adjoint comes from ``T.buffer``, so inside a
+    ``T.workspace`` a training step reuses the previous step's; the block
+    arrays are not pooled (from a pool the no-grad block raised the page
+    faults of a no-grad forward).
     """
     x, a, d = (T.as_tensor(t) for t in (x, a, d))
     if x.shape[-1] != proj.channels:
@@ -174,49 +178,63 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     b_t = _time_major(np.matmul(x.data, w_b) + b_b)
     c_t = _time_major(np.matmul(x.data, w_c) + b_c)
     parents = (x, a, d) + weights
+    recorded = T.recording(parents)
+    # the backward's weight gradients read x time-major: a recorded scan copies it
+    x_t = _time_major(x.data) if recorded else np.moveaxis(x.data, -2, 0)
     # k steps of states and of their decays fit in _BLOCK_BYTES together
     k = min(length, max(1, _BLOCK_BYTES // (16 * int(np.prod(states[1:])))))
-    decays = np.empty((k,) + states[1:])
-    if T.recording(parents):  # backward reads x_t and every state: blocks are views of all L
-        x_t, hs_all = _time_major(x.data), T.buffer(states)
-    else:  # a time-major view of x, and one block of states that every block reuses
-        x_t, hs_all = np.moveaxis(x.data, -2, 0), None
-        block = np.empty_like(decays)
-    y = d.data * x.data
-    carry = np.empty_like(decays[0])  # the state before the block's first step
-    for start in range(0, length, k):
+
+    def run(start, before, work):
+        """The block of steps from ``start``, from the state ``before`` it: its
+        steps, and its states, decays and one step's product in ``work``."""
         steps = slice(start, min(start + k, length))
-        hs = block[:steps.stop - start] if hs_all is None else hs_all[steps]
-        decay = np.einsum("l...c,nc->l...nc", dt_t[steps], a_t, out=decays[:len(hs)])
+        hs, decay, term = work[:steps.stop - start], work[k:k + steps.stop - start], work[-1]
+        np.einsum("l...c,nc->l...nc", dt_t[steps], a_t, out=decay)
         np.exp(decay, out=decay)  # exp(dt_t * A) for the block's steps
         # the injections, then the states
         np.einsum("l...n,l...c->l...nc", b_t[steps], dt_t[steps] * x_t[steps], out=hs)
         for i in range(1 if start == 0 else 0, len(hs)):  # step 0 has no predecessor
-            hs[i] += np.multiply(decay[i], hs[i - 1] if i else carry, out=decay[i])
+            hs[i] += np.multiply(decay[i], hs[i - 1] if i else before, out=term)
+        return steps, hs, decay, term
+
+    # k states, k decays and one step's product; a backward pass makes its own
+    work = np.empty((2 * k + 1,) + states[1:])
+    # a recorded scan keeps the state before each block (and one after the
+    # last) for its backward pass; otherwise one state is reused: row j * recorded
+    entries = np.empty((-(-length // k) + 1 if recorded else 1,) + states[1:])
+    y = d.data * x.data
+    for j, start in enumerate(range(0, length, k)):
+        steps, hs, _, _ = run(start, entries[j * recorded], work)
         if not np.isfinite(hs[-1]).all():  # non-finite entries persist: the last state decides
             finite = np.isfinite(hs.reshape(len(hs), -1)).all(axis=1)
             raise NumericError(f"non-finite hidden state at step {start + int(np.argmin(finite))}")
         y[..., steps, :] += np.einsum("l...nc,l...n->...lc", hs, c_t[steps])
-        np.copyto(carry, hs[-1])
+        np.copyto(entries[(j + 1) * recorded], hs[-1])
 
     def backward(g):
         T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
         g_t = _time_major(g)
         u_t = dt_t * x_t
         dh = np.einsum("l...n,l...c->l...nc", c_t, g_t, out=T.buffer(states))
-        decay = np.einsum("l...c,nc->l...nc", dt_t, a_t, out=T.buffer(states))
-        np.exp(decay, out=decay)  # exp(dt_t * A) for every step
-        carry = np.empty_like(dh[0])
-        for t in range(length - 2, -1, -1):
-            dh[t] += np.multiply(decay[t + 1], dh[t + 1], out=carry)
-        g_c = np.einsum("l...c,l...nc->l...n", g_t, hs_all)
-        g_b = np.einsum("l...nc,l...c->l...n", dh, u_t)
-        g_u = np.einsum("l...nc,l...n->l...c", dh, b_t)
-        # gradient at z_t = dt_t * A: dh_t (*) h_{t-1} (*) exp(z_t), zero at t = 0
-        g_z = decay[1:]
-        g_z *= dh[1:]
-        g_z *= hs_all[:-1]
-        del dh
+        g_c, g_b, g_u = np.empty_like(c_t), np.empty_like(b_t), np.empty_like(x_t)
+        work = np.empty((2 * k + 1,) + states[1:])  # the graph keeps no block between passes
+        for start in reversed(range(0, length, k)):
+            steps, hs, decay, term = run(start, entries[start // k], work)
+            # dh_{t-1} += exp(z_t) (*) dh_t, into the block before from its first step
+            for t in range(steps.stop - 1, max(start, 1) - 1, -1):
+                dh[t - 1] += np.multiply(decay[t - start], dh[t], out=term)
+            np.einsum("l...c,l...nc->l...n", g_t[steps], hs, out=g_c[steps])
+            np.einsum("l...nc,l...c->l...n", dh[steps], u_t[steps], out=g_b[steps])
+            np.einsum("l...nc,l...n->l...c", dh[steps], b_t[steps], out=g_u[steps])
+            # dh_t becomes the gradient at z_t = dt_t * A, dh_t (*) exp(z_t) (*) h_{t-1},
+            # from step 1 on (step 0 has no predecessor): h_{t-1} is the entry
+            # state at the block's first step, its own state before at the others
+            first = 1 if start == 0 else 0
+            g_z = dh[start + first:steps.stop]
+            g_z *= decay[first:]
+            g_z[1 - first:] *= hs[:-1]
+            g_z[:1 - first] *= entries[start // k]
+        g_z = dh[1:]
         g_a = np.einsum("knc,kc->cn", g_z.reshape(-1, n, ch), dt_t[1:].reshape(-1, ch))
         T._accumulate(a, T._unbroadcast(g_a, a.shape))
         g_pre = g_u * x_t
@@ -229,10 +247,7 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
                                     g_pre2.sum(axis=0), g_b2.sum(axis=0), g_c2.sum(axis=0))):
             T._accumulate(w, g_w)
         if x.requires_grad:
-            g_x = g_u * dt_t
-            g_x += np.matmul(g_b, w_b.T)
-            g_x += np.matmul(g_c, w_c.T)
-            g_x += np.matmul(g_r, w_down.T)
+            g_x = g_u * dt_t + g_b @ w_b.T + g_c @ w_c.T + g_r @ w_down.T
             T._accumulate(x, np.moveaxis(g_x, 0, -2) + g * d.data)
 
     return T._make(y, parents, backward)

@@ -10,9 +10,10 @@ The module holds the ops the library records on its graph and the
 per-thread state they run under: grad mode, and the ``workspace`` whose
 ``buffer`` lets an op with a large per-call array reuse one a finished
 training step has let go of. ``recording`` is the one test of whether an
-op goes on the graph, so an op that keeps arrays only for its backward
-pass can ask it first: when it does not record, SiLU makes its output from
-its sigmoid's array and flip returns a view.
+op goes on the graph. It decides only what an op keeps for its backward
+pass, never how the op's forward is computed: SiLU keeps its sigmoid only
+when it records (otherwise the sigmoid's array becomes the output), and
+flip is the reversed view either way.
 
 Everything is float64. At the scale this package targets, precision is
 cheap and lets the equivalence tests use tight tolerances.
@@ -343,23 +344,27 @@ def softplus(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
-    """x * sigmoid(x). An op that records keeps the sigmoid for its backward
-    pass; otherwise the sigmoid's array becomes the output, so one array is
-    made, not two (x stays the first factor, so even a NaN keeps its bits)."""
+    """x * sigmoid(x). At -inf it and its derivative are -0.0, as below
+    x = -710, with no floating-point warning. An op that records makes its
+    output and keeps the sigmoid for its backward pass; otherwise the output
+    goes into the sigmoid's array, so one array is made, not two. x stays
+    the first factor, so even a NaN keeps its bits."""
     a = as_tensor(a)
     s = _sigmoid_np(a.data)
-    if not recording((a,)):
-        return _make(np.multiply(a.data, s, out=s), (a,), None)
 
     def backward(g):
         d = np.subtract(1.0, s)  # s * (1 + x * (1 - s)), the derivative at x
         d *= a.data
         d += 1.0
+        np.copyto(d, -1.0, where=a.data == -np.inf)  # not -inf * 0: any negative gives -0.0
         d *= s
         d *= g
         _accumulate(a, d)
 
-    return _make(a.data * s, (a,), backward)
+    with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is -inf * 0, set to -0.0 below
+        out = np.multiply(a.data, s, out=np.empty_like(s) if recording((a,)) else s)
+    np.copyto(out, -0.0, where=a.data == -np.inf)
+    return _make(out, (a,), backward)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -429,15 +434,13 @@ def reshape(a, shape) -> Tensor:
 
 
 def flip(a, axis: int) -> Tensor:
-    """Reverse one axis: a copy when the op records, else the reversed view of a."""
+    """Reverse one axis: the reversed view of a."""
     a = as_tensor(a)
-    if not recording((a,)):
-        return _make(np.flip(a.data, axis=axis), (a,), None)
 
     def backward(g):
         _accumulate(a, np.flip(g, axis=axis))
 
-    return _make(np.flip(a.data, axis=axis).copy(), (a,), backward)
+    return _make(np.flip(a.data, axis=axis), (a,), backward)
 
 
 def take(a, indices, axis: int) -> Tensor:

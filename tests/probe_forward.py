@@ -1,6 +1,7 @@
-"""Time, page faults and memory peak of the no-grad forward, per family and scan.
+"""Time, page faults and memory peak of the no-grad forward or of a training
+step, per family and scan.
 
-    PYTHONPATH=<checkout>/src python tests/probe_forward.py [--per-op]
+    PYTHONPATH=<checkout>/src python tests/probe_forward.py [--per-op | --train]
         [--families vim,mambavision,vssd] [--scans raster,cross]
         [--batch 64] [--repeats 5]
 
@@ -26,7 +27,20 @@ highest tracemalloc peak of one of its calls above the traced bytes at the
 call's entry, children included, so an array an op makes and drops before
 the forward's peak shows there.
 Wrapping costs a few microseconds per call, so the family line's time is
-taken with the wrappers on too. Only this process's own counters are read.
+taken with the wrappers on too.
+
+With ``--train`` each case is recorded training steps instead, as
+``training.train`` runs them (forward, cross-entropy, backward, the graph
+dropped, an Adam step), on batches of 32 unless ``--batch`` is given and
+with the raster scan unless ``--scans`` is. From a fresh ``T.workspace``,
+two traced steps give the tracemalloc peak and the arrays and bytes the
+workspace then pools; ``--repeats`` more steps in that workspace give the
+median time and minor faults of a step:
+
+    <family> <scan> train ms <median ms> faults <median faults> peak_mib <peak>
+        pool <arrays> pool_mib <pooled MiB>
+
+(one line). Only this process's own counters are read.
 BLAS is pinned to one thread before numpy loads. pytest does not collect
 this file; ``test_blocks.py`` smoke-tests it.
 """
@@ -48,6 +62,7 @@ import numpy as np
 
 from vissm import blocks as B
 from vissm import tensor as T
+from vissm import training as TR
 
 # the wrapped ops: (name shown, module, attribute the model code looks up)
 OPS = (
@@ -144,6 +159,44 @@ def desk_forward(family: str, scan: str, batch: int):
     return forward
 
 
+def desk_step(family: str, scan: str, batch: int):
+    """One recorded training step of the family's desk preset (seed 3) on one
+    fixed batch of images and labels, as a function of no arguments."""
+    model = B.build_model(B.config_from_preset(f"desk-{family}", scan=scan), 3)
+    rng = np.random.default_rng(11)
+    images, labels = rng.random((batch, 32, 32)), rng.integers(0, 2, batch)
+    optimizer = TR.Adam(model.params)
+
+    def step():
+        loss = TR.cross_entropy(B.forward(model, images), labels)
+        for p in model.params.values():
+            p.zero_grad()
+        T.backward(loss)
+        del loss  # the step's graph dies here, as in training.train
+        optimizer.step(1e-3)
+
+    return step
+
+
+def probe_train(family: str, scan: str, batch: int, repeats: int):
+    """(median ms, median faults, peak MiB, pooled arrays, pooled MiB) of one
+    case: the peak and the pool over two steps from a fresh workspace, the
+    time and faults over ``repeats`` more steps in it."""
+    step = desk_step(family, scan, batch)
+    times, faults = [], []
+    with T.workspace():
+        peak = traced_peak(lambda: (step(), step()))
+        pool = T._thread.pool
+        arrays, pooled = len(pool), sum(buf.nbytes for buf in pool)
+        for _ in range(repeats):
+            f0, t0 = _faults(), time.perf_counter()
+            step()
+            times.append(time.perf_counter() - t0)
+            faults.append(_faults() - f0)
+    return (1e3 * statistics.median(times), statistics.median(faults), peak / 2**20, arrays,
+            pooled / 2**20)
+
+
 def traced_peak(fn) -> int:
     """tracemalloc's peak in bytes over one call of fn."""
     tracemalloc.start()
@@ -186,14 +239,24 @@ def probe(family: str, scan: str, batch: int, repeats: int, per_op: bool):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--families", default=",".join(B.FAMILIES))
-    parser.add_argument("--scans", default="raster,cross")
-    parser.add_argument("--batch", type=int, default=64)
+    parser.add_argument("--scans")
+    parser.add_argument("--batch", type=int)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--per-op", action="store_true")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--per-op", action="store_true")
+    mode.add_argument("--train", action="store_true")
     args = parser.parse_args(argv)
+    scans = args.scans or ("raster" if args.train else "raster,cross")
     for family in args.families.split(","):
-        for scan in args.scans.split(","):
-            ms, faults, peak, per = probe(family, scan, args.batch, args.repeats, args.per_op)
+        for scan in scans.split(","):
+            if args.train:
+                ms, faults, peak, arrays, pooled = probe_train(family, scan, args.batch or 32,
+                                                               args.repeats)
+                print(f"{family} {scan} train ms {ms:.2f} faults {faults:.0f} "
+                      f"peak_mib {peak:.2f} pool {arrays} pool_mib {pooled:.2f}")
+                continue
+            ms, faults, peak, per = probe(family, scan, args.batch or 64, args.repeats,
+                                          args.per_op)
             print(f"{family} {scan} ms {ms:.2f} faults {faults:.0f} peak_mib {peak:.2f}")
             for name, (calls, secs, op_faults, op_peak) in (per or {}).items():
                 print(f"{family} {scan}   {name} calls {calls:.0f} ms {1e3 * secs:.2f} "

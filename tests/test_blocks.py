@@ -408,6 +408,15 @@ def test_forward_probe_prints_every_case_and_op(capsys):
     assert calls["vim", "scan"] == 16 and calls["vim", "nc_ssd"] == 0
     assert calls["vssd", "nc_ssd"] == 2 and calls["vssd", "scan"] == 0
 
+    argv = ["--train", "--families", "vim,vssd", "--batch", "2", "--repeats", "1"]
+    assert probe_forward.main(argv) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:4] + line[5::2] for line in lines] == [
+        ["vim", "raster", "train", "ms", "faults", "peak_mib", "pool", "pool_mib"],
+        ["vssd", "raster", "train", "ms", "faults", "peak_mib", "pool", "pool_mib"]]
+    # the fused scans' one adjoint and the conv's input gradient; vssd has no scan
+    assert [int(line[10]) for line in lines] == [2, 1]
+
 
 def test_penultimate_dimension():
     cfg = config_from_preset("desk-vssd")

@@ -91,30 +91,41 @@ def test_sigmoid_and_softplus_kernels_are_exact_at_the_edges_and_close_elsewhere
 
 def test_no_grad_forms_hold_the_bytes_of_the_recorded_ones_at_the_edges():
     """No-grad SiLU turns its sigmoid array into the output, softplus can
-    write into its input and no-grad flip is a view: each gives the bytes of
-    the form it stands for, -0.0 and NaNs of either sign included."""
+    write into its input and flip is a view on both routes: each gives the
+    bytes of the form it stands for, -0.0 and NaNs of either sign included.
+    SiLU and its derivative are -0.0 at -inf, as at -800, with no warning."""
     edges = np.concatenate([EDGES, -EDGES])
     x = Tensor(edges, requires_grad=True)
-    with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is NaN on both routes
-        recorded = T.silu(x)
-        with T.no_grad():
-            plain = T.silu(x)
     in_place = edges.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no floating-point warning escapes
+        recorded = T.silu(x)
+        with T.no_grad():
+            plain = T.silu(x)
         assert T._softplus_np(in_place, out=in_place) is in_place
+        low = Tensor(np.array([-np.inf, -800.0]), requires_grad=True)
+        T.backward(T.sum_(T.silu(low)))
     assert recorded.requires_grad and not plain.requires_grad
     assert plain.data.tobytes() == recorded.data.tobytes()
     assert in_place.tobytes() == T._softplus_np(edges).tobytes()
+    minus_zero = np.array([-0.0, -0.0]).tobytes()
+    assert recorded.data[edges == -np.inf].tobytes() == minus_zero  # -inf in EDGES and -EDGES
+    assert low.grad.tobytes() == minus_zero
+    with np.errstate(invalid="ignore"):  # the plain product, NaN at -inf
+        product = edges * T._sigmoid_np(edges)
+    rest = edges != -np.inf
+    assert recorded.data[rest].tobytes() == product[rest].tobytes()
 
     grid = Tensor(edges.reshape(2, 13), requires_grad=True)
     for axis in (0, 1, -1):
-        copy = T.flip(grid, axis)
+        recorded = T.flip(grid, axis)
         with T.no_grad():
-            view = T.flip(grid, axis)
-        assert np.shares_memory(view.data, grid.data)
-        assert not np.shares_memory(copy.data, grid.data)
-        assert view.data.tobytes() == copy.data.tobytes()
+            plain = T.flip(grid, axis)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert np.shares_memory(recorded.data, grid.data)
+        assert np.shares_memory(plain.data, grid.data)
+        assert plain.data.tobytes() == recorded.data.tobytes() \
+            == np.flip(edges.reshape(2, 13), axis).tobytes()
     assert edges.tobytes() == grid.data.tobytes() == x.data.tobytes()
 
 
