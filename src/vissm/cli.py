@@ -2,11 +2,21 @@
 
 One subcommand per pipeline stage: kernel benchmarks, scan-order rendering,
 data synthesis, training, evaluation, feature export, and the full
-cross-generator experiment. Once a handler returns, ``main`` writes the run
-record, the fully resolved options under the command's name, as the run's
-last file: ``<out>/resolved_config.json`` where ``--out`` is a directory,
-``<out>.config.json`` for ``export-features``, none for ``scan-show``. So a
-run can be reproduced from its output directory alone.
+cross-generator experiment. Each ``Command`` in ``COMMANDS`` declares what
+its ``--out`` names: a directory (``"dir"``), a file (``"file"``,
+``export-features``' CSV) or nothing (``scan-show``). ``main`` owns
+``--out``: it checks it before the handler runs (``prepare_outdir``, or
+``check_outfile`` on the file and on the record beside it), and once the
+handler returns it writes the run record, the fully resolved options under
+the command's name, as the run's last file: ``<out>/resolved_config.json``
+for a directory, ``<out>.config.json`` for a file. So a run can be
+reproduced from its output directory alone.
+
+Of several faults, the first in this order is reported: a bad flag or
+config value, a range the option table declares included (exit 1); a bad
+``--out`` (exit 2); then what the command finds, such as a range that only
+the library checks (exit 1). So ``cross-gen --epochs 0 --out <existing
+file>`` exits 2.
 
 Each option is declared once: in ``COMMANDS``, or in a group that several
 commands splice in (``CORPUS``, ``TRAINING``, ``DATA``, ``CHECKPOINT``).
@@ -112,15 +122,14 @@ def _usage(fn, *args, **kwargs):
         raise UsageError(str(exc)) from None
 
 
-def prepare_outdir(path: str, no_clobber: bool) -> str:
-    """Check ``--out`` before any work; the directory appears at the first write."""
+def prepare_outdir(path: str, no_clobber: bool) -> None:
+    """Check an output directory before any work; it appears at the first write."""
     if os.path.exists(path) and not os.path.isdir(path):
         raise NotADirectoryError(f"output path {path!r} exists and is not a directory")
     if os.path.isdir(path) and os.listdir(path):
         if no_clobber:
             raise RuntimeError(f"output directory {path!r} is not empty (--no-clobber)")
         print(f"warning: overwriting contents of {path!r}", file=sys.stderr)
-    return path
 
 
 def check_outfile(path: str) -> None:
@@ -148,22 +157,24 @@ def _load_bundle(data_path: str, splits: tuple):
 # -- bench-kernels ------------------------------------------------------------------
 
 
-def cmd_bench_kernels(opt: dict, no_clobber: bool) -> None:
+def cmd_bench_kernels(opt: dict) -> None:
     lengths = [int(n) for n in opt["lengths"].split(",")]
-    outdir = prepare_outdir(opt["out"], no_clobber)
     rng = SplitMix64(hash_combine(opt["seed"], 0xBE7C4))
     rows = []
     checks = []
+
+    def timed(fn):
+        best = float("inf")
+        for _ in range(opt["repeats"]):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
 
     for length in lengths:
         params = ssm.random_stable_system(rng, opt["dim"])
         dssm = ssm.discretize_zoh(params)
         x = rng.normal_array((length,))
-
-        y_rec = ssm.run_recurrent(dssm, x)
-        y_conv = ssm.run_convolution(dssm, x)
-        gap_lti = float(np.max(np.abs(y_rec - y_conv)))
-
         proj = S.SelectiveProjection(
             w_b=Tensor(rng.normal_array((opt["channels"], opt["state"])) * 0.3),
             w_c=Tensor(rng.normal_array((opt["channels"], opt["state"])) * 0.3),
@@ -176,10 +187,17 @@ def cmd_bench_kernels(opt: dict, no_clobber: bool) -> None:
         a = Tensor(-rng.uniform_array((opt["channels"], opt["state"]), 0.5, 3.0))
         d = Tensor(rng.normal_array((opt["channels"],)))
         xs = Tensor(rng.normal_array((length, opt["channels"])))
+        routes = {  # each pair of routes is cross-checked, then every route timed
+            "lti_recurrent": lambda: ssm.run_recurrent(dssm, x),
+            "lti_fft_conv": lambda: ssm.run_convolution(dssm, x),
+            "selective_sequential": lambda: S.selective_scan_sequential(xs, proj, a, d).data,
+            "selective_parallel":
+                lambda: S.selective_scan_parallel(xs, proj, a, d, opt["chunk"]).data,
+        }
         with T.no_grad():
-            y_seq = S.selective_scan_sequential(xs, proj, a, d)
-            y_par = S.selective_scan_parallel(xs, proj, a, d, opt["chunk"])
-        gap_sel = float(np.max(np.abs(y_seq.data - y_par.data)))
+            y = {method: route() for method, route in routes.items()}
+        gap_lti = float(np.max(np.abs(y["lti_recurrent"] - y["lti_fft_conv"])))
+        gap_sel = float(np.max(np.abs(y["selective_sequential"] - y["selective_parallel"])))
 
         ok = gap_lti < opt["tolerance"] and gap_sel < opt["tolerance"]
         checks.append({"length": length, "lti_gap": gap_lti,
@@ -189,30 +207,16 @@ def cmd_bench_kernels(opt: dict, no_clobber: bool) -> None:
                 f"cross-check failed at L={length}: lti_gap={gap_lti:.3e}, "
                 f"selective_gap={gap_sel:.3e} (tolerance {opt['tolerance']:.1e})"
             )
-
-        def timed(fn):
-            best = float("inf")
-            for _ in range(opt["repeats"]):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
         with T.no_grad():
-            rows.append(("lti_recurrent", length, timed(lambda: ssm.run_recurrent(dssm, x))))
-            rows.append(("lti_fft_conv", length, timed(lambda: ssm.run_convolution(dssm, x))))
-            rows.append(("selective_sequential", length,
-                         timed(lambda: S.selective_scan_sequential(xs, proj, a, d))))
-            rows.append(("selective_parallel", length,
-                         timed(lambda: S.selective_scan_parallel(xs, proj, a, d, opt["chunk"]))))
+            rows += [(method, length, timed(route)) for method, route in routes.items()]
         print(f"L={length}: cross-checks ok (lti {gap_lti:.2e}, selective {gap_sel:.2e})")
 
     report = {"schema": "vissm.bench/1", "checks": checks,
               "rows": [{"method": m, "length": l, "seconds": s} for m, l, s in rows]}
-    files.write_json(os.path.join(outdir, "bench.json"), report)
-    files.write_csv(os.path.join(outdir, "bench.csv"), ["method", "length", "seconds"],
+    files.write_json(os.path.join(opt["out"], "bench.json"), report)
+    files.write_csv(os.path.join(opt["out"], "bench.csv"), ["method", "length", "seconds"],
               [(m, l, f"{s:.6f}") for m, l, s in rows])
-    print(f"wrote {outdir}/bench.json and bench.csv")
+    print(f"wrote {opt['out']}/bench.json and bench.csv")
 
 
 # -- scan-show ---------------------------------------------------------------------
@@ -259,11 +263,11 @@ def _corpus(opt: dict) -> dict:
     return corpus
 
 
-def cmd_make_data(opt: dict, no_clobber: bool) -> None:
+def cmd_make_data(opt: dict) -> None:
     # beyond the corpus check, make_dataset rejects only image extents below its minimum
     bundle = _usage(make_dataset, seed=opt["seed"], h=opt["height"], w=opt["width"],
                     **_corpus(opt))
-    outdir = prepare_outdir(opt["out"], no_clobber)
+    outdir = opt["out"]
     files.write_json(os.path.join(outdir, "manifest.json"), bundle.manifest)
     if opt["dump_pgm"] > 0:
         sample_dir = os.path.join(outdir, "samples")
@@ -282,7 +286,7 @@ def _train_config(opt: dict, seed: int) -> TR.TrainConfig:
     return _usage(TR.TrainConfig, seed=seed, **{o.key: opt[o.key] for o in TRAINING})
 
 
-def cmd_train(opt: dict, no_clobber: bool) -> None:
+def cmd_train(opt: dict) -> None:
     train_cfg = _train_config(opt, opt["seed"])
     cfg = _usage(B.config_from_preset, f"desk-{opt['family']}",
                  **{key: opt[key] for key in (*B.DESK, "scan")})
@@ -290,7 +294,7 @@ def cmd_train(opt: dict, no_clobber: bool) -> None:
     # a model that does not fit the data's image extents is a runtime error
     cfg = replace(cfg, image_h=bundle.manifest["image"]["h"],
                   image_w=bundle.manifest["image"]["w"])
-    outdir = prepare_outdir(opt["out"], no_clobber)
+    outdir = opt["out"]
 
     model = B.build_model(cfg, seed=opt["seed"])
     model, state = TR.train(model, bundle, cfg=train_cfg,
@@ -313,10 +317,10 @@ def cmd_train(opt: dict, no_clobber: bool) -> None:
 # -- eval --------------------------------------------------------------------------
 
 
-def cmd_eval(opt: dict, no_clobber: bool) -> None:
+def cmd_eval(opt: dict) -> None:
     bundle = _load_bundle(opt["data"], ("test",))
     model = B.load_checkpoint(opt["checkpoint"])
-    outdir = prepare_outdir(opt["out"], no_clobber)
+    outdir = opt["out"]
     report = TR.evaluate(model, bundle.test_subsets,
                          seeds=[bundle.manifest["seed"]])
     files.write_json(os.path.join(outdir, "eval_report.json"), asdict(report))
@@ -332,8 +336,6 @@ def cmd_eval(opt: dict, no_clobber: bool) -> None:
 
 
 def cmd_export_features(opt: dict) -> None:
-    for path in (opt["out"], record_path(opt["out"], directory=False)):
-        check_outfile(path)
     bundle = _load_bundle(opt["data"], (opt["split"],))
     model = B.load_checkpoint(opt["checkpoint"])
     if opt["split"] == "test":
@@ -350,11 +352,11 @@ def cmd_export_features(opt: dict) -> None:
 # -- cross-gen -------------------------------------------------------------------------
 
 
-def cmd_cross_gen(opt: dict, no_clobber: bool) -> None:
+def cmd_cross_gen(opt: dict) -> None:
     families = opt["families"].split(",")
     seeds = [int(s) for s in opt["seeds"].split(",")]
     train_cfg, corpus = _train_config(opt, 0), _corpus(opt)
-    outdir = prepare_outdir(opt["out"], no_clobber)
+    outdir = opt["out"]
 
     def progress(family, seed, report):
         line = ", ".join(f"{k}={v:.3f}" for k, v in report.per_subset.items())
@@ -414,8 +416,12 @@ class Option(NamedTuple):
 
 
 class Command(NamedTuple):
-    handler: Callable[..., None]  # (opt[, no_clobber]); ``main`` writes the record
+    """A subcommand. ``out`` is what its ``--out`` names: ``"dir"`` (the
+    command also takes ``--no-clobber``), ``"file"``, or ``None`` for a
+    command without ``--out``. The handler takes the resolved options."""
+    handler: Callable[[dict], None]
     help: str
+    out: str | None
     options: tuple
 
 
@@ -439,7 +445,7 @@ DATA = Option("data", DATA_OUT, "dataset directory or manifest path")
 CHECKPOINT = Option("checkpoint", os.path.join(TRAIN_OUT, CHECKPOINT_NAME))
 
 COMMANDS = {
-    "bench-kernels": Command(cmd_bench_kernels, "cross-check and time the kernel routes", (
+    "bench-kernels": Command(cmd_bench_kernels, "cross-check and time the kernel routes", "dir", (
         Option("lengths", "64,256,1024,4096,8192", "comma-separated sequence lengths",
                above=0, item=int),
         Option("dim", 4, "LTI state dimension", above=0),
@@ -451,7 +457,7 @@ COMMANDS = {
         Option("tolerance", 1e-9, "cross-check tolerance", above=0.0),
         Option("out", "bench_out"),
     )),
-    "scan-show": Command(cmd_scan_show, "render a 2D scan order as rank grids", (
+    "scan-show": Command(cmd_scan_show, "render a 2D scan order as rank grids", None, (
         Option("strategy", "zigzag", choices=scan2d.STRATEGIES),
         Option("height", 4),
         Option("width", 4),
@@ -459,7 +465,7 @@ COMMANDS = {
         Option("stride", _MAKE_SCAN["stride"].default, "stride for the efficient strategy"),
         Option("ppm", "", "also write a P6 heatmap to this path"),
     )),
-    "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", (
+    "make-data": Command(cmd_make_data, "synthesize a detection dataset manifest", "dir", (
         Option("seed", 1),
         *CORPUS,
         Option("height", _MAKE_DATASET["h"].default),
@@ -467,7 +473,7 @@ COMMANDS = {
         Option("dump_pgm", 0, "also write N sample PGMs per subset", above=-1),
         Option("out", DATA_OUT),
     )),
-    "train": Command(cmd_train, "train a detector on a dataset manifest", (
+    "train": Command(cmd_train, "train a detector on a dataset manifest", "dir", (
         DATA,
         Option("family", "vim", choices=B.FAMILIES),
         Option("seed", 0),
@@ -476,18 +482,18 @@ COMMANDS = {
         Option("scan", B.ModelConfig.scan, choices=scan2d.STRATEGIES),
         Option("out", TRAIN_OUT),
     )),
-    "eval": Command(cmd_eval, "evaluate a checkpoint on the test subsets", (
+    "eval": Command(cmd_eval, "evaluate a checkpoint on the test subsets", "dir", (
         CHECKPOINT,
         DATA,
         Option("out", "eval_out"),
     )),
-    "export-features": Command(cmd_export_features, "write penultimate features as CSV", (
+    "export-features": Command(cmd_export_features, "write penultimate features as CSV", "file", (
         CHECKPOINT,
         DATA,
         Option("split", "test", choices=("train", "val", "test")),
         Option("out", "features.csv"),
     )),
-    "cross-gen": Command(cmd_cross_gen, "train on one generator, test on all", (
+    "cross-gen": Command(cmd_cross_gen, "train on one generator, test on all", "dir", (
         Option("families", ",".join(B.FAMILIES), "comma-separated model families",
                choices=B.FAMILIES, item=str),
         Option("seeds", "1,2,3", "comma-separated seeds", item=int),
@@ -510,7 +516,7 @@ def build_parser() -> Parser:
             p.add_argument("--" + opt.key.replace("_", "-"), type=opt.parse,
                            metavar=metavar, help=opt.help)
         p.add_argument("--config", help="options from a run record (resolved_config.json)")
-        if "no_clobber" in inspect.signature(command.handler).parameters:
+        if command.out == "dir":
             p.add_argument("--no-clobber", action="store_true",
                            help="fail instead of overwriting a non-empty output directory")
     return parser
@@ -520,12 +526,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        flags = {"no_clobber": args.no_clobber} if "no_clobber" in vars(args) else {}
-        opt = resolve_options(args)
-        COMMANDS[args.command].handler(opt, **flags)
-        if "out" in opt:  # the run record; --out is a directory where --no-clobber acts
-            files.write_json(record_path(opt["out"], directory=bool(flags)),
-                             {"schema": RECORD_SCHEMA, "command": args.command, **opt})
+        command, opt = COMMANDS[args.command], resolve_options(args)
+        # --out is checked before any work, and the run record written after it
+        record = command.out and record_path(opt["out"], directory=command.out == "dir")
+        if command.out == "dir":
+            prepare_outdir(opt["out"], args.no_clobber)
+        elif command.out == "file":  # the file and the record beside it
+            for path in (opt["out"], record):
+                check_outfile(path)
+        command.handler(opt)
+        if record:
+            files.write_json(record, {"schema": RECORD_SCHEMA, "command": args.command, **opt})
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

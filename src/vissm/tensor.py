@@ -345,17 +345,20 @@ def softplus(a) -> Tensor:
 
 def silu(a) -> Tensor:
     """x * sigmoid(x). At -inf it and its derivative are -0.0, as below
-    x = -710, with no floating-point warning. An op that records makes its
-    output and keeps the sigmoid for its backward pass; otherwise the output
-    goes into the sigmoid's array, so one array is made, not two. x stays
-    the first factor, so even a NaN keeps its bits."""
+    x = -710, and at +inf its derivative is 1.0, as at x = 800, with no
+    floating-point warning. An op that records makes its output and keeps
+    the sigmoid for its backward pass; otherwise the output goes into the
+    sigmoid's array, so one array is made, not two. x stays the first
+    factor, so even a NaN keeps its bits."""
     a = as_tensor(a)
     s = _sigmoid_np(a.data)
 
     def backward(g):
         d = np.subtract(1.0, s)  # s * (1 + x * (1 - s)), the derivative at x
-        d *= a.data
+        with np.errstate(invalid="ignore"):  # (1 - s) * x is 0 * inf at +inf, set to 1 below
+            d *= a.data
         d += 1.0
+        np.copyto(d, 1.0, where=a.data == np.inf)
         np.copyto(d, -1.0, where=a.data == -np.inf)  # not -inf * 0: any negative gives -0.0
         d *= s
         d *= g

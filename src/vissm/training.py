@@ -165,7 +165,11 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     Each step's graph is dropped once its backward pass has run, before the
     optimizer step, and every epoch's steps run inside one ``T.workspace``
     that hands the large buffers of the fused scans and convs from one step
-    to the next, across epochs; validation runs outside it, unpooled.
+    to the next, across epochs; validation runs outside it, unpooled. The
+    workspace stays although perfbench reads flat without it: perfbench
+    trains in a heap its set-up has already grown, while in a plain
+    ``vissm train`` process a step without it faults about 4.7k (vssd) to
+    6.9k (vim) times more (ROADMAP item 10).
     """
     train_ds, val = bundle.train, bundle.val
     cfg = cfg or TrainConfig()

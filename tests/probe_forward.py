@@ -35,7 +35,10 @@ dropped, an Adam step), on batches of 32 unless ``--batch`` is given and
 with the raster scan unless ``--scans`` is. From a fresh ``T.workspace``,
 two traced steps give the tracemalloc peak and the arrays and bytes the
 workspace then pools; ``--repeats`` more steps in that workspace give the
-median time and minor faults of a step:
+median time and minor faults of a step. These are a fresh process's
+faults: a desk-vim step here faults about 5.9k times, steadily over 40
+steps, where a step of a plain ``vissm train`` run faults about 0 times
+(22.0k faults in all at 20, 40 and 80 steps on a 640-image corpus):
 
     <family> <scan> train ms <median ms> faults <median faults> peak_mib <peak>
         pool <arrays> pool_mib <pooled MiB>

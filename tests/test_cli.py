@@ -640,8 +640,7 @@ RECORDED = [name for name, command in cli.COMMANDS.items()
 
 def _record_path(name, out):
     """Where ``main`` writes ``name``'s run record for the output path ``out``."""
-    directory = "no_clobber" in inspect.signature(cli.COMMANDS[name].handler).parameters
-    return cli.record_path(out, directory)
+    return cli.record_path(out, directory=cli.COMMANDS[name].out == "dir")
 
 
 @pytest.mark.parametrize("name", RECORDED)
@@ -701,21 +700,42 @@ def test_flag_a_command_does_not_act_on_is_usage_error(fuzz_inputs, tmp_path, mo
     assert os.listdir(tmp_path) == ["opts.json"]
 
 
-@pytest.mark.parametrize("name, taken", [("scan-show", "f.csv"), ("export-features", "f.csv"),
-                                         ("export-features", "f.csv.config.json")],
-                         ids=["scan-show", "export-features", "export-features-record"])
-def test_output_file_that_is_a_directory_is_runtime_error_before_work(
-        fuzz_inputs, tmp_path, monkeypatch, capsys, name, taken):
-    """A directory at the output file, or at export-features' run record
-    beside it, fails before any work and is named."""
-    taken = tmp_path / taken
-    taken.mkdir()
-    drawn = record_drawn_splits(monkeypatch)
-    assert run(_tiny_argv(name, fuzz_inputs[1], str(tmp_path / "f.csv"))) == 2
+DIRECTORY = [name for name, command in cli.COMMANDS.items() if command.out == "dir"]
+
+
+def _tree(root):
+    """Every path under ``root`` with its file's bytes, None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("name, taken, flags, message", [
+    *((name, taken, [], "output path {taken!r} is a directory")
+      for name, taken in (("scan-show", "out"), ("export-features", "out"),
+                          ("export-features", "out.config.json"))),
+    *((name, "out", [], "output path {out!r} exists and is not a directory")
+      for name in DIRECTORY),
+    *((name, "out/stale", ["--no-clobber"], "output directory {out!r} is not empty (--no-clobber)")
+      for name in DIRECTORY)],
+    ids=["scan-show", "export-features", "export-features-record",
+         *(f"{name}-file" for name in DIRECTORY), *(f"{name}-no-clobber" for name in DIRECTORY)])
+def test_bad_output_path_is_runtime_error_before_work(fuzz_inputs, tmp_path, monkeypatch, capsys,
+                                                      name, taken, flags, message):
+    """A directory where a command writes a file (export-features' CSV or its
+    run record, scan-show's heatmap), a file where it writes a directory, or
+    a non-empty directory under --no-clobber fails before any work, is named
+    and is left as it was."""
+    out, taken = str(tmp_path / "out"), tmp_path / taken
+    if name in DIRECTORY:
+        taken.parent.mkdir(exist_ok=True)
+        taken.write_text("old")
+    else:
+        taken.mkdir()
+    before, drawn = _tree(tmp_path), record_drawn_splits(monkeypatch)
+    assert run(_tiny_argv(name, fuzz_inputs[1], out) + flags) == 2
     captured = capsys.readouterr()
-    assert f"output path {str(taken)!r} is a directory" in captured.err
+    assert message.format(out=out, taken=str(taken)) in captured.err
     assert captured.out == "" and drawn == []
-    assert os.listdir(tmp_path) == [taken.name] and os.listdir(taken) == []
+    assert _tree(tmp_path) == before
 
 
 # -- the run record reruns the run ------------------------------------------------------

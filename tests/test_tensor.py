@@ -93,7 +93,8 @@ def test_no_grad_forms_hold_the_bytes_of_the_recorded_ones_at_the_edges():
     """No-grad SiLU turns its sigmoid array into the output, softplus can
     write into its input and flip is a view on both routes: each gives the
     bytes of the form it stands for, -0.0 and NaNs of either sign included.
-    SiLU and its derivative are -0.0 at -inf, as at -800, with no warning."""
+    SiLU and its derivative are -0.0 at -inf, as at -800, and its derivative
+    is 1.0 at +inf, as at 800, with no warning."""
     edges = np.concatenate([EDGES, -EDGES])
     x = Tensor(edges, requires_grad=True)
     in_place = edges.copy()
@@ -103,14 +104,14 @@ def test_no_grad_forms_hold_the_bytes_of_the_recorded_ones_at_the_edges():
         with T.no_grad():
             plain = T.silu(x)
         assert T._softplus_np(in_place, out=in_place) is in_place
-        low = Tensor(np.array([-np.inf, -800.0]), requires_grad=True)
+        low = Tensor(np.array([-np.inf, -800.0, np.inf, 800.0]), requires_grad=True)
         T.backward(T.sum_(T.silu(low)))
     assert recorded.requires_grad and not plain.requires_grad
     assert plain.data.tobytes() == recorded.data.tobytes()
     assert in_place.tobytes() == T._softplus_np(edges).tobytes()
     minus_zero = np.array([-0.0, -0.0]).tobytes()
     assert recorded.data[edges == -np.inf].tobytes() == minus_zero  # -inf in EDGES and -EDGES
-    assert low.grad.tobytes() == minus_zero
+    assert low.grad.tobytes() == np.array([-0.0, -0.0, 1.0, 1.0]).tobytes()
     with np.errstate(invalid="ignore"):  # the plain product, NaN at -inf
         product = edges * T._sigmoid_np(edges)
     rest = edges != -np.inf
