@@ -21,8 +21,9 @@ whether it records or not: a recorded scan keeps only the state entering
 each block, and its hand-derived reverse-time adjoint reruns each block
 from that state rather than storing all L states (the recipe of Mamba,
 section 3.3). The chunked route projects with ``project_params``, composes
-affine maps h -> a (*) h + b and records every step on the tensor graph;
-it is the oracle the fused op is tested against. The non-causal variant
+affine maps h -> a (*) h + b and records every step on the tensor graph,
+in ops the model records too, plus ``reshape``; it is the oracle the fused
+op is tested against. The non-causal variant
 collapses the recurrence into one global state shared by all tokens; its
 core is one fused op too, with a four-matmul backward, and the graph
 composition it replaced is its test oracle (tests/oracles.py).
@@ -253,11 +254,6 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     return T._make(y, parents, backward)
 
 
-def compose_affine(a2, b2, a1, b1):
-    """Composition of h -> a2 (*) h + b2 after h -> a1 (*) h + b1."""
-    return T.mul(a2, a1), T.add(T.mul(a2, b1), b2)
-
-
 def selective_scan_parallel(x, proj: SelectiveProjection, a, d, chunk: int) -> Tensor:
     """Chunked evaluation: sequential within chunks (vectorized across them),
     then a short sequential pass over chunk-boundary states.
@@ -271,11 +267,12 @@ def selective_scan_parallel(x, proj: SelectiveProjection, a, d, chunk: int) -> T
     x = T.as_tensor(x)
     d = T.as_tensor(d)
     b_proj, c_proj, dt = project_params(x, proj)
-    a_exp = T.exp(T.mul(T.unsqueeze(dt, -1), a))                       # (..., L, C, N)
-    binj = T.mul(T.unsqueeze(b_proj, -2), T.unsqueeze(T.mul(dt, x), -1))  # (..., L, C, N)
     length = x.shape[-2]
     lead = x.shape[:-2]
     ch, n = proj.channels, proj.state_dim
+    a_exp = T.exp(T.mul(T.reshape(dt, dt.shape + (1,)), a))        # (..., L, C, N)
+    binj = T.mul(T.reshape(b_proj, lead + (length, 1, n)),
+                 T.reshape(T.mul(dt, x), lead + (length, ch, 1)))  # (..., L, C, N)
 
     k = -(-length // chunk)  # ceil
     padded = k * chunk
@@ -287,35 +284,34 @@ def selective_scan_parallel(x, proj: SelectiveProjection, a, d, chunk: int) -> T
         c_proj = T.concat([c_proj, Tensor(np.zeros(lead + (padded - length, n)))], axis=-2)
     a_exp = T.reshape(a_exp, lead + (k, chunk, ch, n))
     binj = T.reshape(binj, lead + (k, chunk, ch, n))
-    c_proj = T.reshape(c_proj, lead + (k, chunk, n))
+    c_proj = T.reshape(c_proj, lead + (k, chunk, 1, n))
 
-    # within-chunk prefix compositions, vectorized over the k chunks
-    a_steps = T.unstack(a_exp, -3)
-    b_steps = T.unstack(binj, -3)
-    a_pref = [a_steps[0]]
-    b_pref = [b_steps[0]]
+    # within-chunk prefix maps h -> a (*) h + b, vectorized over the k chunks:
+    # step j's map after the prefix is a_j (*) a, a_j (*) b + b_j
+    a_pref = [T.select_index(a_exp, -3, 0)]
+    b_pref = [T.select_index(binj, -3, 0)]
     for j in range(1, chunk):
-        pa, pb = compose_affine(a_steps[j], b_steps[j], a_pref[-1], b_pref[-1])
-        a_pref.append(pa)
-        b_pref.append(pb)
+        a_j, b_j = T.select_index(a_exp, -3, j), T.select_index(binj, -3, j)
+        a_pref.append(T.mul(a_j, a_pref[-1]))
+        b_pref.append(T.add(T.mul(a_j, b_pref[-1]), b_j))
 
     # chunk-boundary states: s_{k+1} = A_last[k] (*) s_k + B_last[k]
-    a_last = T.unstack(a_pref[-1], -3)
-    b_last = T.unstack(b_pref[-1], -3)
     states = [Tensor(np.zeros(lead + (ch, n)))]
     for kk in range(1, k):
-        states.append(T.add(T.mul(a_last[kk - 1], states[-1]), b_last[kk - 1]))
-    s = T.stack(states, axis=-3)  # (..., k, ch, n)
+        a_last = T.select_index(a_pref[-1], -3, kk - 1)
+        b_last = T.select_index(b_pref[-1], -3, kk - 1)
+        states.append(T.add(T.mul(a_last, states[-1]), b_last))
+    s = T.concat([T.reshape(st, lead + (1, ch, n)) for st in states], axis=-3)  # (..., k, ch, n)
 
-    # reconstruct every hidden state and read it out
+    # reconstruct every hidden state, (..., k, chunk, ch, n), and read it out
     hs = [T.add(T.mul(a_pref[j], s), b_pref[j]) for j in range(chunk)]
-    h = T.stack(hs, axis=-3)  # (..., k, chunk, ch, n)
+    h = T.concat([T.reshape(hj, lead + (k, 1, ch, n)) for hj in hs], axis=-3)
     if not np.all(np.isfinite(h.data)):
         raise NumericError("non-finite hidden state in chunked scan")
-    y = T.sum_(T.mul(h, T.unsqueeze(c_proj, -2)), axis=-1)  # (..., k, chunk, ch)
+    y = T.sum_(T.mul(h, c_proj), axis=-1)  # (..., k, chunk, ch)
     y = T.reshape(y, lead + (padded, ch))
     if padded > length:
-        y = T.slice_axis(y, -2, 0, length)
+        y = T.take(y, np.arange(length), -2)
     return T.add(y, T.mul(d, x))
 
 

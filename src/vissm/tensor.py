@@ -6,8 +6,10 @@ the recorded operations once, in reverse topological order. Layout is
 row-major and broadcasting follows numpy's trailing-dimension rule; both
 are fixed contracts of this module.
 
-The module holds the ops the library records on its graph and the
-per-thread state they run under: grad mode, and the ``workspace`` whose
+The module holds the ops the model and its loss record on the graph,
+plus ``reshape``, which only the chunked scan oracle
+(``selective.selective_scan_parallel``) records, and the per-thread
+state they run under: grad mode, and the ``workspace`` whose
 ``buffer`` lets an op with a large per-call array reuse one a finished
 training step has let go of. ``recording`` is the one test of whether an
 op goes on the graph. It decides only what an op keeps for its backward
@@ -355,11 +357,13 @@ def silu(a) -> Tensor:
 
     def backward(g):
         d = np.subtract(1.0, s)  # s * (1 + x * (1 - s)), the derivative at x
-        with np.errstate(invalid="ignore"):  # (1 - s) * x is 0 * inf at +inf, set to 1 below
+        with np.errstate(invalid="ignore"):  # (1 - s) * x is 0 * inf at +inf, set below
             d *= a.data
         d += 1.0
-        np.copyto(d, 1.0, where=a.data == np.inf)
-        np.copyto(d, -1.0, where=a.data == -np.inf)  # not -inf * 0: any negative gives -0.0
+        inf = np.isinf(a.data)
+        if inf.any():  # 1 at +inf; -1 at -inf, not -inf * 0: any negative gives -0.0
+            np.copyto(d, np.sign(a.data), where=inf)
+        del inf  # not held through the products and the gradient's copy
         d *= s
         d *= g
         _accumulate(a, d)
@@ -414,12 +418,7 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
+    count = a.size if axis is None else a.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -498,30 +497,6 @@ def concat(tensors: Iterable, axis: int) -> Tensor:
     return _make(out_data, ts, backward)
 
 
-def stack(tensors: Iterable, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in ts], axis=axis)
-
-    def backward(g):
-        pieces = np.moveaxis(g, axis, 0)
-        for t, piece in zip(ts, pieces):
-            _accumulate(t, piece)
-
-    return _make(out_data, ts, backward)
-
-
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    key = [slice(None)] * a.ndim
-    key[axis] = slice(start, stop)
-    key = tuple(key)
-
-    def backward(g):
-        _accumulate_at(a, key, g)
-
-    return _make(a.data[key].copy(), (a,), backward)
-
-
 def select_index(a, axis: int, i: int) -> Tensor:
     """Pick one index along an axis, dropping that axis."""
     a = as_tensor(a)
@@ -534,21 +509,6 @@ def select_index(a, axis: int, i: int) -> Tensor:
     return _make(a.data[key].copy(), (a,), backward)
 
 
-def unstack(a, axis: int) -> list:
-    """Split into per-index tensors along an axis (cheap backward per slice)."""
-    a = as_tensor(a)
-    axis = axis % a.ndim
-    return [select_index(a, axis, i) for i in range(a.shape[axis])]
-
-
-def unsqueeze(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    shape = list(a.shape)
-    axis = axis % (a.ndim + 1)
-    shape.insert(axis, 1)
-    return reshape(a, tuple(shape))
-
-
 # -- backward pass -------------------------------------------------------------
 
 
@@ -556,19 +516,19 @@ def toposort(root: Tensor) -> list:
     """Recorded ops reachable from root, inputs-before-outputs."""
     order: list = []
     visited = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
+    pending = [(root, False)]
+    while pending:
+        node, expanded = pending.pop()
         if expanded:
             order.append(node)
             continue
         if id(node) in visited:
             continue
         visited.add(id(node))
-        stack.append((node, True))
+        pending.append((node, True))
         for p in node._parents:
             if id(p) not in visited:
-                stack.append((p, False))
+                pending.append((p, False))
     return order
 
 

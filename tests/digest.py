@@ -11,6 +11,10 @@ prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
   sum(logits * R) for a fixed random R
 - the same for each desk preset widened to embed_dim 32 (dt_rank 2) at
   batch 1, under the raster and cross scans
+- the output of the chunked scan oracle, ``selective_scan_parallel``, and
+  its gradients at x, a, d and the seven projection weights, under a fixed
+  random readout, at four (lead, L, chunk) shapes with C = 3, N = 2 and
+  dt_rank 2: L = 1; an odd tail; a two-axis lead at chunk = L; chunk > L
 - the LTI forms: the discretized system, its convolution kernel, and the
   recurrent and FFT-convolution outputs, for one dense and one diagonal
   system
@@ -54,6 +58,7 @@ import numpy as np  # noqa: E402
 from vissm import blocks as B  # noqa: E402
 from vissm import cli  # noqa: E402
 from vissm import scan2d, ssm  # noqa: E402
+from vissm import selective as S  # noqa: E402
 from vissm import tensor as T  # noqa: E402
 from vissm.rng import SplitMix64  # noqa: E402
 from vissm.tensor import Tensor  # noqa: E402
@@ -71,6 +76,33 @@ def model_arrays(preset: str, batch: int = BATCH, **overrides) -> list:
     T.backward(T.sum_(T.mul(logits, Tensor(readout))))
     return [("logits", logits.data)] + [(f"grad.{name}", p.grad)
                                         for name, p in model.params.items()]
+
+
+# (lead, L, chunk): one token; an odd tail (13 = 4 * 3 + 1); chunk = L; chunk > L
+CHUNKED_SHAPES = [((), 1, 1), ((2,), 13, 3), ((2, 3), 8, 8), ((), 7, 16)]
+
+
+def chunked_arrays(channels: int = 3, state_dim: int = 2, rank: int = 2) -> list:
+    weights = {"w_b": (channels, state_dim), "w_c": (channels, state_dim),
+               "w_dt_down": (channels, rank), "w_dt_up": (rank, channels),
+               "delta_base": (channels,), "b_b": (state_dim,), "b_c": (state_dim,)}
+    arrays = []
+    for lead, length, chunk in CHUNKED_SHAPES:
+        rng = SplitMix64(SEED)
+        proj = S.SelectiveProjection(**{name: Tensor(rng.normal_array(shape) * 0.5,
+                                                     requires_grad=True)
+                                        for name, shape in weights.items()})
+        x, a, d = (Tensor(arr, requires_grad=True) for arr in (
+            rng.normal_array(lead + (length, channels)),
+            -rng.uniform_array((channels, state_dim), 0.5, 4.0),
+            rng.normal_array((channels,))))
+        y = S.selective_scan_parallel(x, proj, a, d, chunk)
+        T.backward(T.sum_(T.mul(y, Tensor(rng.normal_array(y.shape)))))
+        tag = "x".join(map(str, lead + (length,))) + f".chunk{chunk}"
+        arrays += [(f"y.{tag}", y.data)] + [
+            (f"grad.{tag}.{name}", t.grad)
+            for name, t in [("x", x), ("a", a), ("d", d), *proj.tensors().items()]]
+    return arrays
 
 
 def lti_arrays() -> list:
@@ -153,6 +185,7 @@ CASES = {
     **{f"{family}-wide.{scan}": partial(model_arrays, f"desk-{family}", batch=1, scan=scan,
                                         embed_dim=32)
        for family in B.FAMILIES for scan in ("raster", "cross")},
+    "chunked": chunked_arrays,
     "lti": lti_arrays,
     "help": help_texts,
     "pipeline": pipeline_artifacts,

@@ -54,10 +54,12 @@ def pad_axis(a, axis: int, before: int, after: int):
 def shared_state_graph(u, b_proj, c_proj):
     """The shared-state readout y_t = H @ C_t, H = sum_t outer(u_t, B_t), as a
     chain of broadcasts: the oracle for ``selective.shared_state_readout``."""
-    terms = T.mul(T.unsqueeze(b_proj, -2), T.unsqueeze(u, -1))    # (..., L, C, N)
-    big_h = ordered_sum(terms, axis=-3)                          # (..., C, N)
-    read = T.mul(T.unsqueeze(c_proj, -2), T.unsqueeze(big_h, -3))  # (..., L, C, N)
-    return T.sum_(read, axis=-1)                                   # (..., L, C)
+    lead, n = b_proj.shape[:-1], b_proj.shape[-1]
+    terms = T.mul(T.reshape(b_proj, lead + (1, n)), T.reshape(u, u.shape + (1,)))  # (..., L, C, N)
+    big_h = ordered_sum(terms, axis=-3)                                            # (..., C, N)
+    big_h = T.reshape(big_h, big_h.shape[:-2] + (1,) + big_h.shape[-2:])
+    read = T.mul(T.reshape(c_proj, lead + (1, n)), big_h)                          # (..., L, C, N)
+    return T.sum_(read, axis=-1)                                                   # (..., L, C)
 
 
 def nc_ssd_graph(x, proj, d):
@@ -82,10 +84,9 @@ def conv1d_slices(x, weight, bias, causal: bool):
     pad_right = 0 if causal else k // 2
     length = x.shape[-2]
     xp = pad_axis(x, -2, pad_left, pad_right)
-    taps = T.unstack(weight, -1)
     acc = None
     for j in range(k):
-        term = T.mul(T.slice_axis(xp, -2, j, j + length), taps[j])
+        term = T.mul(T.take(xp, np.arange(j, j + length), -2), T.select_index(weight, -1, j))
         acc = term if acc is None else T.add(acc, term)
     return T.add(acc, bias)
 
@@ -97,13 +98,11 @@ def conv2d_slices(tokens, grid, weight, bias):
     d = tokens.shape[-1]
     xg = T.reshape(tokens, lead + (hp, wp, d))
     xp = pad_axis(pad_axis(xg, -3, 1, 1), -2, 1, 1)
-    rows = T.unstack(weight, -2)
     acc = None
     for i in range(3):
-        taps = T.unstack(rows[i], -1)
         for j in range(3):
-            patch = T.slice_axis(T.slice_axis(xp, -3, i, i + hp), -2, j, j + wp)
-            term = T.mul(patch, taps[j])
+            patch = T.take(T.take(xp, np.arange(i, i + hp), -3), np.arange(j, j + wp), -2)
+            term = T.mul(patch, T.select_index(T.select_index(weight, -2, i), -1, j))
             acc = term if acc is None else T.add(acc, term)
     acc = T.add(acc, bias)
     return T.reshape(acc, lead + (hp * wp, d))

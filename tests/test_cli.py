@@ -253,14 +253,6 @@ def test_no_clobber_refuses_nonempty(tiny_data, tmp_path):
                 "--train", "2", "--val", "2", "--test", "2"]) == 0
 
 
-def test_out_path_that_is_a_file_is_runtime_error(tmp_path):
-    out = tmp_path / "taken"
-    out.write_text("old")
-    assert run(["make-data", "--out", str(out), "--train", "2", "--val", "2",
-                "--test", "2"]) == 2
-    assert out.read_text() == "old"
-
-
 def test_config_file_provides_defaults_flags_override(tmp_path):
     cfgfile = write_record(tmp_path / "opts.json", "make-data", seed=9, train=4, val=2, test=2)
     out = tmp_path / "d"

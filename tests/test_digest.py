@@ -10,6 +10,10 @@ def test_digest_case_repeats():
         assert first == digest.case_lines(case)
         assert first[0].startswith(f"{case} logits ")
         assert len(first) == 1 + len(digest.B.param_specs(cfg))
+    first = digest.case_lines("chunked")
+    assert first == digest.case_lines("chunked")
+    assert first[0].startswith("chunked y.1.chunk1 ")
+    assert len(first) == len(digest.CHUNKED_SHAPES) * (1 + 3 + 7)  # y, x, a, d, the 7 weights
 
 
 def test_gaps_report_only_the_arrays_that_moved(tmp_path, capsys):

@@ -232,15 +232,6 @@ def test_non_finite_state_is_found_from_the_last_state(cause, length, step):
 # -- chunk-parallel scan ----------------------------------------------------------
 
 
-def test_affine_composition_identity():
-    rng = SplitMix64(11)
-    a1, b1, a2, b2, h = (Tensor(rng.normal_array((3, 4))) for _ in range(5))
-    ca, cb = S.compose_affine(a2, b2, a1, b1)
-    lhs = T.add(T.mul(ca, h), cb).data
-    rhs = T.add(T.mul(a2, T.add(T.mul(a1, h), b1)), b2).data
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 @pytest.mark.parametrize("chunk", [1, 2, 7, 16, 64])
 def test_parallel_matches_sequential(chunk):
     rng = SplitMix64(13)
@@ -264,7 +255,7 @@ def test_parallel_batched_input():
     yp = S.selective_scan_parallel(x, proj, a, d, 4).data
     assert np.max(np.abs(ys - yp)) < 1e-9
     # batch rows are independent: row 0 alone gives the same answer
-    y0 = S.selective_scan_sequential(T.slice_axis(Tensor(x.data), 0, 0, 1), proj, a, d).data
+    y0 = S.selective_scan_sequential(T.take(x, [0], 0), proj, a, d).data
     assert np.max(np.abs(y0[0] - ys[0])) < 1e-12
 
 

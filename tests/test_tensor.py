@@ -252,15 +252,11 @@ def _compose_cases():
         ("reshape", lambda a, b: T.sum_(T.mul(T.reshape(a, (12,)), T.reshape(b, (12,)))), ((3, 4), (4, 3))),
         ("flip", lambda a, b: T.sum_(T.mul(T.flip(a, 0), b)), ((5, 2), (5, 2))),
         ("concat", lambda a, b: T.sum_(T.mul(T.concat([a, b], 0), T.concat([b, a], 0))), ((2, 3), (2, 3))),
-        ("stack", lambda a, b: T.sum_(T.pow_const(T.stack([a, b], 1), 2.0)), ((3, 2), (3, 2))),
-        ("slice", lambda a, b: T.sum_(T.mul(T.slice_axis(a, 0, 1, 4), b)), ((5, 2), (3, 2))),
         ("take", lambda a, b: T.sum_(T.mul(T.take(a, [2, 0, 1, 2], 0), b)), ((3, 2), (4, 2))),
         ("sum_axis", lambda a, b: T.sum_(T.mul(T.sum_(a, axis=1), b)), ((3, 4), (3,))),
         ("sum_keepdims", lambda a, b: T.sum_(T.mul(a, T.sum_(T.mul(a, a), axis=1, keepdims=True))), ((3, 4), (3, 4))),
         ("scatter_axis", lambda a, b: T.sum_(T.mul(T.scatter_axis(a, [3, 0, 2], 0, 5), b)), ((3, 2), (5, 2))),
         ("select_index", lambda a, b: T.sum_(T.mul(T.select_index(a, 1, 2), b)), ((3, 4), (3,))),
-        ("unstack", lambda a, b: T.sum_(T.mul(T.stack(T.unstack(a, 1)[::-1], 0), b)), ((3, 4), (4, 3))),
-        ("unsqueeze", lambda a, b: T.sum_(T.mul(T.unsqueeze(a, 1), b)), ((3, 4), (3, 2, 4))),
     ]
 
 
@@ -272,7 +268,9 @@ def test_every_tensor_op_has_a_gradient_row():
            if inspect.isfunction(obj) and obj.__module__ == T.__name__
            and not name.startswith("_") and name != "as_tensor"
            and inspect.signature(obj).return_annotation in (Tensor, "Tensor")]
-    assert len(ops) > 20
+    assert set(ops) == {"add", "sub", "mul", "neg", "exp", "log", "pow_const", "softplus", "silu",
+                        "matmul", "sum_", "mean", "reshape", "flip", "take", "scatter_axis",
+                        "concat", "select_index"}
     assert [name for name in ops if name not in covered] == []
 
 
