@@ -8,7 +8,7 @@ Modules:
   scan2d     1D visitation orders over 2D patch grids
   blocks     patch embedding, the three block families, model + checkpoints
   data       procedural real-vs-generated image corpus
-  train      Adam loop, per-subset evaluation, cross-generator experiment
+  training   Adam loop, per-subset evaluation, cross-generator experiment
   files      every file write (atomic), CSV/JSON/netpbm, the array container
   cli        the ``vissm`` command
 """

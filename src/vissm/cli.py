@@ -358,9 +358,9 @@ def cmd_cross_gen(opt: dict) -> None:
     train_cfg, corpus = _train_config(opt, 0), _corpus(opt)
     outdir = opt["out"]
 
-    def progress(family, seed, report):
-        line = ", ".join(f"{k}={v:.3f}" for k, v in report.per_subset.items())
-        print(f"[{family} seed {seed}] {line}")
+    def progress(row):
+        line = ", ".join(f"{k}={v:.3f}" for k, v in row["per_subset"].items())
+        print(f"[{row['family']} seed {row['seed']}] {line}")
 
     bundle_report = TR.cross_generator_experiment(
         families, seeds, train_cfg, progress, **corpus)

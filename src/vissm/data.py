@@ -240,9 +240,9 @@ def load_manifest(path) -> dict:
     of ``_MANIFEST_KINDS``, the values it always writes and one strength for every
     generator. ValueError naming the file and key if not; value ranges are left
     to ``make_dataset``."""
-    with open(path) as fh:
-        text = fh.read()
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         manifest = files.json_object(text, _MANIFEST_KINDS, _MANIFEST_KINDS, "manifest")
         specs = manifest["specs"]
         strength = specs[0].get("artifact_strength") if specs and type(specs[0]) is dict else None

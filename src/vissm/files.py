@@ -113,24 +113,32 @@ def read_arrays(path, magic: bytes, what: str, expect):
 
     ``expect(header_text)`` decodes the header and returns ``(value, specs)``,
     ``specs`` listing the ``(name, shape)`` of every array the file must hold,
-    in order. Returns ``(value, arrays)``. Any mismatch, a non-finite array,
-    a short or overlong file and, checked last so that a malformed file names
-    its structural fault, a CRC32 mismatch raise ValueError.
+    in order. Returns ``(value, arrays)``. Any mismatch, undecodable text, a
+    non-finite array, a short or overlong file and, checked last so that a
+    malformed file names its structural fault, a CRC32 mismatch raise
+    ValueError, its message led by the file's path.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_arrays(blob, magic, what, expect)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_arrays(blob: bytes, magic: bytes, what: str, expect):
     off = 0
 
     def read(n):
         nonlocal off
         piece = blob[off:off + n]
         if len(piece) != n:
-            raise ValueError(f"truncated {what} {path}")
+            raise ValueError(f"truncated {what}")
         off += n
         return piece
 
     if read(8) != magic:
-        raise ValueError(f"{path} is not a {what} (bad magic)")
+        raise ValueError(f"not a {what} (bad magic)")
     version = struct.unpack("<I", read(4))[0]
     if version != CONTAINER_VERSION:
         raise ValueError(f"unsupported {what} version {version}")
@@ -138,8 +146,7 @@ def read_arrays(path, magic: bytes, what: str, expect):
     value, specs = expect(read(head_len).decode("utf-8"))
     count = struct.unpack("<I", read(4))[0]
     if count != len(specs):
-        raise ValueError(f"{what} holds {count} arrays, its header needs "
-                         f"{len(specs)} in {path}")
+        raise ValueError(f"{what} holds {count} arrays, its header needs {len(specs)}")
     arrays = {}
     for want_name, want_shape in specs:
         name_len = struct.unpack("<H", read(2))[0]
@@ -148,15 +155,15 @@ def read_arrays(path, magic: bytes, what: str, expect):
         shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
         if (name, shape) != (want_name, tuple(want_shape)):
             raise ValueError(f"{what} array {name!r} {shape} does not match "
-                             f"its header's {want_name!r} {tuple(want_shape)} in {path}")
+                             f"its header's {want_name!r} {tuple(want_shape)}")
         data = np.frombuffer(read(int(np.prod(shape)) * 8), dtype="<f8").reshape(shape)
         if not np.isfinite(data).all():
-            raise ValueError(f"{what} array {name!r} is not finite in {path}")
+            raise ValueError(f"{what} array {name!r} is not finite")
         arrays[name] = data.copy()
     body = blob[:off]
     (crc,) = struct.unpack("<I", read(4))
     if off != len(blob):
-        raise ValueError(f"{len(blob) - off} trailing bytes after the arrays in {path}")
+        raise ValueError(f"{len(blob) - off} trailing bytes after the arrays")
     if crc != zlib.crc32(body):
-        raise ValueError(f"{what} {path} fails its CRC32 check (corrupted bytes)")
+        raise ValueError(f"{what} fails its CRC32 check (corrupted bytes)")
     return value, arrays

@@ -9,6 +9,12 @@ exact trajectory.
 
 Evaluation mirrors the per-subset accuracy protocol: one accuracy per test
 subset plus their unweighted mean.
+
+The cross-generator experiment is a list of jobs, one per (seed, family)
+(``crossgen_jobs``); each job trains and evaluates one model and returns a
+JSON-ready row (``run_crossgen_job``), and the report is built from the rows
+alone (``crossgen_report``), so rows can be stored, read back or produced
+elsewhere without changing the report.
 """
 
 from __future__ import annotations
@@ -267,62 +273,73 @@ def evaluate(model: B.Model, subsets: list, seeds=None, batch: int = EVAL_BATCH)
 # -- cross-generator experiment ----------------------------------------------------------
 
 
-def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConfig,
-                               progress=None, **corpus) -> dict:
-    """Train on one generator, test on all of them, across families and seeds.
+def crossgen_jobs(families: list, seeds: list) -> list:
+    """The (seed, family) jobs of a cross-generator run, seed outer; ValueError
+    for an empty list, an unknown family or a family or seed given twice."""
+    if not set(families) <= set(B.FAMILIES):
+        raise ValueError(f"families must be among {list(B.FAMILIES)}, got {list(families)}")
+    for name, items in (("families", families), ("seeds", seeds)):
+        if not items or len(set(items)) < len(items):
+            raise ValueError(f"need one or more {name}, none repeated, got {list(items)}")
+    return [(seed, family) for seed in seeds for family in families]
 
-    ``corpus`` holds make_dataset's keyword arguments, drawn once per seed.
-    Returns a bundle with the per-(family, seed, subset) accuracy grid and
-    per-family aggregates: in-distribution accuracy (mean of the real subset
-    and the training generator's subset) and out-of-distribution accuracy
-    (mean over the other generators), each with mean and sd over seeds.
-    """
-    if not families or not seeds:
-        raise ValueError("at least one family and one seed are required")
-    results = []
-    for seed in seeds:
-        bundle = make_dataset(seed=seed, **corpus)
-        for family in families:
-            cfg = B.config_from_preset(f"desk-{family}")
-            family_tag = sum(ord(ch) << (8 * i) for i, ch in enumerate(family[:8]))
-            model = B.build_model(cfg, seed=hash_combine(seed, family_tag))
-            model, state = train(model, bundle, cfg=train_cfg)
-            report = evaluate(model, bundle.test_subsets, seeds=[seed])
-            if progress is not None:
-                progress(family, seed, report)
-            results.append({
-                "family": family, "seed": seed,
-                "per_subset": report.per_subset,
-                "best_val_acc": state.best_val_acc,
-                "final_loss": state.loss_history[-1],
-            })
 
-    train_generator = bundle.manifest["train_generator"]
-    ood_tags = [t for t in results[0]["per_subset"] if t not in ("real", train_generator)]
+def run_crossgen_job(job: tuple, train_cfg: TrainConfig, bundle: DatasetBundle) -> dict:
+    """Build, train and evaluate the desk model of one (seed, family) job on
+    its seed's ``bundle``. Returns the job's row, a JSON-ready dict."""
+    seed, family = job
+    family_tag = sum(ord(ch) << (8 * i) for i, ch in enumerate(family[:8]))
+    model = B.build_model(B.config_from_preset(f"desk-{family}"),
+                          seed=hash_combine(seed, family_tag))
+    model, state = train(model, bundle, cfg=train_cfg)
+    return {"family": family, "seed": seed,
+            "per_subset": evaluate(model, bundle.test_subsets).per_subset,
+            "best_val_acc": state.best_val_acc, "final_loss": state.loss_history[-1]}
+
+
+def _mean_sd(values) -> dict:
+    return {"mean": float(np.mean(values)), "sd": float(np.std(values))}
+
+
+def crossgen_report(rows: list, train_generator: str) -> dict:
+    """The cross-generator report of ``rows``: the rows themselves and, per
+    family, in-distribution accuracy (mean of the real subset and the training
+    generator's subset) and out-of-distribution accuracy (mean over the other
+    generators), each as mean and sd over seeds, plus each subset's mean.
+    Families and seeds are listed in order of first appearance."""
+    families = list(dict.fromkeys(row["family"] for row in rows))
+    ood_tags = [t for t in rows[0]["per_subset"] if t not in ("real", train_generator)]
     aggregates = {}
     for family in families:
-        rows = [r for r in results if r["family"] == family]
-        in_dist = [np.mean([r["per_subset"]["real"],
-                            r["per_subset"][train_generator]]) for r in rows]
-        ood = [np.mean([r["per_subset"][t] for t in ood_tags]) for r in rows]
+        accs = [row["per_subset"] for row in rows if row["family"] == family]
         aggregates[family] = {
-            "in_distribution": {"mean": float(np.mean(in_dist)),
-                                "sd": float(np.std(in_dist))},
-            "out_of_distribution": {"mean": float(np.mean(ood)),
-                                    "sd": float(np.std(ood))},
-            "per_subset_mean": {
-                tag: float(np.mean([r["per_subset"][tag] for r in rows]))
-                for tag in rows[0]["per_subset"]
-            },
+            "in_distribution": _mean_sd([np.mean([a["real"], a[train_generator]]) for a in accs]),
+            "out_of_distribution": _mean_sd([np.mean([a[t] for t in ood_tags]) for a in accs]),
+            "per_subset_mean": {tag: float(np.mean([a[tag] for a in accs])) for tag in accs[0]},
         }
-    return {
-        "schema": "vissm.crossgen/1",
-        "train_generator": train_generator,
-        "seeds": list(seeds),
-        "families": list(families),
-        "results": results,
-        "aggregates": aggregates,
-    }
+    return {"schema": "vissm.crossgen/1", "train_generator": train_generator,
+            "seeds": list(dict.fromkeys(row["seed"] for row in rows)),
+            "families": families, "results": rows, "aggregates": aggregates}
+
+
+def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConfig,
+                               progress=None, **corpus) -> dict:
+    """Train on one generator, test on all of them, across families and seeds:
+    ``crossgen_report`` of every job's row, the jobs run in order.
+
+    ``corpus`` holds make_dataset's keyword arguments; each seed's corpus is
+    drawn once, after the previous seed's is dropped. ``progress(row)`` is
+    called with each row as its job finishes.
+    """
+    rows, bundle = [], None
+    for seed, family in crossgen_jobs(families, seeds):
+        if bundle is None or bundle.manifest["seed"] != seed:
+            bundle = None  # one corpus alive at a time
+            bundle = make_dataset(seed=seed, **corpus)
+        rows.append(run_crossgen_job((seed, family), train_cfg, bundle))
+        if progress is not None:
+            progress(rows[-1])
+    return crossgen_report(rows, bundle.manifest["train_generator"])
 
 
 # -- feature export ------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
     PYTHONPATH=<checkout>/src python tests/digest.py [--dump DIR]
     PYTHONPATH=<checkout>/src python tests/digest.py --gaps DIR_A DIR_B
+    PYTHONPATH=<checkout>/src python tests/digest.py --lines
 
 prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
 
@@ -33,7 +34,10 @@ compared: ``--gaps DIR_A DIR_B`` reads two dumps and prints
 ``<case> <name> <gap>`` for each array that differs, where the gap is the
 largest entrywise difference over the larger of the two arrays' largest
 magnitudes (an array in only one dump is named as such), then the worst
-gap per kind of array (logits, grad, ...).
+gap per kind of array (logits, grad, ...). ``--lines`` prints instead
+``<module> <n>`` for each module of the ``vissm`` package and then ``total
+<n>``, where n counts the lines that hold code: not blank, not only a comment
+and not inside a docstring, found with ``tokenize``.
 BLAS is pinned to one thread before numpy loads.
 pytest does not collect this file; ``test_digest.py`` smoke-tests it.
 """
@@ -50,6 +54,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
+import tokenize  # noqa: E402
 from functools import partial  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -245,13 +250,42 @@ def gap_lines(dir_a: str, dir_b: str) -> list:
     return lines
 
 
+def code_lines(path) -> int:
+    """The lines of the Python file ``path`` that hold code: blank lines, comments
+    and docstrings (strings that are a statement of their own) do not count."""
+    with open(path, "rb") as fh:
+        tokens = list(tokenize.tokenize(fh.readline))
+    lines, at_start = set(), True
+    for tok, after in zip(tokens, tokens[1:]):
+        if tok.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING):
+            at_start = True
+        elif tok.type not in (tokenize.COMMENT, tokenize.NL):
+            if not (at_start and tok.type == tokenize.STRING
+                    and after.type in (tokenize.NEWLINE, tokenize.ENDMARKER)):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+            at_start = False
+    return len(lines)
+
+
+def line_counts() -> list:
+    package = os.path.dirname(B.__file__)
+    counts = {name: code_lines(os.path.join(package, name))
+              for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    return [f"{name} {n}" for name, n in counts.items()] + [f"total {sum(counts.values())}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--dump", metavar="DIR", help="also write every array as .npy here")
     mode.add_argument("--gaps", nargs=2, metavar=("DIR_A", "DIR_B"),
                       help="compare two --dump directories instead")
+    mode.add_argument("--lines", action="store_true",
+                      help="print the code lines of each vissm module instead")
     args = parser.parse_args(argv)
+    if args.lines:
+        print("\n".join(line_counts()))
+        return 0
     if args.gaps is not None:
         print("\n".join(gap_lines(*args.gaps)))
         return 0

@@ -335,9 +335,9 @@ def test_criterion_7_cross_generator_protocol():
     t0 = time.time()
     lines = []
 
-    def progress(family, seed, rep):
-        lines.append(f"  {family:<12} seed {seed}: " + "  ".join(
-            f"{tag}={acc:.3f}" for tag, acc in rep.per_subset.items()))
+    def progress(row):
+        lines.append(f"  {row['family']:<12} seed {row['seed']}: " + "  ".join(
+            f"{tag}={acc:.3f}" for tag, acc in row["per_subset"].items()))
         print(lines[-1], flush=True)
 
     out = TR.cross_generator_experiment(

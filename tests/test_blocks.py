@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 
@@ -977,13 +978,13 @@ def fuzz_file(request, tmp_path_factory):
 def test_container_truncated_or_extended_is_value_error(fuzz_file, tmp_path_factory,
                                                         cut, extra):
     """A checkpoint or train state cut short, with bytes appended, or both,
-    fails to load with ValueError."""
+    fails to load with a ValueError that names the file."""
     blob, load = fuzz_file
     damaged = blob[:len(blob) - cut % (len(blob) + 1)] + extra
     assume(damaged != blob)
     path = tmp_path_factory.mktemp("fuzz") / "damaged"
     path.write_bytes(damaged)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)
 
 
@@ -994,11 +995,11 @@ def test_container_truncated_or_extended_is_value_error(fuzz_file, tmp_path_fact
 def test_container_with_one_byte_replaced_is_value_error(fuzz_file, tmp_path_factory,
                                                          back, flip):
     """A checkpoint or train state with one byte replaced, at any offset and at
-    the same length, fails to load with ValueError."""
+    the same length, fails to load with a ValueError that names the file."""
     blob, load = fuzz_file
     damaged = bytearray(blob)
     damaged[len(damaged) - 1 - back % len(damaged)] ^= flip
     path = tmp_path_factory.mktemp("flip") / "damaged"
     path.write_bytes(bytes(damaged))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import shlex
+import struct
 import tempfile
 from pathlib import Path
 
@@ -185,53 +186,39 @@ def test_eval_missing_checkpoint_no_partial_output(tiny_data, tmp_path):
     assert not evaldir.exists()
 
 
-def test_eval_checkpoint_with_unknown_config_key_is_runtime_error(tiny_data, tmp_path,
-                                                                   capsys):
-    rundir = tmp_path / "run"
-    assert run(["train", "--data", str(tiny_data), "--seed", "7",
-                "--out", str(rundir)] + TINY_TRAIN) == 0
-    ckpt = rundir / "checkpoint.bin"
-    rewrite_header(ckpt, colour="blue")
-    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
-                "--out", str(tmp_path / "eval")])
-    assert code == 2
-    assert "colour" in capsys.readouterr().err
+def _header_bytes(head):
+    """A damage that swaps a container's header for the bytes ``head``."""
+    def damage(path):
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[12:16])
+        path.write_bytes(blob[:12] + struct.pack("<I", len(head)) + head + blob[16 + n:])
+    return damage
 
 
-def test_eval_checkpoint_from_before_classes_was_a_constant_is_runtime_error(
-        tiny_data, tmp_path, capsys):
+@pytest.mark.parametrize("damage, fault", [
+    pytest.param(lambda p: rewrite_header(p, colour="blue"),
+                 "unknown model config key 'colour'", id="unknown-key"),
     # headers written while ``classes`` was a config field carry it as a key
-    ckpt = tmp_path / "model.ckpt"
-    B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)
-    rewrite_header(ckpt, classes=2)
-    out = tmp_path / "eval"
-    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
-                "--out", str(out)]) == 2
-    assert "unknown model config key 'classes'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_eval_checkpoint_with_tied_directions_off_vim_is_runtime_error(
-        tiny_data, tmp_path, capsys):
+    pytest.param(lambda p: rewrite_header(p, classes=2),
+                 "unknown model config key 'classes'", id="classes-key"),
     # only vim has a second direction's parameters to tie
+    pytest.param(lambda p: rewrite_header(p, tie_directions=True),
+                 "tie_directions applies to vim only, not vssd", id="tied-off-vim"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes() + b"junk"),
+                 "4 trailing bytes", id="trailing-bytes"),
+    pytest.param(_header_bytes(b"\xff{}"), "can't decode byte 0xff", id="header-not-utf8"),
+    pytest.param(_header_bytes(b"{not json"), "Expecting property name", id="header-not-json"),
+])
+def test_eval_bad_checkpoint_is_runtime_error_naming_it(tiny_data, tmp_path, capsys,
+                                                         damage, fault):
     ckpt = tmp_path / "model.ckpt"
     B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)
-    rewrite_header(ckpt, tie_directions=True)
+    damage(ckpt)
     out = tmp_path / "eval"
     assert run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
                 "--out", str(out)]) == 2
-    assert "tie_directions applies to vim only, not vssd" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_eval_checkpoint_with_trailing_bytes_is_runtime_error(tiny_data, tmp_path, capsys):
-    ckpt = tmp_path / "model.ckpt"
-    B.save_checkpoint(B.build_model(B.config_from_preset("desk-vssd"), seed=1), ckpt)
-    ckpt.write_bytes(ckpt.read_bytes() + b"junk")
-    out = tmp_path / "eval"
-    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(tiny_data),
-                "--out", str(out)]) == 2
-    assert "4 trailing bytes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fault in err and err.count(str(ckpt)) == 1
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,10 +171,12 @@ def test_a_manifest_draws_only_the_splits_asked_for(monkeypatch):
 
 
 def test_manifest_schema_guard(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "other/9"}))
-    with pytest.raises(ValueError):
-        D.load_manifest(path)
+    # a foreign schema, and content that is not UTF-8 at all; either names the file
+    for content in (json.dumps({"schema": "other/9"}).encode(), b"\xff{}"):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            D.load_manifest(path)
 
 
 @pytest.mark.parametrize("keys, value, message", [

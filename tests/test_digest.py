@@ -1,3 +1,5 @@
+import os
+
 import digest
 import numpy as np
 
@@ -44,3 +46,16 @@ def test_help_lines_cover_every_command_and_repeat():
 def test_pipeline_runs_every_command():
     """So every run record writer stays under the bit-identity check."""
     assert {argv[0] for _, argv in digest.PIPELINE} == set(digest.cli.COMMANDS)
+
+
+def test_lines_count_every_module_and_sum_them(tmp_path, capsys):
+    assert digest.main(["--lines"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    package = os.path.dirname(digest.B.__file__)
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert [name for name, _ in lines[:-1]] == modules and len(modules) == 11
+    assert lines[-1] == ["total", str(sum(int(n) for _, n in lines[:-1]))]
+    source = tmp_path / "m.py"
+    source.write_text('"""Doc."""\n\n# note\nx = (1,\n     2)  # tail\n\n\n'
+                      'def f():\n    """Doc,\n    more."""\n    return """text"""\n')
+    assert digest.code_lines(source) == 4  # x = (1, / 2) / def f(): / return

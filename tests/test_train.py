@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import weakref
@@ -358,13 +359,56 @@ def test_cross_generator_trains_on_the_requested_generator():
         [acc["real"], acc["G2_ringing"]])
 
 
-def test_cross_generator_requires_seeds():
+@pytest.mark.parametrize("families, seeds", [
+    pytest.param([], [1], id="no-family"),
+    pytest.param(["vssd"], [], id="no-seed"),
+    pytest.param(["nope"], [1], id="unknown-family"),
+    pytest.param(["vssd", "vssd"], [1], id="repeated-family"),
+    pytest.param(["vssd"], [1, 1], id="repeated-seed"),
+    pytest.param(["vssd", "vssd"], [1, 1], id="repeated-both"),
+])
+def test_cross_generator_rejects_a_bad_job_list_before_drawing(monkeypatch, families, seeds):
+    drawn = []
+    monkeypatch.setattr(TR, "make_dataset", lambda **kw: drawn.append(kw))
     with pytest.raises(ValueError):
-        TR.cross_generator_experiment(families=["vssd"], seeds=[],
+        TR.cross_generator_experiment(families=families, seeds=seeds,
                                       train_cfg=TR.TrainConfig())
+    with pytest.raises(ValueError):
+        TR.crossgen_jobs(families, seeds)
+    assert drawn == []
 
 
-def test_cross_generator_requires_families():
-    with pytest.raises(ValueError):
-        TR.cross_generator_experiment(families=[], seeds=[1],
-                                      train_cfg=TR.TrainConfig())
+MINI_FAMILIES, MINI_SEEDS = ["vssd", "mambavision"], [2, 1]
+
+
+@pytest.fixture(scope="module")
+def mini_crossgen():
+    """A 2-family x 2-seed run and the rows its progress callback saw."""
+    seen = []
+    out = TR.cross_generator_experiment(
+        MINI_FAMILIES, MINI_SEEDS, TR.TrainConfig(epochs=1, seed=0), seen.append,
+        train_count=24, val_count=12, test_count=8)
+    return out, seen
+
+
+def test_crossgen_rows_survive_a_json_round_trip(mini_crossgen):
+    out, _ = mini_crossgen
+    assert len(out["results"]) == 4
+    for row in out["results"]:
+        assert json.loads(json.dumps(row)) == row
+
+
+def test_crossgen_report_of_rows_read_back_equals_the_report_in_memory(mini_crossgen):
+    out, _ = mini_crossgen
+    rows = json.loads(json.dumps(out["results"]))
+    assert TR.crossgen_report(rows, out["train_generator"]) == out
+    assert (out["families"], out["seeds"]) == (MINI_FAMILIES, MINI_SEEDS)
+
+
+def test_crossgen_progress_sees_the_rows_in_job_order(mini_crossgen):
+    out, seen = mini_crossgen
+    assert seen == out["results"]
+    assert [(row["seed"], row["family"]) for row in seen] == [
+        (2, "vssd"), (2, "mambavision"), (1, "vssd"), (1, "mambavision")]
+    assert TR.crossgen_jobs(MINI_FAMILIES, MINI_SEEDS) == [
+        (row["seed"], row["family"]) for row in seen]
