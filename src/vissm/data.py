@@ -11,6 +11,12 @@ generator signatures on top:
 All sampling flows through the splitmix stream, keyed by (dataset seed,
 split, subset, index), so any image can be regenerated from the manifest
 alone; datasets are never stored as pixels unless explicitly exported.
+
+Images are drawn in byte-bounded batches: a chunk is as many images as fit
+``_CHUNK_BYTES``, and the streams' closed form reads all of a chunk's draws at
+once, so its fields, signatures and noise are (chunk, h, w) arrays, formed by
+the same operations in the same order as for one image. Any one image still
+regenerates from its seed alone, with the same bits, as the batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import files
-from .rng import SplitMix64, hash_combine
+from .rng import advance, below_array, hash_combine_array, normals, stream_u64, uniforms
 
 GENERATORS = ("G1_checkerboard", "G2_ringing", "G3_gridnoise")
 
@@ -50,28 +56,44 @@ class SynthGenSpec:
             raise ValueError("artifact_strength must lie in (0, 1]")
 
 
-def _smooth_field(rng: SplitMix64, h: int, w: int) -> np.ndarray:
-    """Sum of a few random low-frequency plane waves around mid-gray."""
+# each wave draws its amplitude, x frequency and sign, y frequency and sign, phase
+_WAVE_DRAWS = 6
+# a chunk is as many images as fit one (chunk, h, w) float64 array in this budget;
+# its working set is a few such arrays, so about 2 MiB whatever the image count
+_CHUNK_BYTES = 1 << 18
+
+
+def _smooth_fields(draws: np.ndarray, n_waves: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Each image's sum of its ``n_waves`` random low-frequency plane waves
+    around mid-gray, shape (len, h, w): row i of ``draws`` holds image i's
+    base-stream outputs after its wave count, ``_WAVE_DRAWS`` per wave."""
     yy = np.arange(h, dtype=np.float64)[:, None] / h
     xx = np.arange(w, dtype=np.float64)[None, :] / w
-    field = np.full((h, w), 0.5)
-    n_waves = _MIN_WAVES + rng.below(_MAX_WAVES - _MIN_WAVES + 1)
-    for _ in range(n_waves):
-        amp = rng.uniform(_AMP_LO, _AMP_HI)
-        fx = rng.uniform(_FREQ_LO, _FREQ_HI) * (1.0 if rng.below(2) else -1.0)
-        fy = rng.uniform(_FREQ_LO, _FREQ_HI) * (1.0 if rng.below(2) else -1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        field += amp * np.sin(2.0 * np.pi * (fx * xx + fy * yy) + phase)
-    return field
+    # most waves first, so the images that have a wave j are a prefix: sin, the
+    # cost floor, runs only where a wave is
+    order = np.argsort(n_waves)[::-1]
+    draws = draws[order]
+    field = np.full((len(draws), h, w), 0.5)
+    for j in range(_MAX_WAVES):
+        k = np.count_nonzero(n_waves > j)
+        amp, fx, fx_pos, fy, fy_pos, phase = \
+            draws[:k, _WAVE_DRAWS * j:_WAVE_DRAWS * (j + 1)].T[..., None, None]
+        amp = uniforms(amp, _AMP_LO, _AMP_HI)
+        fx = uniforms(fx, _FREQ_LO, _FREQ_HI) * np.where(below_array(fx_pos, 2), 1.0, -1.0)
+        fy = uniforms(fy, _FREQ_LO, _FREQ_HI) * np.where(below_array(fy_pos, 2), 1.0, -1.0)
+        phase = uniforms(phase, 0.0, 2.0 * np.pi)
+        field[:k] += amp * np.sin(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+    return field[np.argsort(order)]
 
 
 def _box_blur3(img: np.ndarray) -> np.ndarray:
-    """3x3 box blur with edge replication."""
-    padded = np.pad(img, 1, mode="edge")
+    """3x3 box blur over the last two axes, with edge replication."""
+    h, w = img.shape[-2:]
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
     out = np.zeros_like(img)
     for i in range(3):
         for j in range(3):
-            out += padded[i:i + img.shape[0], j:j + img.shape[1]]
+            out += padded[..., i:i + h, j:j + w]
     return out / 9.0
 
 
@@ -82,23 +104,7 @@ def _checker(h: int, w: int) -> np.ndarray:
     return np.where((ii + jj) % 2 == 0, 1.0, -1.0)
 
 
-def _base_parts(seed: int, h: int, w: int):
-    if h < 8 or w < 8:
-        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
-    rng = SplitMix64(hash_combine(seed, _TAG_BASE))
-    field = _smooth_field(rng, h, w)
-    noise = rng.normal_array((h, w), 0.0, NOISE_SIGMA)
-    return field, noise
-
-
-def synth_real(seed: int, h: int, w: int) -> np.ndarray:
-    """Deterministic pseudo-natural image in [0, 1]."""
-    field, noise = _base_parts(seed, h, w)
-    return np.clip(field + noise, 0.0, 1.0)
-
-
-def _artifact(seed: int, h: int, w: int, field: np.ndarray,
-              spec: SynthGenSpec) -> np.ndarray:
+def _artifact(seeds, h: int, w: int, field: np.ndarray, spec: SynthGenSpec) -> np.ndarray:
     s = spec.artifact_strength
     gen = spec.generator_id
     if gen == "G1_checkerboard":
@@ -107,22 +113,49 @@ def _artifact(seed: int, h: int, w: int, field: np.ndarray,
         # over-shoot sharpening of the base field: halo ringing at edges
         return s * _RING_GAIN * (field - _box_blur3(field))
     # G3: noise bursts pinned to the 4x4 block lattice
-    rng = SplitMix64(hash_combine(seed, _TAG_ART, GENERATORS.index(gen)))
-    burst = rng.uniform_array((h, w), -1.0, 1.0)
+    states = np.reshape(hash_combine_array(seeds, _TAG_ART, GENERATORS.index(gen)), -1)
+    burst = uniforms(stream_u64(states, h * w), -1.0, 1.0).reshape(field.shape)
     ii = np.arange(h)[:, None]
     jj = np.arange(w)[None, :]
     mask = ((ii % _BLOCK == 0) | (jj % _BLOCK == 0)).astype(np.float64)
     return 0.1 * s * burst * mask
 
 
+def _synth(seeds, h: int, w: int, spec: SynthGenSpec | None = None) -> np.ndarray:
+    """The images of the sample ``seeds`` (an int, or a uint64 array), shape
+    (len, h, w) in [0, 1]: reals for ``spec`` None, else fakes of ``spec``.
+
+    Each image's base stream, hash_combine(seed, _TAG_BASE), draws its wave
+    count, then ``_WAVE_DRAWS`` per wave, then its noise; the streams' closed
+    form reads every image's draws at once, at those offsets.
+    """
+    if h < 8 or w < 8:
+        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
+    base = np.reshape(hash_combine_array(seeds, _TAG_BASE), -1)
+    draws = stream_u64(base, 1 + _WAVE_DRAWS * _MAX_WAVES)
+    n_waves = _MIN_WAVES + below_array(draws[:, 0], _MAX_WAVES - _MIN_WAVES + 1)
+    # the noise before the field, so its raw draws, the largest arrays, and the
+    # field's are never alive at once
+    noise = normals(stream_u64(advance(base, 1 + _WAVE_DRAWS * n_waves), 2 * h * w),
+                    0.0, NOISE_SIGMA).reshape(-1, h, w)
+    field = _smooth_fields(draws[:, 1:], n_waves, h, w)
+    if spec is None:
+        return np.clip(field + noise, 0.0, 1.0)
+    return np.clip(field + _artifact(seeds, h, w, field, spec) + noise, 0.0, 1.0)
+
+
+def synth_real(seed: int, h: int, w: int) -> np.ndarray:
+    """Deterministic pseudo-natural image in [0, 1]: the batch of one seed."""
+    return _synth(seed, h, w)[0]
+
+
 def synth_fake(seed: int, h: int, w: int, spec: SynthGenSpec) -> np.ndarray:
-    """Base field of the same seed plus the generator's signature.
+    """Base field of the same seed plus the generator's signature: the batch
+    of one seed.
 
     As artifact_strength -> 0 this converges to synth_real(seed, h, w).
     """
-    field, noise = _base_parts(seed, h, w)
-    art = _artifact(seed, h, w, field, spec)
-    return np.clip(field + art + noise, 0.0, 1.0)
+    return _synth(seed, h, w, spec)[0]
 
 
 # -- datasets --------------------------------------------------------------------
@@ -158,9 +191,11 @@ SCHEMA = "vissm.dataset/1"
 def _gen_block(dataset_seed, split, subset, count, h, w, spec=None):
     first = SEED_RANGES[f"{split}/{subset}"][0]
     imgs = np.empty((count, h, w))
-    for i in range(count):
-        seed = hash_combine(dataset_seed, first + i)
-        imgs[i] = synth_real(seed, h, w) if spec is None else synth_fake(seed, h, w, spec)
+    chunk = max(1, _CHUNK_BYTES // (8 * h * w))
+    for start in range(0, count, chunk):
+        stop = min(count, start + chunk)
+        seeds = hash_combine_array(dataset_seed, np.arange(first + start, first + stop))
+        imgs[start:stop] = _synth(seeds, h, w, spec)
     return imgs
 
 

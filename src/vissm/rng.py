@@ -6,6 +6,13 @@ bit-reproducible across platforms and numpy versions. The generator is the
 splitmix64 sequence: state advances by a fixed odd gamma and each output is
 a finalized mix of the state.
 
+Scalar draws use exact Python integers. Bulk draws use the closed form
+state_k = state + k * GAMMA in wrapping uint64 arithmetic, over one stream
+(``SplitMix64``'s array draws) or over many at once (``stream_u64``, from
+states that ``hash_combine_array`` derives and ``advance`` moves on);
+``uniforms``, ``normals`` and ``below_array`` turn raw outputs into the
+values the scalar draws return, bit for bit.
+
 Constants (hex):
     GAMMA = 0x9E3779B97F4A7C15   (2^64 / golden ratio, odd)
     MIX1  = 0xBF58476D1CE4E5B9
@@ -43,13 +50,81 @@ def hash_combine(*parts: int) -> int:
     return acc
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every entry of a uint64 array ``z`` (which it overwrites),
+    wrapping."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _as_u64(x) -> np.ndarray:
+    """``x`` as uint64: an int reduced mod 2^64 first, as ``hash_combine``
+    reduces its parts (``np.uint64(-5)`` raises), an integer array cast."""
+    if isinstance(x, (int, np.integer)):
+        return np.asarray(int(x) & _MASK, dtype=np.uint64)
+    return np.asarray(x).astype(np.uint64)
+
+
+def hash_combine_array(*parts) -> np.ndarray:
+    """``hash_combine`` over parts that broadcast together (ints or integer
+    arrays): entry i is ``hash_combine`` of the parts' entries i."""
+    acc = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for p in parts:
+            acc = _mix64_array(acc + np.uint64(GAMMA) + _as_u64(p))
+    return acc
+
+
+def stream_u64(states, count: int) -> np.ndarray:
+    """The next ``count`` outputs of the splitmix stream at each of ``states``,
+    shape ``states.shape + (count,)``: ``SplitMix64(s).next_u64()`` drawn
+    ``count`` times from every state s, at once."""
+    # at least 1-D on both sides, so numpy wraps without an overflow warning
+    return _mix64_array(_as_u64(states)[..., None]
+                        + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA))
+
+
+def advance(states, draws):
+    """Each stream state of ``states`` after ``draws`` more outputs (the two
+    broadcast together)."""
+    with np.errstate(over="ignore"):
+        return _as_u64(states) + _as_u64(draws) * np.uint64(GAMMA)
+
+
+def uniforms(raw: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """``SplitMix64.uniform(lo, hi)`` of each raw output."""
+    return lo + (hi - lo) * ((raw >> np.uint64(11)).astype(np.float64) * _U53)
+
+
+def normals(raw: np.ndarray, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    """``SplitMix64.normal(mean, std)`` of each consecutive pair of raw outputs
+    along the last axis, which halves."""
+    u1 = 1.0 - (raw[..., 0::2] >> np.uint64(11)).astype(np.float64) * _U53
+    u2 = (raw[..., 1::2] >> np.uint64(11)).astype(np.float64) * _U53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return mean + std * z
+
+
+def below_array(raw: np.ndarray, n: int) -> np.ndarray:
+    """``SplitMix64.below(n)``, the top 64 bits of u * n, of each raw output u,
+    for 1 <= n < 2^32: (u * n) >> 64 from u's 32-bit halves, exact."""
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"below_array needs 1 <= n < 2^32, got {n}")
+    n = np.uint64(n)
+    hi, lo = raw >> np.uint64(32), raw & np.uint64(0xFFFFFFFF)
+    return (hi * n + ((lo * n) >> np.uint64(32))) >> np.uint64(32)
+
+
 class SplitMix64:
     """Sequential splitmix64 stream.
 
-    Scalar draws use exact Python integer arithmetic; bulk draws use the
-    closed form state_k = seed + (k+1) * GAMMA evaluated with wrapping
-    numpy uint64 arithmetic (verified identical to the scalar path in the
-    test suite).
+    Scalar draws use exact Python integer arithmetic; bulk draws are
+    ``stream_u64`` of the one current state (verified identical to the
+    scalar path in the test suite).
     """
 
     def __init__(self, seed: int):
@@ -88,28 +163,18 @@ class SplitMix64:
     # -- bulk draws --------------------------------------------------------
 
     def _next_u64_array(self, n: int) -> np.ndarray:
-        ks = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + ks * np.uint64(GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-            z = z ^ (z >> np.uint64(31))
+        z = stream_u64(self._state, n)
         self._state = (self._state + n * GAMMA) & _MASK
         self._drawn += n
         return z
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        u = (self._next_u64_array(n) >> np.uint64(11)).astype(np.float64) * _U53
-        return (lo + (hi - lo) * u).reshape(shape)
+        return uniforms(self._next_u64_array(n), lo, hi).reshape(shape)
 
     def normal_array(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        raw = self._next_u64_array(2 * n)
-        u1 = 1.0 - (raw[0::2] >> np.uint64(11)).astype(np.float64) * _U53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _U53
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return (mean + std * z).reshape(shape)
+        return normals(self._next_u64_array(2 * n), mean, std).reshape(shape)
 
     # -- state -------------------------------------------------------------
 

@@ -19,6 +19,8 @@ prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
 - the LTI forms: the discretized system, its convolution kernel, and the
   recurrent and FFT-convolution outputs, for one dense and one diagonal
   system
+- the images and labels of every split of one small corpus at non-square
+  extents, drawn by ``make_dataset``
 - the ``--help`` text of ``vissm`` and of every command (at 80 columns)
 - the bytes of every artifact, and the standard output, of one small fixed
   pipeline run in a fresh temporary directory with relative paths, so that
@@ -62,6 +64,7 @@ import numpy as np  # noqa: E402
 
 from vissm import blocks as B  # noqa: E402
 from vissm import cli  # noqa: E402
+from vissm import data as D  # noqa: E402
 from vissm import scan2d, ssm  # noqa: E402
 from vissm import selective as S  # noqa: E402
 from vissm import tensor as T  # noqa: E402
@@ -121,6 +124,14 @@ def lti_arrays() -> list:
                    (f"{kind}.recurrent", ssm.run_recurrent(dssm, x)),
                    (f"{kind}.convolution", ssm.run_convolution(dssm, x))]
     return arrays
+
+
+def corpus_arrays() -> list:
+    bundle = D.make_dataset(SEED, train_count=9, val_count=5, test_count=3, h=9, w=13)
+    return [(f"{name}.{kind}", getattr(ds, kind))
+            for name, ds in [("train", bundle.train), ("val", bundle.val),
+                             *((f"test.{ds.subset_tag}", ds) for ds in bundle.test_subsets)]
+            for kind in ("images", "labels")]
 
 
 def help_texts() -> list:
@@ -192,6 +203,7 @@ CASES = {
        for family in B.FAMILIES for scan in ("raster", "cross")},
     "chunked": chunked_arrays,
     "lti": lti_arrays,
+    "data": corpus_arrays,
     "help": help_texts,
     "pipeline": pipeline_artifacts,
 }

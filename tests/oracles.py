@@ -3,7 +3,9 @@
 Each oracle composes a fused op from plain tensor ops, so autodiff derives
 its backward pass, or takes the slower route a fast path replaces; the
 library's op is tested against it on values and gradients. None of these is
-on the library's model path. The helpers after them build test inputs and
+on the library's model path. The per-image synthesis route draws the corpus
+one image and one scalar draw at a time: the reference for ``data``'s
+batched synthesis, bit for bit. The helpers after them build test inputs and
 independent references: a constant selective projection, central finite
 differences, and numpy gather/scatter along a scan order. The analytic G1
 detector at the end is the hand-built reference the trained detectors are
@@ -16,6 +18,7 @@ from vissm import blocks as B
 from vissm import data as D
 from vissm import selective as S
 from vissm import tensor as T
+from vissm.rng import SplitMix64, hash_combine
 from vissm.tensor import Tensor
 
 
@@ -115,6 +118,78 @@ def per_direction_update(streams, core_fn, scan, equivariant=False):
     """``blocks.merged_update`` with the core run once per scan direction,
     whatever ``equivariant`` asks: the oracle for its cell-set groups."""
     return _merged_update(streams, core_fn, scan)
+
+
+# -- the per-image synthesis route -------------------------------------------------
+
+
+def smooth_field(rng: SplitMix64, h: int, w: int) -> np.ndarray:
+    """Sum of a few random low-frequency plane waves around mid-gray."""
+    yy = np.arange(h, dtype=np.float64)[:, None] / h
+    xx = np.arange(w, dtype=np.float64)[None, :] / w
+    field = np.full((h, w), 0.5)
+    n_waves = D._MIN_WAVES + rng.below(D._MAX_WAVES - D._MIN_WAVES + 1)
+    for _ in range(n_waves):
+        amp = rng.uniform(D._AMP_LO, D._AMP_HI)
+        fx = rng.uniform(D._FREQ_LO, D._FREQ_HI) * (1.0 if rng.below(2) else -1.0)
+        fy = rng.uniform(D._FREQ_LO, D._FREQ_HI) * (1.0 if rng.below(2) else -1.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        field += amp * np.sin(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+    return field
+
+
+def box_blur3(img: np.ndarray) -> np.ndarray:
+    """3x3 box blur of one image with edge replication."""
+    padded = np.pad(img, 1, mode="edge")
+    out = np.zeros_like(img)
+    for i in range(3):
+        for j in range(3):
+            out += padded[i:i + img.shape[0], j:j + img.shape[1]]
+    return out / 9.0
+
+
+def base_parts(seed: int, h: int, w: int):
+    """One image's smooth field and sensor noise, drawn from its base stream."""
+    if h < 8 or w < 8:
+        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
+    rng = SplitMix64(hash_combine(seed, D._TAG_BASE))
+    field = smooth_field(rng, h, w)
+    noise = rng.normal_array((h, w), 0.0, D.NOISE_SIGMA)
+    return field, noise
+
+
+def artifact(seed: int, h: int, w: int, field: np.ndarray, spec) -> np.ndarray:
+    """One image's generator signature."""
+    s = spec.artifact_strength
+    gen = spec.generator_id
+    if gen == "G1_checkerboard":
+        return 0.1 * s * D._checker(h, w)
+    if gen == "G2_ringing":
+        return s * D._RING_GAIN * (field - box_blur3(field))
+    rng = SplitMix64(hash_combine(seed, D._TAG_ART, D.GENERATORS.index(gen)))
+    burst = rng.uniform_array((h, w), -1.0, 1.0)
+    ii = np.arange(h)[:, None]
+    jj = np.arange(w)[None, :]
+    mask = ((ii % D._BLOCK == 0) | (jj % D._BLOCK == 0)).astype(np.float64)
+    return 0.1 * s * burst * mask
+
+
+def synth_per_image(seed: int, h: int, w: int, spec=None) -> np.ndarray:
+    """One real image (``spec`` None) or fake of ``spec``."""
+    field, noise = base_parts(seed, h, w)
+    if spec is None:
+        return np.clip(field + noise, 0.0, 1.0)
+    return np.clip(field + artifact(seed, h, w, field, spec) + noise, 0.0, 1.0)
+
+
+def gen_block_per_image(dataset_seed, split, subset, count, h, w, spec=None):
+    """``data._gen_block`` one image at a time: put in its place, it makes
+    ``make_dataset`` and ``draw_split`` take the per-image route."""
+    first = D.SEED_RANGES[f"{split}/{subset}"][0]
+    imgs = np.empty((count, h, w))
+    for i in range(count):
+        imgs[i] = synth_per_image(hash_combine(dataset_seed, first + i), h, w, spec)
+    return imgs
 
 
 def constant_projection(channels: int, state_dim: int, b_const, c_const,

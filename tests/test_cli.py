@@ -104,12 +104,13 @@ def test_make_data_writes_manifest_and_config(tiny_data):
 
 
 def test_make_data_pgm_dump(tmp_path):
-    out = tmp_path / "d"
-    assert run(["make-data", "--out", str(out), "--seed", "1", "--train", "2",
-                "--val", "2", "--test", "2", "--dump-pgm", "1"]) == 0
-    names = sorted(os.listdir(out / "samples"))
-    assert names == ["G1_checkerboard_0.pgm", "G2_ringing_0.pgm",
-                     "G3_gridnoise_0.pgm", "real_0.pgm"]
+    for seed in ("1", "-5", str(2**70 + 3)):  # any int seeds a corpus
+        out = tmp_path / seed
+        assert run(["make-data", "--out", str(out), "--seed", seed, "--train", "2",
+                    "--val", "2", "--test", "2", "--dump-pgm", "1"]) == 0
+        names = sorted(os.listdir(out / "samples"))
+        assert names == ["G1_checkerboard_0.pgm", "G2_ringing_0.pgm",
+                         "G3_gridnoise_0.pgm", "real_0.pgm"]
 
 
 # -- train / eval / export ---------------------------------------------------------

@@ -1,15 +1,18 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles as O
 from oracles import analytic_g1_detector
 from vissm import data as D
 from vissm.data import SynthGenSpec, make_dataset
 from vissm.files import write_json
+from vissm.rng import SplitMix64, hash_combine
 
 
 # -- real images -----------------------------------------------------------------
@@ -241,6 +244,71 @@ def test_every_manifest_make_dataset_writes_loads_and_regenerates(
         assert ours.subset_tag == theirs.subset_tag
         assert np.array_equal(ours.images, theirs.images)
         assert np.array_equal(ours.labels, theirs.labels)
+
+
+def splits_of(bundle) -> list:
+    return [bundle.train, bundle.val, *bundle.test_subsets]
+
+
+def chunk_of(h: int, w: int) -> int:
+    """The images ``data`` draws together at extents (h, w)."""
+    return max(1, D._CHUNK_BYTES // (8 * h * w))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-2**70, 2**70) | st.sampled_from([-5, 2**63 + 5, 2**64 - 1, 2**70 + 3]),
+       h=st.integers(8, 40), w=st.integers(8, 40), split=st.sampled_from(D.SPLITS),
+       offset=st.sampled_from([None, -1, 0, 1]), train_generator=st.sampled_from(D.GENERATORS),
+       strength=st.floats(0.0, 1.0, exclude_min=True))
+@example(seed=16, h=9, w=13, split="test", offset=1, train_generator="G2_ringing",
+         strength=1.0)
+def test_batched_corpus_is_the_per_image_corpus(seed, h, w, split, offset,
+                                                train_generator, strength):
+    # one block of the drawn split holds 1 image (offset None), or one below, at or
+    # one above the chunk size; the other splits hold 1 or 2
+    count = 1 if offset is None else chunk_of(h, w) + offset
+    counts = {"train": 2, "val": 1, "test": 1}
+    counts[split] = count if split == "test" else 2 * count - 1  # real gets `count`
+    args = (seed, counts["train"], counts["val"], counts["test"])
+    kwargs = dict(h=h, w=w, train_generator=train_generator, strength=strength)
+    batched = make_dataset(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_gen_block", O.gen_block_per_image)
+        per_image = make_dataset(*args, **kwargs)
+        redrawn = D.draw_split(batched.manifest, split)
+    for ours, theirs in zip(splits_of(batched), splits_of(per_image)):
+        assert ours.images.tobytes() == theirs.images.tobytes()
+        assert np.array_equal(ours.labels, theirs.labels)
+    drawn = getattr(batched, split) if split != "test" else batched.test_subsets
+    for ours, theirs in zip(*((ds,) if split != "test" else ds for ds in (drawn, redrawn))):
+        assert ours.images.tobytes() == theirs.images.tobytes()
+
+
+def test_batched_images_cover_every_wave_count():
+    count = chunk_of(32, 32) + 5
+    first = D.SEED_RANGES["train/real"][0]
+    waves = {D._MIN_WAVES + SplitMix64(hash_combine(hash_combine(7, first + i), D._TAG_BASE))
+             .below(D._MAX_WAVES - D._MIN_WAVES + 1) for i in range(count)}
+    assert waves == set(range(D._MIN_WAVES, D._MAX_WAVES + 1))
+    for spec in (None, *(SynthGenSpec(g, 0.6) for g in D.GENERATORS)):
+        ours = D._gen_block(7, "train", "real", count, 32, 32, spec)
+        assert ours.tobytes() == O.gen_block_per_image(7, "train", "real", count, 32, 32,
+                                                       spec).tobytes()
+
+
+@pytest.mark.parametrize("counts, extent", [
+    ((1000, 200, 500), 32),  # criterion 7's corpus
+    ((8, 2, 2), 256),        # four 256x256 reals a block: the chunk must shrink to fit
+])
+def test_synthesis_memory_is_bounded_by_bytes(counts, extent):
+    tracemalloc.start()
+    try:
+        bundle = make_dataset(1, *counts, h=extent, w=extent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    corpus = sum(ds.images.nbytes + ds.labels.nbytes for ds in splits_of(bundle))
+    assert peak <= corpus + 4 * 2**20
 
 
 def test_make_dataset_validation():

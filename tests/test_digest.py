@@ -16,6 +16,10 @@ def test_digest_case_repeats():
     assert first == digest.case_lines("chunked")
     assert first[0].startswith("chunked y.1.chunk1 ")
     assert len(first) == len(digest.CHUNKED_SHAPES) * (1 + 3 + 7)  # y, x, a, d, the 7 weights
+    first = digest.case_lines("data")
+    assert first == digest.case_lines("data")
+    assert first[0].startswith("data train.images ")
+    assert len(first) == 2 * (2 + len(digest.D.GENERATORS) + 1)  # images, labels per split
 
 
 def test_gaps_report_only_the_arrays_that_moved(tmp_path, capsys):

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vissm.rng import SplitMix64, hash_combine, mix64
+from vissm import data as D
+from vissm.rng import (SplitMix64, advance, below_array, hash_combine, hash_combine_array, mix64,
+                       stream_u64)
 
 
 def test_scalar_and_array_streams_agree():
@@ -74,3 +79,45 @@ def test_state_roundtrip_resumes_stream():
 def test_hash_combine_order_sensitive():
     assert hash_combine(1, 2) != hash_combine(2, 1)
     assert hash_combine(1, 2) == hash_combine(1, 2)
+
+
+# seeds inside uint64, negative, at and past 2^63, and past 2^64: hash_combine
+# reduces each part mod 2^64, which np.uint64 would refuse to do
+SEEDS = st.integers(-2**70, 2**70) | st.sampled_from([-5, -1, 0, 2**63, 2**63 + 5, 2**64 - 1,
+                                                      2**64, 2**70 + 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, tag=st.integers(0, 2**32), first=st.integers(0, 2**40),
+       skip=st.integers(0, 50), count=st.integers(0, 5))
+def test_many_streams_match_the_scalar_streams(seed, tag, first, skip, count):
+    indices = np.arange(first, first + 4)
+    states = hash_combine_array(seed, indices, tag)
+    assert states.dtype == np.uint64
+    assert states.tolist() == [hash_combine(seed, int(i), tag) for i in indices]
+    assert hash_combine_array(seed, tag) == hash_combine(seed, tag)
+    skips = np.arange(skip, skip + 4, dtype=np.uint64)  # a different offset per stream
+    drawn = stream_u64(advance(states, skips), count)
+    assert drawn.shape == (4, count)
+    for state, offset, row in zip(states.tolist(), skips.tolist(), drawn.tolist()):
+        rng = SplitMix64(state)
+        assert row == [rng.next_u64() for _ in range(offset + count)][offset:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2**32 - 1), seed=SEEDS)
+@example(n=D._MAX_WAVES - D._MIN_WAVES + 1, seed=1)  # the two n synthesis draws with
+@example(n=2, seed=1)
+@example(n=3, seed=1)
+def test_below_array_is_the_scalar_below(n, seed):
+    states = hash_combine_array(seed, np.arange(4))
+    assert below_array(stream_u64(states, 16), n).tolist() == [
+        [rng.below(n) for _ in range(16)] for rng in map(SplitMix64, states.tolist())]
+    edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert below_array(edges, n).tolist() == [(u * n) >> 64 for u in edges.tolist()]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32, 2**64])
+def test_below_array_refuses_n_it_cannot_draw_exactly(n):
+    with pytest.raises(ValueError, match="1 <= n < 2\\^32"):
+        below_array(np.arange(3, dtype=np.uint64), n)
