@@ -7,6 +7,7 @@ Modules:
              oracle, non-causal
   scan2d     1D visitation orders over 2D patch grids
   blocks     patch embedding, the three block families, model + checkpoints
+  rng        splitmix64 random stream on one (uint64 array) draw path
   data       procedural real-vs-generated image corpus
   training   Adam loop, per-subset evaluation, cross-generator experiment
   files      every file write (atomic), CSV/JSON/netpbm, the array container

@@ -6,12 +6,15 @@ bit-reproducible across platforms and numpy versions. The generator is the
 splitmix64 sequence: state advances by a fixed odd gamma and each output is
 a finalized mix of the state.
 
-Scalar draws use exact Python integers. Bulk draws use the closed form
-state_k = state + k * GAMMA in wrapping uint64 arithmetic, over one stream
-(``SplitMix64``'s array draws) or over many at once (``stream_u64``, from
-states that ``hash_combine_array`` derives and ``advance`` moves on);
-``uniforms``, ``normals`` and ``below_array`` turn raw outputs into the
-values the scalar draws return, bit for bit.
+There is one draw path: the closed form state_k = state + k * GAMMA in
+wrapping uint64 arithmetic (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014), over one stream
+(``SplitMix64``) or over many at once (``stream_u64``, from states that
+``hash_combine_array`` derives and ``advance`` moves on). ``uniforms``,
+``normals`` and ``below_array`` turn raw outputs into values. A scalar
+draw and ``hash_combine`` are that path's batch of one, and ``shuffle``
+takes its len - 1 swap indices in one draw. The exact Python-integer
+splitmix64 is the test suite's reference.
 
 Constants (hex):
     GAMMA = 0x9E3779B97F4A7C15   (2^64 / golden ratio, odd)
@@ -20,8 +23,6 @@ Constants (hex):
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,25 +35,9 @@ MIX2 = 0x94D049BB133111EB
 _U53 = 2.0 ** -53
 
 
-def mix64(z: int) -> int:
-    """Finalization mix: avalanches all input bits into the output."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def hash_combine(*parts: int) -> int:
-    """Fold several integers into one well-mixed 64-bit seed."""
-    acc = 0
-    for p in parts:
-        acc = mix64((acc + GAMMA + (int(p) & _MASK)) & _MASK)
-    return acc
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` of every entry of a uint64 array ``z`` (which it overwrites),
-    wrapping."""
+    """splitmix64's finalization mix of every entry of a uint64 array ``z``
+    (which it overwrites), wrapping: avalanches all input bits."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(MIX1)
     z ^= z >> np.uint64(27)
@@ -62,16 +47,16 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _as_u64(x) -> np.ndarray:
-    """``x`` as uint64: an int reduced mod 2^64 first, as ``hash_combine``
-    reduces its parts (``np.uint64(-5)`` raises), an integer array cast."""
+    """``x`` as uint64: an int reduced mod 2^64 first (``np.uint64(-5)``
+    raises), an integer array cast."""
     if isinstance(x, (int, np.integer)):
         return np.asarray(int(x) & _MASK, dtype=np.uint64)
     return np.asarray(x).astype(np.uint64)
 
 
 def hash_combine_array(*parts) -> np.ndarray:
-    """``hash_combine`` over parts that broadcast together (ints or integer
-    arrays): entry i is ``hash_combine`` of the parts' entries i."""
+    """Fold parts that broadcast together (ints or integer arrays, each
+    reduced mod 2^64) into well-mixed 64-bit seeds, entry by entry."""
     acc = np.uint64(0)
     with np.errstate(over="ignore"):
         for p in parts:
@@ -79,10 +64,14 @@ def hash_combine_array(*parts) -> np.ndarray:
     return acc
 
 
+def hash_combine(*parts: int) -> int:
+    """Fold several integers into one well-mixed 64-bit seed."""
+    return int(hash_combine_array(*parts))
+
+
 def stream_u64(states, count: int) -> np.ndarray:
     """The next ``count`` outputs of the splitmix stream at each of ``states``,
-    shape ``states.shape + (count,)``: ``SplitMix64(s).next_u64()`` drawn
-    ``count`` times from every state s, at once."""
+    shape ``states.shape + (count,)``."""
     # at least 1-D on both sides, so numpy wraps without an overflow warning
     return _mix64_array(_as_u64(states)[..., None]
                         + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA))
@@ -96,77 +85,72 @@ def advance(states, draws):
 
 
 def uniforms(raw: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """``SplitMix64.uniform(lo, hi)`` of each raw output."""
+    """A double in [lo, hi) with 53 bits of resolution of each raw output."""
     return lo + (hi - lo) * ((raw >> np.uint64(11)).astype(np.float64) * _U53)
 
 
 def normals(raw: np.ndarray, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """``SplitMix64.normal(mean, std)`` of each consecutive pair of raw outputs
-    along the last axis, which halves."""
-    u1 = 1.0 - (raw[..., 0::2] >> np.uint64(11)).astype(np.float64) * _U53
+    """One Box-Muller Gaussian of each consecutive pair of raw outputs along the
+    last axis, which halves."""
+    u1 = 1.0 - (raw[..., 0::2] >> np.uint64(11)).astype(np.float64) * _U53  # (0, 1]
     u2 = (raw[..., 1::2] >> np.uint64(11)).astype(np.float64) * _U53
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return mean + std * z
 
 
-def below_array(raw: np.ndarray, n: int) -> np.ndarray:
-    """``SplitMix64.below(n)``, the top 64 bits of u * n, of each raw output u,
-    for 1 <= n < 2^32: (u * n) >> 64 from u's 32-bit halves, exact."""
-    if not 1 <= n < 1 << 32:
+def below_array(raw: np.ndarray, n) -> np.ndarray:
+    """An integer in [0, n), the top 64 bits of u * n, of each raw output u, for
+    n (an int or an array that broadcasts with ``raw``) in 1 <= n < 2^32:
+    (u * n) >> 64 from u's 32-bit halves, exact."""
+    n = np.asarray(n)
+    if not np.all((1 <= n) & (n < 1 << 32)):
         raise ValueError(f"below_array needs 1 <= n < 2^32, got {n}")
-    n = np.uint64(n)
+    n = n.astype(np.uint64)
     hi, lo = raw >> np.uint64(32), raw & np.uint64(0xFFFFFFFF)
     return (hi * n + ((lo * n) >> np.uint64(32))) >> np.uint64(32)
 
 
 class SplitMix64:
-    """Sequential splitmix64 stream.
-
-    Scalar draws use exact Python integer arithmetic; bulk draws are
-    ``stream_u64`` of the one current state (verified identical to the
-    scalar path in the test suite).
-    """
+    """Sequential splitmix64 stream: every draw is ``stream_u64`` of its one
+    current state, through ``_next_u64_array``."""
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
         self._drawn = 0  # number of u64s produced so far
 
-    # -- scalar draws ------------------------------------------------------
+    def _next_u64_array(self, n: int) -> np.ndarray:
+        z = stream_u64(self._state, n)
+        self._state = int(advance(self._state, n))
+        self._drawn += n
+        return z
+
+    # -- scalar draws: the batch of one ------------------------------------
 
     def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & _MASK
-        self._drawn += 1
-        return mix64(self._state)
+        return int(self._next_u64_array(1)[0])
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Double in [lo, hi) with 53 bits of resolution."""
-        u = (self.next_u64() >> 11) * _U53
-        return lo + (hi - lo) * u
+        return float(uniforms(self._next_u64_array(1), lo, hi)[0])
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         """One Gaussian draw via Box-Muller (consumes two u64s)."""
-        u1 = 1.0 - (self.next_u64() >> 11) * _U53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * _U53
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mean + std * z
+        return float(normals(self._next_u64_array(2), mean, std)[0])
 
     def below(self, n: int) -> int:
-        """Integer in [0, n) by 128-bit multiply-shift (no modulo bias to speak of at our n)."""
-        return (self.next_u64() * n) >> 64
+        """Integer in [0, n) by 128-bit multiply-shift (no modulo bias to speak
+        of at our n), for 1 <= n < 2^32."""
+        below_array(np.zeros(0, dtype=np.uint64), n)  # refuses n before drawing
+        return int(below_array(self._next_u64_array(1), n)[0])
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates, its len - 1 swap indices drawn at once."""
+        n = len(items)
+        swaps = below_array(self._next_u64_array(max(n - 1, 0)), np.arange(n, 1, -1))
+        for i, j in zip(range(n - 1, 0, -1), swaps.tolist()):
             items[i], items[j] = items[j], items[i]
 
     # -- bulk draws --------------------------------------------------------
-
-    def _next_u64_array(self, n: int) -> np.ndarray:
-        z = stream_u64(self._state, n)
-        self._state = (self._state + n * GAMMA) & _MASK
-        self._drawn += n
-        return z
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1

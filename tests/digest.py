@@ -21,6 +21,10 @@ prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
   system
 - the images and labels of every split of one small corpus at non-square
   extents, drawn by ``make_dataset``
+- the random stream: its first outputs at the published splitmix64 seeds
+  1234567 and 0; scalar and bulk uniform, normal and below draws; a shuffle
+  of 1000 items; and ``hash_combine`` at seeds negative, at 2^63, at
+  2^64 - 1 and past 2^64
 - the ``--help`` text of ``vissm`` and of every command (at 80 columns)
 - the bytes of every artifact, and the standard output, of one small fixed
   pipeline run in a fresh temporary directory with relative paths, so that
@@ -68,7 +72,7 @@ from vissm import data as D  # noqa: E402
 from vissm import scan2d, ssm  # noqa: E402
 from vissm import selective as S  # noqa: E402
 from vissm import tensor as T  # noqa: E402
-from vissm.rng import SplitMix64  # noqa: E402
+from vissm.rng import SplitMix64, below_array, hash_combine, stream_u64  # noqa: E402
 from vissm.tensor import Tensor  # noqa: E402
 
 BATCH = 4
@@ -132,6 +136,34 @@ def corpus_arrays() -> list:
             for name, ds in [("train", bundle.train), ("val", bundle.val),
                              *((f"test.{ds.subset_tag}", ds) for ds in bundle.test_subsets)]
             for kind in ("images", "labels")]
+
+
+# splitmix64's reference seeds, with their first outputs in the published tables
+PUBLISHED_SEEDS = (1234567, 0)
+
+
+def rng_arrays() -> list:
+    arrays = []
+    for seed in PUBLISHED_SEEDS:
+        rng = SplitMix64(seed)
+        arrays.append((f"next_u64.{seed}", np.array([rng.next_u64() for _ in range(3)],
+                                                     dtype=np.uint64)))
+    rng = SplitMix64(SEED)
+    arrays += [("uniform", np.array([rng.uniform(-1.0, 2.0) for _ in range(64)])),
+               ("normal", np.array([rng.normal(0.5, 2.0) for _ in range(64)])),
+               ("below", np.array([rng.below(n) for n in range(1, 65)] + [rng.below(2**32 - 1)])),
+               ("uniform_array", rng.uniform_array((8, 9), -1.0, 2.0)),
+               ("normal_array", rng.normal_array((8, 9), 0.5, 2.0)),
+               ("below_array", below_array(stream_u64(rng.get_state()[0], 64), 1000)),
+               ("state", np.array(rng.get_state(), dtype=np.uint64))]
+    items = list(range(1000))
+    SplitMix64(5).shuffle(items)
+    arrays.append(("shuffle", np.array(items)))
+    arrays.append(("hash_combine", np.array(
+        [hash_combine(seed, *tags) for seed in (-5, 2**63, 2**64 - 1, 2**70 + 3)
+         for tags in ((), (7,), (7, 2**64 + 1))],
+        dtype=np.uint64)))
+    return arrays
 
 
 def help_texts() -> list:
@@ -204,6 +236,7 @@ CASES = {
     "chunked": chunked_arrays,
     "lti": lti_arrays,
     "data": corpus_arrays,
+    "rng": rng_arrays,
     "help": help_texts,
     "pipeline": pipeline_artifacts,
 }

@@ -3,9 +3,11 @@
 Each oracle composes a fused op from plain tensor ops, so autodiff derives
 its backward pass, or takes the slower route a fast path replaces; the
 library's op is tested against it on values and gradients. None of these is
-on the library's model path. The per-image synthesis route draws the corpus
-one image and one scalar draw at a time: the reference for ``data``'s
-batched synthesis, bit for bit. The helpers after them build test inputs and
+on the library's model path. The splitmix64 stream in exact Python integers,
+one draw at a time, is the reference for ``rng``'s one (uint64 array) draw
+path. The per-image synthesis route draws the corpus one image and one
+scalar draw of that stream at a time: the reference for ``data``'s batched
+synthesis, bit for bit. The helpers after them build test inputs and
 independent references: a constant selective projection, central finite
 differences, and numpy gather/scatter along a scan order. The analytic G1
 detector at the end is the hand-built reference the trained detectors are
@@ -18,7 +20,7 @@ from vissm import blocks as B
 from vissm import data as D
 from vissm import selective as S
 from vissm import tensor as T
-from vissm.rng import SplitMix64, hash_combine
+from vissm.rng import GAMMA, MIX1, MIX2, SplitMix64
 from vissm.tensor import Tensor
 
 
@@ -120,10 +122,55 @@ def per_direction_update(streams, core_fn, scan, equivariant=False):
     return _merged_update(streams, core_fn, scan)
 
 
+# -- splitmix64 in exact Python integers -----------------------------------------
+
+_MASK = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """splitmix64's finalization mix of one 64-bit integer."""
+    z = ((z ^ (z >> 30)) * MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+class ReferenceStream:
+    """The splitmix64 stream one draw at a time: the state advances by GAMMA
+    and is mixed per output, and a draw is formed from the output in Python
+    numbers."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GAMMA) & _MASK
+        return mix64(self.state)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0 ** -53)
+
+    def below(self, n: int) -> int:
+        return (self.next_u64() * n) >> 64
+
+
+def splitmix64(seed: int, count: int) -> list:
+    """The first ``count`` outputs of the stream at ``seed`` (reduced mod 2^64)."""
+    stream = ReferenceStream(seed)
+    return [stream.next_u64() for _ in range(count)]
+
+
+def hash_parts(*parts: int) -> int:
+    """``rng.hash_combine``: each part, reduced mod 2^64, folded into the seed."""
+    acc = 0
+    for p in parts:
+        acc = mix64((acc + GAMMA + (p & _MASK)) & _MASK)
+    return acc
+
+
 # -- the per-image synthesis route -------------------------------------------------
 
 
-def smooth_field(rng: SplitMix64, h: int, w: int) -> np.ndarray:
+def smooth_field(rng: ReferenceStream, h: int, w: int) -> np.ndarray:
     """Sum of a few random low-frequency plane waves around mid-gray."""
     yy = np.arange(h, dtype=np.float64)[:, None] / h
     xx = np.arange(w, dtype=np.float64)[None, :] / w
@@ -152,9 +199,9 @@ def base_parts(seed: int, h: int, w: int):
     """One image's smooth field and sensor noise, drawn from its base stream."""
     if h < 8 or w < 8:
         raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
-    rng = SplitMix64(hash_combine(seed, D._TAG_BASE))
+    rng = ReferenceStream(hash_parts(seed, D._TAG_BASE))
     field = smooth_field(rng, h, w)
-    noise = rng.normal_array((h, w), 0.0, D.NOISE_SIGMA)
+    noise = SplitMix64(rng.state).normal_array((h, w), 0.0, D.NOISE_SIGMA)
     return field, noise
 
 
@@ -166,7 +213,7 @@ def artifact(seed: int, h: int, w: int, field: np.ndarray, spec) -> np.ndarray:
         return 0.1 * s * D._checker(h, w)
     if gen == "G2_ringing":
         return s * D._RING_GAIN * (field - box_blur3(field))
-    rng = SplitMix64(hash_combine(seed, D._TAG_ART, D.GENERATORS.index(gen)))
+    rng = SplitMix64(hash_parts(seed, D._TAG_ART, D.GENERATORS.index(gen)))
     burst = rng.uniform_array((h, w), -1.0, 1.0)
     ii = np.arange(h)[:, None]
     jj = np.arange(w)[None, :]
@@ -188,7 +235,7 @@ def gen_block_per_image(dataset_seed, split, subset, count, h, w, spec=None):
     first = D.SEED_RANGES[f"{split}/{subset}"][0]
     imgs = np.empty((count, h, w))
     for i in range(count):
-        imgs[i] = synth_per_image(hash_combine(dataset_seed, first + i), h, w, spec)
+        imgs[i] = synth_per_image(hash_parts(dataset_seed, first + i), h, w, spec)
     return imgs
 
 

@@ -20,6 +20,10 @@ def test_digest_case_repeats():
     assert first == digest.case_lines("data")
     assert first[0].startswith("data train.images ")
     assert len(first) == 2 * (2 + len(digest.D.GENERATORS) + 1)  # images, labels per split
+    first = digest.case_lines("rng")
+    assert first == digest.case_lines("rng")
+    assert first[0].startswith("rng next_u64.1234567 ")
+    assert len(first) == len(digest.PUBLISHED_SEEDS) + 7 + 2  # the draws, shuffle, hashes
 
 
 def test_gaps_report_only_the_arrays_that_moved(tmp_path, capsys):

@@ -203,6 +203,43 @@ def test_step_graph_dies_before_optimizer_step(monkeypatch):
     assert checked == [True] * 6
 
 
+def test_every_no_grad_forward_runs_inside_predict(monkeypatch):
+    """The call contract a profiler's step clock relies on: training steps are
+    the forwards outside ``B.predict``, and evaluation (train's validation
+    too) is one ``B.predict`` per batch of at most ``EVAL_BATCH`` images."""
+    forward, predict = B.forward, B.predict
+    forwards, batches, depth = [], [], [0]
+
+    def counting_forward(model, images):
+        forwards.append((T._thread.grad_enabled, depth[0]))
+        return forward(model, images)
+
+    def counting_predict(model, images):
+        batches.append(len(images))
+        depth[0] += 1
+        try:
+            return predict(model, images)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(B, "forward", counting_forward)
+    monkeypatch.setattr(B, "predict", counting_predict)
+    TR.train(tiny_model(family="vim"), tiny_bundle(), cfg=TR.TrainConfig(batch=8, epochs=1))
+    assert forwards == [(True, 0)] * 3 + [(False, 1)]  # 3 steps over 24, then val's 12
+    assert batches == [12]
+
+    forwards.clear()
+    batches.clear()
+    images = SplitMix64(3).uniform_array((2 * TR.EVAL_BATCH + 2, 32, 32))
+    labels = np.arange(len(images)) % 2 == 0
+    subsets = [subset(f"s{n}", images[:n], labels[:n])
+               for n in (2 * TR.EVAL_BATCH + 2, TR.EVAL_BATCH, TR.EVAL_BATCH + 1, 1)]
+    TR.evaluate(tiny_model(), subsets)
+    e = TR.EVAL_BATCH
+    assert batches == [e, e, 2, e, e, 1, 1]  # ceil(len / EVAL_BATCH) per subset
+    assert forwards == [(False, 1)] * len(batches)
+
+
 def test_concurrent_trainings_match_sequential_runs():
     """Grad mode is per thread: one training's validation under no_grad does
     not stop another thread's training from recording its graph."""
