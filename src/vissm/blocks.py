@@ -277,15 +277,39 @@ def _depthwise(x, weight, bias, grid, pads):
     summed in row-major kernel order, in the forward pass and for the input
     gradient alike.
 
-    x is written into a zeroed padded buffer, and every tap's product goes
-    into one reused ``term`` buffer before it is added. In the backward pass
-    each tap's weight gradient is one einsum contraction over every axis but
-    the channel axis, and the bias gradient is a sum over the flattened rows.
-    Both accumulate row by row, as the sum of the tap products did, so the
-    gradients keep its bits whenever C >= 2 (at C = 1 numpy's sum is
-    pairwise, and the two differ in the last bits). The padded input
-    gradient comes from ``T.buffer``, so inside a ``T.workspace`` a training
-    step reuses the previous step's.
+    x is written into a zeroed padded buffer. Each ufunc runs over rows of a
+    whole grid row, grid[-1] * C values, not over the C channels of one cell:
+    every window of the padded buffer under one kernel cell, the output, and
+    in the backward pass the output gradient and every window of the padded
+    input gradient are read as ``lead + grid[:-1] + (grid[-1] * C,)``. Each is
+    a view, because a window's last grid axis and its channels are one
+    contiguous run of the padded buffer. Each row is multiplied by its tap
+    tiled along the row, into one reused ``term`` buffer, and added; the bias
+    is added tiled the same way. The products and the order of the sums are
+    those of the per-channel loop, so the value and the input gradient keep
+    its bits.
+
+    Beside the padded buffer, the output and ``term``, a call makes only
+    small temporaries: one row-sized tile holds each tap in turn, grid[-1] *
+    C * 8 bytes (16 KiB for desk vim, under 64 KiB at every desk preset).
+    Freeing a chunk of 64 KiB or more runs glibc's heap-trim check, and the
+    pages it returns fault back in on the next call: one tile of all four
+    desk-vim taps, 66,560 bytes, was measured to double the minor faults of
+    a no-grad vim evaluation in some runs. For the same reason the row loops
+    run at numpy's smallest ufunc buffer size. At the default 8192 elements
+    numpy copies several strided rows into a buffer per operand (up to 64
+    KiB each) to lengthen its inner loop, which here costs more than it
+    saves; at 16 each row is one inner loop and nothing is copied.
+    Elementwise results do not depend on the buffer size, but reductions
+    do, so the einsums and the sum below run at the default.
+
+    In the backward pass each tap's weight gradient is one einsum contraction
+    over every axis but the channel axis, and the bias gradient is a sum over
+    the flattened rows. Both accumulate row by row, as the sum of the tap
+    products did, so the gradients keep its bits whenever C >= 2 (at C = 1
+    numpy's sum is pairwise, and the two differ in the last bits). The padded
+    input gradient comes from ``T.buffer``, so inside a ``T.workspace`` a
+    training step reuses the previous step's.
     """
     x, weight, bias = T.as_tensor(x), T.as_tensor(weight), T.as_tensor(bias)
     lead, ch = x.shape[:-2], x.shape[-1]
@@ -295,6 +319,7 @@ def _depthwise(x, weight, bias, grid, pads):
         raise ShapeError(f"depthwise conv on grid {tuple(grid)}: tokens {x.shape}, "
                          f"weight {weight.shape}, bias {bias.shape}")
     shape = lead + tuple(grid) + (ch,)
+    rows = lead + tuple(grid[:-1]) + (grid[-1] * ch,)
 
     def window(corner):  # the padded input under the kernel cell at ``corner``
         return (Ellipsis,) + tuple(slice(c, c + n) for c, n in zip(corner, grid)) \
@@ -305,20 +330,32 @@ def _depthwise(x, weight, bias, grid, pads):
     xp[inner] = x.data.reshape(shape)
     windows = [window(off) for off in offsets]
     taps = np.ascontiguousarray(np.moveaxis(weight.data.reshape(ch, -1), -1, 0))
-    acc = xp[windows[0]] * taps[0]
-    term = np.empty_like(acc)
-    for win, tap in zip(windows[1:], taps[1:]):
-        acc += np.multiply(xp[win], tap, out=term)
-    acc += bias.data
+    tile = np.empty((grid[-1], ch))
+
+    def tiled(values):  # ``values`` (C,) repeated along a grid row
+        tile[...] = values
+        return tile.reshape(-1)
+
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(16)
+        acc = np.multiply(xp[windows[0]].reshape(rows), tiled(taps[0]))
+        term = np.empty_like(acc)
+        for win, tap in zip(windows[1:], taps[1:]):
+            acc += np.multiply(xp[win].reshape(rows), tiled(tap), out=term)
+        acc += tiled(bias.data)
 
     def backward(g):
-        g = g.reshape(shape)
         if x.requires_grad:
-            gxp, term_g = T.buffer(xp.shape), np.empty_like(g)
+            gxp, g_rows = T.buffer(xp.shape), g.reshape(rows)
+            term_g = np.empty_like(g_rows)
             gxp.fill(0.0)
-            for win, tap in zip(windows, taps):
-                gxp[win] += np.multiply(g, tap, out=term_g)
+            with np.errstate():
+                np.setbufsize(16)
+                for win, tap in zip(windows, taps):
+                    gwin = np.reshape(gxp[win], rows, copy=False)  # raises rather than copy
+                    gwin += np.multiply(g_rows, tiled(tap), out=term_g)
             T._accumulate(x, gxp[inner].reshape(x.shape))
+        g = g.reshape(shape)
         if weight.requires_grad:
             axes = list(range(g.ndim))
             gw = [np.einsum(g, axes, xp[win], axes, axes[-1:]) for win in windows]

@@ -2,7 +2,13 @@
 
 Every stochastic choice in this package (data synthesis, parameter init,
 batch shuffling) flows through this generator so that results are
-bit-reproducible across platforms and numpy versions. The generator is the
+bit-reproducible on one platform and numpy build. The raw uint64 outputs,
+the uniforms and the bounded integers take only integer arithmetic and
+correctly rounded IEEE 754 operations, so they are the same on any machine.
+The Gaussians are not: ``normals`` goes through numpy's float64 ``log`` and
+``cos``, whose last bits depend on the numpy build and on the SIMD kernels
+it dispatches to on the CPU, so a parameter init or the corpus's sensor
+noise can differ by an ulp between machines. The generator is the
 splitmix64 sequence: state advances by a fixed odd gamma and each output is
 a finalized mix of the state.
 

@@ -3,6 +3,7 @@
     PYTHONPATH=<checkout>/src python tests/digest.py [--dump DIR]
     PYTHONPATH=<checkout>/src python tests/digest.py --gaps DIR_A DIR_B
     PYTHONPATH=<checkout>/src python tests/digest.py --lines
+    PYTHONPATH=<checkout>/src python tests/digest.py --write-golden
 
 prints one ``<case> <name> <sha256>`` line per item, in a fixed order:
 
@@ -44,6 +45,13 @@ gap per kind of array (logits, grad, ...). ``--lines`` prints instead
 ``<module> <n>`` for each module of the ``vissm`` package and then ``total
 <n>``, where n counts the lines that hold code: not blank, not only a comment
 and not inside a docstring, found with ``tokenize``.
+``--write-golden`` writes the lines instead to ``tests/digest.golden``, under
+a header of ``# <key> <value>`` lines that record the environment the bits
+depend on (``fingerprint``): the numpy version, the BLAS name and version,
+the machine, the Python minor version and the SIMD targets numpy dispatches
+to on this CPU. ``test_digest.py`` runs this file and compares its lines
+with the golden file's, skipping where the fingerprint differs. A change
+that moves bits on purpose rewrites the file with this mode.
 BLAS is pinned to one thread before numpy loads.
 pytest does not collect this file; ``test_digest.py`` smoke-tests it.
 """
@@ -59,6 +67,8 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
 import tempfile  # noqa: E402
 import tokenize  # noqa: E402
 from functools import partial  # noqa: E402
@@ -319,6 +329,32 @@ def line_counts() -> list:
     return [f"{name} {n}" for name, n in counts.items()] + [f"total {sum(counts.values())}"]
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digest.golden")
+
+
+def fingerprint() -> dict:
+    """What the digest's bits depend on besides the code: numpy's float64
+    ``log``, ``cos`` and ``exp`` dispatch to SIMD kernels per CPU, and matmul
+    to the BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    except ImportError:  # private names, which a numpy release may move
+        simd = "unknown"
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "machine": platform.machine(), "python": "%d.%d" % sys.version_info[:2],
+            "simd": simd}
+
+
+def read_golden(path: str = GOLDEN) -> tuple:
+    """The golden file's fingerprint and its digest lines."""
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()
+    header = dict(row[2:].split(" ", 1) for row in rows if row.startswith("# "))
+    return header, [row for row in rows if not row.startswith("#")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -327,6 +363,8 @@ def main(argv=None) -> int:
                       help="compare two --dump directories instead")
     mode.add_argument("--lines", action="store_true",
                       help="print the code lines of each vissm module instead")
+    mode.add_argument("--write-golden", action="store_true",
+                      help=f"write the lines to {os.path.basename(GOLDEN)} instead")
     args = parser.parse_args(argv)
     if args.lines:
         print("\n".join(line_counts()))
@@ -336,8 +374,14 @@ def main(argv=None) -> int:
         return 0
     if args.dump is not None:
         os.makedirs(args.dump, exist_ok=True)
-    for case in CASES:
-        print("\n".join(case_lines(case, args.dump)))
+    lines = [line for case in CASES for line in case_lines(case, args.dump)]
+    if args.write_golden:
+        header = [f"# {key} {value}" for key, value in fingerprint().items()]
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(header + lines) + "\n")
+        print(f"wrote {len(lines)} lines to {GOLDEN}")
+    else:
+        print("\n".join(lines))
     return 0
 
 

@@ -3,7 +3,9 @@
 Each oracle composes a fused op from plain tensor ops, so autodiff derives
 its backward pass, or takes the slower route a fast path replaces; the
 library's op is tested against it on values and gradients. None of these is
-on the library's model path. The splitmix64 stream in exact Python integers,
+on the library's model path. The depthwise conv with each tap broadcast
+over the channels of a cell is the bitwise reference for the library's
+row-layout conv. The splitmix64 stream in exact Python integers,
 one draw at a time, is the reference for ``rng``'s one (uint64 array) draw
 path. The per-image synthesis route draws the corpus one image and one
 scalar draw of that stream at a time: the reference for ``data``'s batched
@@ -111,6 +113,48 @@ def conv2d_slices(tokens, grid, weight, bias):
             acc = term if acc is None else T.add(acc, term)
     acc = T.add(acc, bias)
     return T.reshape(acc, lead + (hp * wp, d))
+
+
+def depthwise_per_channel(x, weight, bias, grid, pads):
+    """``blocks._depthwise`` with every tap's product and the bias broadcast
+    over the C channels of each cell, so each ufunc loops over C values: the
+    bitwise oracle for the op's row layout, on the value and every gradient."""
+    x, weight, bias = T.as_tensor(x), T.as_tensor(weight), T.as_tensor(bias)
+    lead, ch = x.shape[:-2], x.shape[-1]
+    offsets = list(np.ndindex(*(before + after + 1 for before, after in pads)))
+    shape = lead + tuple(grid) + (ch,)
+
+    def window(corner):  # the padded input under the kernel cell at ``corner``
+        return (Ellipsis,) + tuple(slice(c, c + n) for c, n in zip(corner, grid)) \
+            + (slice(None),)
+
+    inner = window([before for before, _ in pads])
+    xp = np.zeros(lead + tuple(n + sum(pad) for n, pad in zip(grid, pads)) + (ch,))
+    xp[inner] = x.data.reshape(shape)
+    windows = [window(off) for off in offsets]
+    taps = np.ascontiguousarray(np.moveaxis(weight.data.reshape(ch, -1), -1, 0))
+    acc = xp[windows[0]] * taps[0]
+    term = np.empty_like(acc)
+    for win, tap in zip(windows[1:], taps[1:]):
+        acc += np.multiply(xp[win], tap, out=term)
+    acc += bias.data
+
+    def backward(g):
+        g = g.reshape(shape)
+        if x.requires_grad:
+            gxp, term_g = T.buffer(xp.shape), np.empty_like(g)
+            gxp.fill(0.0)
+            for win, tap in zip(windows, taps):
+                gxp[win] += np.multiply(g, tap, out=term_g)
+            T._accumulate(x, gxp[inner].reshape(x.shape))
+        if weight.requires_grad:
+            axes = list(range(g.ndim))
+            gw = [np.einsum(g, axes, xp[win], axes, axes[-1:]) for win in windows]
+            T._accumulate(weight, np.stack(gw, axis=-1).reshape(weight.shape))
+        if bias.requires_grad:
+            T._accumulate(bias, g.reshape(-1, ch).sum(axis=0))
+
+    return T._make(acc.reshape(x.shape), (x, weight, bias), backward)
 
 
 _merged_update = B.merged_update  # captured before any test swaps it

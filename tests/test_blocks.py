@@ -1,6 +1,8 @@
+import contextlib
 import json
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -12,6 +14,7 @@ import probe_forward
 from oracles import (
     conv1d_slices,
     conv2d_slices,
+    depthwise_per_channel,
     finite_difference,
     nc_ssd_graph,
     pad_axis,
@@ -743,6 +746,67 @@ def test_fused_conv_gradients_match_finite_differences(conv, shapes):
         lambda: float(np.sum(conv(*[Tensor(a) for a in arrays]).data * readout)), arrays)
     for t, n in zip(operands, numeric):
         assert rel_err(t.grad, n) < 1e-8
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["causal", "centred", "1x1", "1xk", "kx1", "square"]),
+       k=st.integers(1, 5), length=st.integers(1, 7), ch=st.integers(1, 8),
+       lead=st.lists(st.integers(1, 3), max_size=2),
+       layout=st.sampled_from(["contiguous", "flipped", "strided"]),
+       in_workspace=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(kind="causal", k=4, length=5, ch=8, lead=[2], layout="flipped", in_workspace=True,
+         seed=1)
+@example(kind="square", k=3, length=1, ch=1, lead=[], layout="strided", in_workspace=False,
+         seed=2)
+def test_conv_rows_match_the_per_channel_oracle_bit_for_bit(kind, k, length, ch, lead,
+                                                             layout, in_workspace, seed):
+    """The row layout keeps the per-channel conv's products and sums: the value
+    and the x, weight and bias gradients are equal bit for bit, for a flipped
+    x (as vim's reversed pass passes it), a non-contiguous one, and inside a
+    workspace as outside."""
+    if kind in ("causal", "centred"):  # a 1D conv of k taps over `length` tokens
+        grid, pads = (length,), ((k - 1, 0) if kind == "causal" else ((k - 1) // 2, k // 2),)
+        wshape = (ch, k)
+    else:  # the 3x3 grid conv
+        grid = {"1x1": (1, 1), "1xk": (1, k), "kx1": (k, 1), "square": (k, k)}[kind]
+        pads, wshape = ((1, 1), (1, 1)), (ch, 3, 3)
+    tokens = (*lead, int(np.prod(grid)))
+    rng = SplitMix64(seed)
+    base = rng.normal_array(tokens + (2 * ch if layout == "strided" else ch,))
+    x = {"contiguous": base, "flipped": base[..., ::-1, :], "strided": base[..., ::2]}[layout]
+    weight, bias = rng.normal_array(wshape), rng.normal_array((ch,))
+    readout = rng.normal_array(tokens + (ch,))
+
+    def run(conv):
+        operands = [Tensor(a, requires_grad=True) for a in (x, weight, bias)]
+        out = conv(*operands, grid, pads)
+        T.backward(T.sum_(T.mul(out, Tensor(readout))))
+        return [out.data] + [t.grad for t in operands]
+
+    with T.workspace() if in_workspace else contextlib.nullcontext():
+        got, want = run(B._depthwise), run(depthwise_per_channel)
+    for name, g, w in zip(("value", "x", "weight", "bias"), got, want):
+        assert g.shape == w.shape and np.array_equal(g, w), name
+
+
+def test_no_grad_vim_conv_allocates_under_64_kib_beyond_its_buffers():
+    """A no-grad desk-vim conv at batch 64 holds the padded input, the output
+    and the product buffer, and every other temporary stays small: freeing a
+    chunk of 64 KiB or more runs glibc's heap-trim check, whose returned
+    pages fault back in on the next call."""
+    rng = SplitMix64(48)
+    x, weight, bias = rng.normal_array((64, 65, 32)), rng.normal_array((32, 4)), \
+        rng.normal_array((32,))
+    with T.no_grad():
+        B.conv1d_depthwise(x, weight, bias, causal=True)
+        tracemalloc.start()
+        try:
+            B.conv1d_depthwise(x, weight, bias, causal=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    padded, output = 64 * 68 * 32 * 8, 64 * 65 * 32 * 8
+    assert 0 <= peak - (padded + 2 * output) < 64 * 1024
 
 
 def test_conv_input_gradient_from_a_reused_workspace_buffer():

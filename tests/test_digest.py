@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import digest
 import numpy as np
+import pytest
 
 
 def test_digest_case_repeats():
@@ -67,3 +70,40 @@ def test_lines_count_every_module_and_sum_them(tmp_path, capsys):
     source.write_text('"""Doc."""\n\n# note\nx = (1,\n     2)  # tail\n\n\n'
                       'def f():\n    """Doc,\n    more."""\n    return """text"""\n')
     assert digest.code_lines(source) == 4  # x = (1, / 2) / def f(): / return
+
+
+def moved_lines(golden: list, lines: list) -> list:
+    """``<case> <name>`` of every line that differs, in the golden file's order
+    and then the new lines'."""
+    def by_name(rows):
+        return dict(row.rsplit(" ", 1) for row in rows)
+
+    old, new = by_name(golden), by_name(lines)
+    return [f"{name} {'gone' if name not in new else 'moved'}"
+            for name in old if old[name] != new.get(name)] + \
+        [f"{name} new" for name in new if name not in old]
+
+
+def test_digest_matches_the_golden_file():
+    """The library's bits as tests/digest.golden records them; a change that
+    moves them on purpose rewrites the file with --write-golden."""
+    header, golden = digest.read_golden()
+    differs = [f"{key}: golden {header.get(key)}, here {value}"
+               for key, value in digest.fingerprint().items() if header.get(key) != value]
+    if differs:
+        pytest.skip("digest.golden was written in another environment: " + "; ".join(differs))
+    src = os.path.dirname(os.path.dirname(digest.B.__file__))
+    run = subprocess.run([sys.executable, digest.__file__], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    moved = moved_lines(golden, run.stdout.splitlines())
+    assert not moved, (f"{len(moved)} digest lines differ from {digest.GOLDEN}:\n"
+                       + "\n".join(moved) + "\nif the bits moved on purpose, rewrite it with "
+                       "python tests/digest.py --write-golden")
+
+
+def test_moved_lines_name_each_line_that_differs():
+    golden = ["a x 1", "a y 2", "b z 3"]
+    assert moved_lines(golden, golden) == []
+    assert moved_lines(golden, ["a x 1", "a y 9", "c w 4"]) == [
+        "a y moved", "b z gone", "c w new"]
