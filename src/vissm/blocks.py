@@ -292,24 +292,21 @@ def _depthwise(x, weight, bias, grid, pads):
     Beside the padded buffer, the output and ``term``, a call makes only
     small temporaries: one row-sized tile holds each tap in turn, grid[-1] *
     C * 8 bytes (16 KiB for desk vim, under 64 KiB at every desk preset).
-    Freeing a chunk of 64 KiB or more runs glibc's heap-trim check, and the
-    pages it returns fault back in on the next call: one tile of all four
-    desk-vim taps, 66,560 bytes, was measured to double the minor faults of
-    a no-grad vim evaluation in some runs. For the same reason the row loops
-    run at numpy's smallest ufunc buffer size. At the default 8192 elements
-    numpy copies several strided rows into a buffer per operand (up to 64
-    KiB each) to lengthen its inner loop, which here costs more than it
-    saves; at 16 each row is one inner loop and nothing is copied.
-    Elementwise results do not depend on the buffer size, but reductions
-    do, so the einsums and the sum below run at the default.
+    All of them are plain allocations: under the malloc thresholds that
+    importing ``tensor`` pins, the next call gets them back from the heap
+    without faulting its pages in again. The row loops run at numpy's
+    smallest ufunc buffer size. At the default 8192 elements numpy copies
+    several strided rows into a buffer per operand (up to 64 KiB each) to
+    lengthen its inner loop, which here costs more than it saves; at 16
+    each row is one inner loop and nothing is copied. Elementwise results
+    do not depend on the buffer size, but reductions do, so the einsums and
+    the sum below run at the default.
 
     In the backward pass each tap's weight gradient is one einsum contraction
     over every axis but the channel axis, and the bias gradient is a sum over
     the flattened rows. Both accumulate row by row, as the sum of the tap
     products did, so the gradients keep its bits whenever C >= 2 (at C = 1
-    numpy's sum is pairwise, and the two differ in the last bits). The padded
-    input gradient comes from ``T.buffer``, so inside a ``T.workspace`` a
-    training step reuses the previous step's.
+    numpy's sum is pairwise, and the two differ in the last bits).
     """
     x, weight, bias = T.as_tensor(x), T.as_tensor(weight), T.as_tensor(bias)
     lead, ch = x.shape[:-2], x.shape[-1]
@@ -346,9 +343,8 @@ def _depthwise(x, weight, bias, grid, pads):
 
     def backward(g):
         if x.requires_grad:
-            gxp, g_rows = T.buffer(xp.shape), g.reshape(rows)
+            gxp, g_rows = np.zeros(xp.shape), g.reshape(rows)
             term_g = np.empty_like(g_rows)
-            gxp.fill(0.0)
             with np.errstate():
                 np.setbufsize(16)
                 for win, tap in zip(windows, taps):

@@ -153,10 +153,9 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
     (the injections outer(u_t, B_t), the adjoint seeds outer(dy_t, C_t) and
     the decays' dt_t * A) are einsums with no summed index, so they hold the
     products of the broadcast forms bit for bit without their slow
-    broadcast loops. The adjoint comes from ``T.buffer``, so inside a
-    ``T.workspace`` a training step reuses the previous step's; the block
-    arrays are not pooled (from a pool the no-grad block raised the page
-    faults of a no-grad forward).
+    broadcast loops. The adjoint and the block arrays are plain allocations:
+    under the malloc thresholds that importing ``tensor`` pins they come back
+    from the heap's free memory, step after step, without faulting in again.
     """
     x, a, d = (T.as_tensor(t) for t in (x, a, d))
     if x.shape[-1] != proj.channels:
@@ -216,7 +215,7 @@ def selective_scan_sequential(x, proj: SelectiveProjection, a, d) -> Tensor:
         T._accumulate(d, T._unbroadcast(g * x.data, d.shape))
         g_t = _time_major(g)
         u_t = dt_t * x_t
-        dh = np.einsum("l...n,l...c->l...nc", c_t, g_t, out=T.buffer(states))
+        dh = np.einsum("l...n,l...c->l...nc", c_t, g_t, out=np.empty(states))
         g_c, g_b, g_u = np.empty_like(c_t), np.empty_like(b_t), np.empty_like(x_t)
         work = np.empty((2 * k + 1,) + states[1:])  # the graph keeps no block between passes
         for start in reversed(range(0, length, k)):

@@ -8,10 +8,8 @@ are fixed contracts of this module.
 
 The module holds the ops the model and its loss record on the graph,
 plus ``reshape``, which only the chunked scan oracle
-(``selective.selective_scan_parallel``) records, and the per-thread
-state they run under: grad mode, and the ``workspace`` whose
-``buffer`` lets an op with a large per-call array reuse one a finished
-training step has let go of. ``recording`` is the one test of whether an
+(``selective.selective_scan_parallel``) records, and the per-thread grad
+mode they run under. ``recording`` is the one test of whether an
 op goes on the graph. It decides only what an op keeps for its backward
 pass, never how the op's forward is computed: SiLU keeps its sigmoid only
 when it records (otherwise the sigmoid's array becomes the output), and
@@ -30,13 +28,30 @@ saturation points, and raise no floating-point warning.
 
 A recorded graph has a single owner: tensors and their backward closures
 must not be shared across threads. Pure ops on disjoint graphs are safe to
-run concurrently: grad mode (``no_grad``) and the ``workspace`` are per
-thread, so one thread's ``no_grad`` or workspace never touches another's.
+run concurrently: grad mode (``no_grad``) is per thread, so one thread's
+``no_grad`` never touches another's.
+
+Importing this module, and so importing vissm, pins glibc's two malloc
+thresholds for the whole process: requests below 32 MiB come from the heap
+rather than from a fresh ``mmap``, and the heap keeps up to 64 MiB of free
+top rather than handing it back to the OS. Left to itself glibc starts both
+at 128 KiB and raises each as mmapped chunks are freed, up to these same
+ceilings, so the policy in force would depend on what the process happened
+to free earlier. Under it a no-grad forward's and a training step's
+temporaries, freed and then asked for again, came back as fresh pages that
+faulted in on first touch (16.8k minor faults per desk-vim cross forward
+at batch 64, against 1 pinned). ``MALLOC_THRESHOLDS`` records the
+(mmap, trim) values set, or None where libc is not glibc or the
+environment already sets glibc's malloc tunables (``MALLOC_MMAP_THRESHOLD_``,
+``MALLOC_TRIM_THRESHOLD_`` or a ``glibc.malloc.`` entry in
+``GLIBC_TUNABLES``); there the process's own settings stand.
 """
 
 from __future__ import annotations
 
-import sys
+import ctypes
+import os
+import platform
 import threading
 from typing import Iterable, Sequence
 
@@ -51,11 +66,30 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
+def _pin_malloc_thresholds():
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB,
+    the values its dynamic rule settles at on a 64-bit system (the mmap
+    threshold's ceiling and twice that), and return them; None, and nothing
+    set, where libc is not glibc or the environment sets its own."""
+    if platform.libc_ver()[0] != "glibc" or "MALLOC_MMAP_THRESHOLD_" in os.environ \
+            or "MALLOC_TRIM_THRESHOLD_" in os.environ \
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    thresholds = {-3: 32 << 20, -1: 64 << 20}  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    if not all(mallopt(param, value) for param, value in thresholds.items()):
+        return None
+    return tuple(thresholds.values())
+
+
+MALLOC_THRESHOLDS = _pin_malloc_thresholds()
+
+
 class _ThreadState(threading.local):
-    """Per-thread state; every thread starts out recording, with no workspace."""
+    """Per-thread state; every thread starts out recording."""
 
     grad_enabled = True
-    pool = None  # the open workspace's buffers
 
 
 _thread = _ThreadState()
@@ -74,54 +108,6 @@ class no_grad:
     def __exit__(self, *exc):
         _thread.grad_enabled = self._prev
         return False
-
-
-class workspace:
-    """Context manager under which ``buffer`` reuses, in the calling thread,
-    the arrays it has handed out once no live array holds them. The buffers
-    belong to the workspace object: entering it again hands out the same
-    ones, and they are released when the object is dropped."""
-
-    def __init__(self):
-        self._pool = []
-
-    def __enter__(self):
-        self._prev = _thread.pool
-        _thread.pool = self._pool
-        return self
-
-    def __exit__(self, *exc):
-        _thread.pool = self._prev
-        return False
-
-
-def _refcounts(pool: list):
-    """Each array of ``pool`` with its ``sys.getrefcount``, read the same way
-    for every array, so the count of a free one can be measured once."""
-    for buf in pool:
-        refs = sys.getrefcount(buf)
-        yield buf, refs
-
-
-# The count _refcounts reads for an array that only its pool holds (a view
-# holds its base too). It is measured rather than assumed, because how many
-# references getrefcount sees from its caller differs between interpreters.
-_FREE_REFS = next(_refcounts([np.empty(0)]))[1]
-
-
-def buffer(shape: tuple) -> np.ndarray:
-    """An uninitialised float64 array of ``shape``: inside a ``workspace`` one
-    it holds that no live array or view holds, else a new one it keeps;
-    outside a workspace always a new one."""
-    pool = _thread.pool
-    if pool is None:
-        return np.empty(shape)
-    for buf, refs in _refcounts(pool):
-        if refs == _FREE_REFS and buf.shape == shape:
-            return buf
-    buf = np.empty(shape)
-    pool.append(buf)
-    return buf
 
 
 def set_debug_finite(flag: bool) -> None:

@@ -169,13 +169,9 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     load_train_state and continues the exact uninterrupted trajectory.
 
     Each step's graph is dropped once its backward pass has run, before the
-    optimizer step, and every epoch's steps run inside one ``T.workspace``
-    that hands the large buffers of the fused scans and convs from one step
-    to the next, across epochs; validation runs outside it, unpooled. The
-    workspace stays although perfbench reads flat without it: perfbench
-    trains in a heap its set-up has already grown, while in a plain
-    ``vissm train`` process a step without it faults about 4.7k (vssd) to
-    6.9k (vim) times more (ROADMAP item 10).
+    optimizer step. Its arrays go back to the heap, and under the malloc
+    thresholds that importing ``tensor`` pins the next step's arrays come
+    from that freed memory without faulting in again.
     """
     train_ds, val = bundle.train, bundle.val
     cfg = cfg or TrainConfig()
@@ -201,25 +197,23 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
 
     stop_epoch = cfg.epochs if run_until is None else min(run_until, cfg.epochs)
     labels_int = train_ds.labels.astype(np.intp)
-    workspace = T.workspace()  # each step's large buffers serve the next step
     for epoch in range(start_epoch, stop_epoch):
         order = list(range(n))
         rng.shuffle(order)
-        with workspace:
-            for lo in range(0, n, cfg.batch):
-                idx = order[lo:lo + cfg.batch]
-                logits = B.forward(model, train_ds.images[idx])
-                loss = cross_entropy(logits, labels_int[idx])
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise NumericError(f"training loss diverged at step {state.step}")
-                for p in model.params.values():
-                    p.zero_grad()
-                T.backward(loss)
-                del logits, loss  # the step's graph dies here, not at the next forward
-                optimizer.step(cosine_lr(cfg.lr, state.step, total_steps))
-                state.loss_history.append(loss_val)
-                state.step += 1
+        for lo in range(0, n, cfg.batch):
+            idx = order[lo:lo + cfg.batch]
+            logits = B.forward(model, train_ds.images[idx])
+            loss = cross_entropy(logits, labels_int[idx])
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                raise NumericError(f"training loss diverged at step {state.step}")
+            for p in model.params.values():
+                p.zero_grad()
+            T.backward(loss)
+            del logits, loss  # the step's graph dies here, not at the next forward
+            optimizer.step(cosine_lr(cfg.lr, state.step, total_steps))
+            state.loss_history.append(loss_val)
+            state.step += 1
         val_acc = evaluate(model, [val]).mean_accuracy
         state.val_history.append(val_acc)
         state.epoch = epoch + 1

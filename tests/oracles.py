@@ -142,8 +142,7 @@ def depthwise_per_channel(x, weight, bias, grid, pads):
     def backward(g):
         g = g.reshape(shape)
         if x.requires_grad:
-            gxp, term_g = T.buffer(xp.shape), np.empty_like(g)
-            gxp.fill(0.0)
+            gxp, term_g = np.zeros(xp.shape), np.empty_like(g)
             for win, tap in zip(windows, taps):
                 gxp[win] += np.multiply(g, tap, out=term_g)
             T._accumulate(x, gxp[inner].reshape(x.shape))

@@ -5,6 +5,13 @@ step, per family and scan.
         [--families vim,mambavision,vssd] [--scans raster,cross]
         [--batch 64] [--repeats 5]
 
+It first prints the malloc policy the process runs under: the thresholds
+``tensor`` pinned at import, or why it pinned none (the libc found and any
+glibc malloc variables set in the environment):
+
+    malloc pinned mmap_threshold <bytes> trim_threshold <bytes>
+    malloc unpinned libc <name> <version> env <NAME=value ...>
+
 For each desk preset family and scan strategy it builds the model (seed 3),
 draws one batch of images, runs one warm-up forward under ``no_grad`` and
 then ``--repeats`` timed ones and one traced one, and prints one line:
@@ -32,18 +39,14 @@ taken with the wrappers on too.
 With ``--train`` each case is recorded training steps instead, as
 ``training.train`` runs them (forward, cross-entropy, backward, the graph
 dropped, an Adam step), on batches of 32 unless ``--batch`` is given and
-with the raster scan unless ``--scans`` is. From a fresh ``T.workspace``,
-two traced steps give the tracemalloc peak and the arrays and bytes the
-workspace then pools; ``--repeats`` more steps in that workspace give the
-median time and minor faults of a step. These are a fresh process's
-faults: a desk-vim step here faults about 5.9k times, steadily over 40
-steps, where a step of a plain ``vissm train`` run faults about 0 times
-(22.0k faults in all at 20, 40 and 80 steps on a 640-image corpus):
+with the raster scan unless ``--scans`` is. Two traced steps give the
+tracemalloc peak; ``--repeats`` more steps give the median time and minor
+faults of a step. These are a fresh process's faults: with the thresholds
+pinned a desk-vim step faults 0 times (5.6k unpinned):
 
     <family> <scan> train ms <median ms> faults <median faults> peak_mib <peak>
-        pool <arrays> pool_mib <pooled MiB>
 
-(one line). Only this process's own counters are read.
+Only this process's own counters are read.
 BLAS is pinned to one thread before numpy loads. pytest does not collect
 this file; ``test_blocks.py`` smoke-tests it.
 """
@@ -56,6 +59,7 @@ if __name__ == "__main__":
 
 import argparse
 import contextlib
+import platform
 import resource
 import statistics
 import time
@@ -81,6 +85,16 @@ OPS = (
 
 def _faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def malloc_policy() -> str:
+    """The header line: the malloc thresholds pinned, or why none were."""
+    if T.MALLOC_THRESHOLDS is not None:
+        return "malloc pinned mmap_threshold {} trim_threshold {}".format(*T.MALLOC_THRESHOLDS)
+    env = [f"{name}={value}" for name, value in sorted(os.environ.items())
+           if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES"]
+    libc = " ".join(platform.libc_ver()) or "-"
+    return f"malloc unpinned libc {libc} env {' '.join(env) or '-'}"
 
 
 class OpCounter:
@@ -182,22 +196,17 @@ def desk_step(family: str, scan: str, batch: int):
 
 
 def probe_train(family: str, scan: str, batch: int, repeats: int):
-    """(median ms, median faults, peak MiB, pooled arrays, pooled MiB) of one
-    case: the peak and the pool over two steps from a fresh workspace, the
-    time and faults over ``repeats`` more steps in it."""
+    """(median ms, median faults, peak MiB) of one case: the peak over two
+    steps, the time and faults over ``repeats`` more."""
     step = desk_step(family, scan, batch)
+    peak = traced_peak(lambda: (step(), step()))
     times, faults = [], []
-    with T.workspace():
-        peak = traced_peak(lambda: (step(), step()))
-        pool = T._thread.pool
-        arrays, pooled = len(pool), sum(buf.nbytes for buf in pool)
-        for _ in range(repeats):
-            f0, t0 = _faults(), time.perf_counter()
-            step()
-            times.append(time.perf_counter() - t0)
-            faults.append(_faults() - f0)
-    return (1e3 * statistics.median(times), statistics.median(faults), peak / 2**20, arrays,
-            pooled / 2**20)
+    for _ in range(repeats):
+        f0, t0 = _faults(), time.perf_counter()
+        step()
+        times.append(time.perf_counter() - t0)
+        faults.append(_faults() - f0)
+    return 1e3 * statistics.median(times), statistics.median(faults), peak / 2**20
 
 
 def traced_peak(fn) -> int:
@@ -250,13 +259,13 @@ def main(argv=None) -> int:
     mode.add_argument("--train", action="store_true")
     args = parser.parse_args(argv)
     scans = args.scans or ("raster" if args.train else "raster,cross")
+    print(malloc_policy())
     for family in args.families.split(","):
         for scan in scans.split(","):
             if args.train:
-                ms, faults, peak, arrays, pooled = probe_train(family, scan, args.batch or 32,
-                                                               args.repeats)
+                ms, faults, peak = probe_train(family, scan, args.batch or 32, args.repeats)
                 print(f"{family} {scan} train ms {ms:.2f} faults {faults:.0f} "
-                      f"peak_mib {peak:.2f} pool {arrays} pool_mib {pooled:.2f}")
+                      f"peak_mib {peak:.2f}")
                 continue
             ms, faults, peak, per = probe(family, scan, args.batch or 64, args.repeats,
                                           args.per_op)

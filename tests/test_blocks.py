@@ -1,4 +1,3 @@
-import contextlib
 import json
 import re
 import struct
@@ -403,7 +402,8 @@ def test_forward_probe_prints_every_case_and_op(capsys):
     originals = [getattr(mod, attr) for _, mod, attr in probe_forward.OPS]
     assert probe_forward.main(argv) == 0
     assert [getattr(mod, attr) for _, mod, attr in probe_forward.OPS] == originals
-    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    header, *lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header[0] == "malloc"
     assert [line[:3] for line in lines if line[2] == "ms"] == [["vim", "cross", "ms"],
                                                                ["vssd", "cross", "ms"]]
     ops = [line for line in lines if line[2] != "ms"]
@@ -414,12 +414,11 @@ def test_forward_probe_prints_every_case_and_op(capsys):
 
     argv = ["--train", "--families", "vim,vssd", "--batch", "2", "--repeats", "1"]
     assert probe_forward.main(argv) == 0
-    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    header, *lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header[0] == "malloc"
     assert [line[:4] + line[5::2] for line in lines] == [
-        ["vim", "raster", "train", "ms", "faults", "peak_mib", "pool", "pool_mib"],
-        ["vssd", "raster", "train", "ms", "faults", "peak_mib", "pool", "pool_mib"]]
-    # the fused scans' one adjoint and the conv's input gradient; vssd has no scan
-    assert [int(line[10]) for line in lines] == [2, 1]
+        ["vim", "raster", "train", "ms", "faults", "peak_mib"],
+        ["vssd", "raster", "train", "ms", "faults", "peak_mib"]]
 
 
 def test_penultimate_dimension():
@@ -753,17 +752,14 @@ def test_fused_conv_gradients_match_finite_differences(conv, shapes):
        k=st.integers(1, 5), length=st.integers(1, 7), ch=st.integers(1, 8),
        lead=st.lists(st.integers(1, 3), max_size=2),
        layout=st.sampled_from(["contiguous", "flipped", "strided"]),
-       in_workspace=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(kind="causal", k=4, length=5, ch=8, lead=[2], layout="flipped", in_workspace=True,
-         seed=1)
-@example(kind="square", k=3, length=1, ch=1, lead=[], layout="strided", in_workspace=False,
-         seed=2)
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="causal", k=4, length=5, ch=8, lead=[2], layout="flipped", seed=1)
+@example(kind="square", k=3, length=1, ch=1, lead=[], layout="strided", seed=2)
 def test_conv_rows_match_the_per_channel_oracle_bit_for_bit(kind, k, length, ch, lead,
-                                                             layout, in_workspace, seed):
+                                                             layout, seed):
     """The row layout keeps the per-channel conv's products and sums: the value
     and the x, weight and bias gradients are equal bit for bit, for a flipped
-    x (as vim's reversed pass passes it), a non-contiguous one, and inside a
-    workspace as outside."""
+    x (as vim's reversed pass passes it) and a non-contiguous one."""
     if kind in ("causal", "centred"):  # a 1D conv of k taps over `length` tokens
         grid, pads = (length,), ((k - 1, 0) if kind == "causal" else ((k - 1) // 2, k // 2),)
         wshape = (ch, k)
@@ -783,17 +779,16 @@ def test_conv_rows_match_the_per_channel_oracle_bit_for_bit(kind, k, length, ch,
         T.backward(T.sum_(T.mul(out, Tensor(readout))))
         return [out.data] + [t.grad for t in operands]
 
-    with T.workspace() if in_workspace else contextlib.nullcontext():
-        got, want = run(B._depthwise), run(depthwise_per_channel)
+    got, want = run(B._depthwise), run(depthwise_per_channel)
     for name, g, w in zip(("value", "x", "weight", "bias"), got, want):
         assert g.shape == w.shape and np.array_equal(g, w), name
 
 
 def test_no_grad_vim_conv_allocates_under_64_kib_beyond_its_buffers():
     """A no-grad desk-vim conv at batch 64 holds the padded input, the output
-    and the product buffer, and every other temporary stays small: freeing a
-    chunk of 64 KiB or more runs glibc's heap-trim check, whose returned
-    pages fault back in on the next call."""
+    and the product buffer, and every other temporary stays small: the row
+    layout needs one row-sized tile of taps (16 KiB), so a larger temporary
+    would be memory the call does not need."""
     rng = SplitMix64(48)
     x, weight, bias = rng.normal_array((64, 65, 32)), rng.normal_array((32, 4)), \
         rng.normal_array((32,))
@@ -807,29 +802,6 @@ def test_no_grad_vim_conv_allocates_under_64_kib_beyond_its_buffers():
             tracemalloc.stop()
     padded, output = 64 * 68 * 32 * 8, 64 * 65 * 32 * 8
     assert 0 <= peak - (padded + 2 * output) < 64 * 1024
-
-
-def test_conv_input_gradient_from_a_reused_workspace_buffer():
-    """Inside a workspace the second backward pass takes the first one's
-    padded gradient buffer again: it must start from zero, so both passes
-    give the input gradient taken outside a workspace, bit for bit."""
-    rng = SplitMix64(47)
-    arrays = [rng.normal_array((2, 6, 3)), rng.normal_array((3, 3, 3)), rng.normal_array((3,))]
-    readout = rng.normal_array((2, 6, 3))
-
-    def input_grad():
-        x = Tensor(arrays[0], requires_grad=True)
-        out = B.conv2d_depthwise3(x, (3, 2), Tensor(arrays[1]), Tensor(arrays[2]))
-        T.backward(T.sum_(T.mul(out, Tensor(readout))))
-        return x.grad
-
-    plain = input_grad()
-    with T.workspace():
-        pool = T._thread.pool
-        grads = [input_grad() for _ in range(2)]
-        assert len(pool) == 1
-    for g in grads:
-        assert np.array_equal(g, plain)
 
 
 def test_each_conv_call_adds_one_graph_node():

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -479,7 +478,7 @@ def test_fused_scan_partial_gradients_match_parallel_oracle(live):
     assert sum(g is not None for g in fused) == (1 if live == "x" else 7)
 
 
-# -- the workspace ------------------------------------------------------------------
+# -- recorded scans over shared parameters -------------------------------------------
 
 
 def _scan_operands(seed, length=6):
@@ -527,23 +526,24 @@ def _backward_twice(length=6):
 
 def test_workspace_keeps_recorded_states_apart():
     """Two recorded forwards over shared parameters hold their own states
-    until their backward passes: the gradients are those taken outside a
-    workspace, bit for bit."""
-    plain = _two_forwards_then_backwards()
-    with T.workspace():
-        pooled = _two_forwards_then_backwards()
-    for grads, refs in zip(pooled, plain):
+    until their backward passes: each input's gradients are those of its
+    scan recorded and run back alone, bit for bit."""
+    params, proj, xs, readouts = _scan_operands(81)
+    alone = []
+    for x, r in zip(xs, readouts):
+        T.backward(_scan_loss(x, proj, *params[:2], r))
+        alone.append([t.grad for t in (x,) + params])
+        for t in params:
+            t.zero_grad()
+    for grads, refs in zip(_two_forwards_then_backwards(), alone):
         for g, ref in zip(grads, refs):
             assert np.array_equal(g, ref)
 
 
 def test_workspace_backward_twice_over_one_graph_doubles_the_gradient():
-    plain_once, _ = _backward_twice()
-    with T.workspace():
-        once, twice = _backward_twice()
-    for g1, g2, ref in zip(once, twice, plain_once):
-        assert np.array_equal(g1, ref)
-        assert np.array_equal(g2, 2.0 * ref)
+    once, twice = _backward_twice()
+    for g1, g2 in zip(once, twice):
+        assert np.array_equal(g2, 2.0 * g1)
 
 
 @pytest.mark.parametrize("block_steps", [2, 4])
@@ -551,31 +551,14 @@ def test_backward_twice_in_blocks_doubles_the_default_gradients_bit_for_bit(bloc
     """Over L = 7 steps in blocks of 2 (a tail of 1) or of 4 (a tail of 3),
     each backward pass reruns every block from the state stored before it:
     the first pass gives the gradients of the default block (all 7 steps)
-    and the second doubles them, bit for bit, inside a workspace or not."""
+    and the second doubles them, bit for bit."""
     default, _ = _backward_twice(7)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(S, "_BLOCK_BYTES", _block_bytes(block_steps, (2, 7, 4), 3))
-        runs = [_backward_twice(7)]
-        with T.workspace():
-            runs.append(_backward_twice(7))
-    for once, twice in runs:
-        for g1, g2, ref in zip(once, twice, default):
-            assert g1.tobytes() == ref.tobytes()
-            assert g2.tobytes() == (2.0 * ref).tobytes()
-
-
-def test_workspace_serves_the_next_step_and_is_released_on_exit():
-    params, proj, xs, readouts = _scan_operands(83)
-    a, d = params[:2]
-    with T.workspace():
-        pool = T._thread.pool
-        for x, r in zip(xs, readouts):
-            T.backward(_scan_loss(x, proj, a, d, r))  # the graph dies with the statement
-            assert len(pool) == 1  # the adjoint; the second step reuses it
-        held = [weakref.ref(buf) for buf in pool]
-    del pool
-    assert T._thread.pool is None
-    assert all(ref() is None for ref in held)
+        once, twice = _backward_twice(7)
+    for g1, g2, ref in zip(once, twice, default):
+        assert g1.tobytes() == ref.tobytes()
+        assert g2.tobytes() == (2.0 * ref).tobytes()
 
 
 # -- non-causal variant -------------------------------------------------------------

@@ -2,9 +2,12 @@ import contextlib
 import decimal
 import inspect
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -401,49 +404,53 @@ def test_grad_mode_is_per_thread():
     assert y.requires_grad and y._parents == (x, x)
 
 
-def test_workspace_buffer_is_reused_only_when_nothing_holds_it():
-    assert T.buffer((2, 3)) is not T.buffer((2, 3))  # outside a workspace: always new
-    with T.workspace():
-        first = T.buffer((2, 3))
-        first_id = id(first)
-        view = first[1:]
-        del first
-        assert id(T.buffer((2, 3))) != first_id  # its view still holds it
-        del view
-        assert id(T.buffer((2, 3))) == first_id
-        assert id(T.buffer((3, 2))) != first_id  # only an equal shape is reused
+# -- the malloc thresholds ---------------------------------------------------------
+
+FRESH_FORWARDS = """
+import resource
+import numpy as np
+from vissm import blocks as B
+from vissm import tensor as T
+model = B.build_model(B.config_from_preset("desk-vim", scan="cross"), 3)
+images = np.random.default_rng(11).random((64, 32, 32))
+def forward():
+    with T.no_grad():
+        B.forward(model, images)
+forward()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+forward()
+forward()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 2)
+"""
 
 
-def test_workspace_entered_twice_hands_out_the_same_free_buffer():
-    workspace = T.workspace()
-    with workspace:
-        first = weakref.ref(T.buffer((2, 3)))
-    assert T._thread.pool is None
-    assert first() is not None  # the workspace, not the scope, holds its buffers
-    with workspace:
-        assert T.buffer((2, 3)) is first()
-    del workspace
-    assert first() is None
+def _fresh_process(code: str, **env) -> str:
+    """The output of ``code`` run in a new interpreter that imports this
+    vissm, with no glibc malloc variable from this environment."""
+    libc = " ".join(platform.libc_ver())
+    if not libc.startswith("glibc"):
+        pytest.skip(f"the malloc thresholds are glibc's; libc here is {libc or 'unknown'}")
+    environ = {name: value for name, value in os.environ.items()
+               if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
+    environ.update(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(T.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=environ, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
 
 
-def test_workspace_buffer_held_by_a_closure_is_not_reused():
-    """A backward closure that holds a forward's buffer, and nothing else
-    does, keeps it from being handed out again until the closure dies."""
+def test_no_grad_vim_cross_forward_does_not_fault_its_temporaries_back_in():
+    """With the thresholds pinned at import, a warm desk-vim cross forward at
+    batch 64 takes its temporaries from the heap's free memory: glibc's
+    default policy faulted 16.8k times per forward here."""
+    assert float(_fresh_process(FRESH_FORWARDS)) <= 64
 
-    def forward():
-        states = T.buffer((2, 3))
 
-        def backward():
-            return states
-
-        return backward
-
-    with T.workspace():
-        backward = forward()
-        held_id = id(backward())
-        assert id(T.buffer((2, 3))) != held_id
-        del backward
-        assert id(T.buffer((2, 3))) == held_id
+def test_malloc_tunables_in_the_environment_are_left_alone():
+    code = "from vissm import tensor as T; print(T.MALLOC_THRESHOLDS)"
+    assert _fresh_process(code) == str((32 << 20, 64 << 20))
+    assert _fresh_process(code, MALLOC_TRIM_THRESHOLD_="131072") == "None"
 
 
 def test_debug_finite_mode():
