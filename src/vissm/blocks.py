@@ -521,12 +521,11 @@ def vssd_block(tokens, params, grid, prefix="", scan=None):
 
 
 def _as_image_batch(images, cfg: ModelConfig) -> np.ndarray:
+    """``images`` as a float64 (B, H, W, C) batch. A model takes (B, H, W, C),
+    or (B, H, W) when it has one channel; anything else raises ShapeError."""
     arr = np.asarray(images, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, :, :, None]
-    elif arr.ndim == 3:
-        # (B, H, W) grayscale batch, or a single (H, W, C) image
-        arr = arr[:, :, :, None] if cfg.channels == 1 else arr[None]
+    if arr.ndim == 3 and cfg.channels == 1:
+        arr = arr[..., None]
     if arr.ndim != 4 or arr.shape[1] != cfg.image_h or arr.shape[2] != cfg.image_w \
             or arr.shape[3] != cfg.channels:
         raise ShapeError(

@@ -26,7 +26,9 @@ record back: each value is checked as the JSON type the record writes, then
 parsed like its flag by ``Option.parse``; explicit flags override it.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 correctness
-failure (a benchmark cross-check did not hold).
+failure (a benchmark cross-check did not hold). Any other exception a
+handler raises is a runtime failure too; outside ``RUNTIME_ERRORS``, the
+classes the library raises on purpose, its traceback is printed as well.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, replace
 from typing import Callable, NamedTuple
 
@@ -57,7 +60,12 @@ from .data import (
     GENERATORS,
 )
 from .rng import SplitMix64, hash_combine
-from .tensor import NumericError, ShapeError, Tensor
+from .tensor import Tensor
+
+
+# what the library raises for bad files, data and numbers (ShapeError and
+# NumericError among them): exit 2 with the message alone
+RUNTIME_ERRORS = (OSError, ValueError, KeyError, RuntimeError, ArithmeticError)
 
 
 class UsageError(Exception):
@@ -338,14 +346,9 @@ def cmd_eval(opt: dict) -> None:
 def cmd_export_features(opt: dict) -> None:
     bundle = _load_bundle(opt["data"], (opt["split"],))
     model = B.load_checkpoint(opt["checkpoint"])
-    if opt["split"] == "test":
-        images = np.concatenate([ds.images for ds in bundle.test_subsets])
-        tags = sum(([ds.subset_tag] * len(ds) for ds in bundle.test_subsets), [])
-        labels = np.concatenate([ds.labels for ds in bundle.test_subsets])
-    else:
-        ds = getattr(bundle, opt["split"])
-        images, tags, labels = ds.images, [ds.subset_tag] * len(ds), ds.labels
-    count = TR.export_features(model, images, tags, labels, opt["out"])
+    subsets = (bundle.test_subsets if opt["split"] == "test"
+               else [getattr(bundle, opt["split"])])
+    count = TR.export_features(model, subsets, opt["out"])
     print(f"wrote {count} feature rows to {opt['out']}")
 
 
@@ -544,7 +547,9 @@ def main(argv=None) -> int:
     except CorrectnessError as exc:
         print(f"correctness failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, RuntimeError, NumericError, ShapeError) as exc:
+    except Exception as exc:  # a runtime failure
+        if not isinstance(exc, RUNTIME_ERRORS):  # not one the library raises on purpose
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -166,7 +166,8 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     Returns (model, TrainState). ``run_until`` stops at an earlier epoch
     boundary without shortening the learning-rate schedule (for sliced runs);
     ``resume`` takes the (state, optimizer, best_params) triple from
-    load_train_state and continues the exact uninterrupted trajectory.
+    load_train_state and continues the exact uninterrupted trajectory; without
+    it the run builds the epoch-0 triple and takes the same path.
 
     Each step's graph is dropped once its backward pass has run, before the
     optimizer step. Its arrays go back to the heap, and under the malloc
@@ -180,24 +181,20 @@ def train(model: B.Model, bundle: DatasetBundle, cfg: TrainConfig | None = None,
     steps_per_epoch = -(-n // cfg.batch)
     total_steps = cfg.epochs * steps_per_epoch
 
-    if resume is not None:
-        state, optimizer, best_params = resume
-        rng = SplitMix64(0)
-        rng.set_state(state.rng_state)
-        if state.total_steps != total_steps:
-            raise ValueError("resume schedule does not match the requested run")
-        start_epoch = state.epoch
-    else:
-        optimizer = Adam(model.params)
-        rng = SplitMix64(hash_combine(cfg.seed, 0x747261696E))
-        state = TrainState(epoch=0, step=0, total_steps=total_steps,
-                           rng_state=rng.get_state(), best_val_acc=-1.0, best_epoch=-1)
-        best_params = {k: p.data.copy() for k, p in model.params.items()}
-        start_epoch = 0
+    if resume is None:  # a fresh run starts from its epoch-0 state
+        seeded = SplitMix64(hash_combine(cfg.seed, 0x747261696E))
+        resume = (TrainState(epoch=0, step=0, total_steps=total_steps,
+                             rng_state=seeded.get_state(), best_val_acc=-1.0, best_epoch=-1),
+                  Adam(model.params), {k: p.data.copy() for k, p in model.params.items()})
+    state, optimizer, best_params = resume
+    if state.total_steps != total_steps:
+        raise ValueError("resume schedule does not match the requested run")
+    rng = SplitMix64(0)
+    rng.set_state(state.rng_state)
 
     stop_epoch = cfg.epochs if run_until is None else min(run_until, cfg.epochs)
     labels_int = train_ds.labels.astype(np.intp)
-    for epoch in range(start_epoch, stop_epoch):
+    for epoch in range(state.epoch, stop_epoch):
         order = list(range(n))
         rng.shuffle(order)
         for lo in range(0, n, cfg.batch):
@@ -339,22 +336,21 @@ def cross_generator_experiment(families: list, seeds: list, train_cfg: TrainConf
 # -- feature export ------------------------------------------------------------------------
 
 
-def export_features(model: B.Model, images: np.ndarray, tags, labels, path,
-                    batch: int = EVAL_BATCH) -> int:
-    """Penultimate-layer features as CSV: subset_tag, label, f_0..f_{D-1}.
+def export_features(model: B.Model, subsets: list, path) -> int:
+    """Penultimate-layer features of the images of ``subsets``, the datasets
+    ``evaluate`` takes, as CSV: subset_tag, label, f_0..f_{D-1}, one row per
+    image, subsets in order.
 
-    Floats are written with repr-exact formatting so re-exports are
-    byte-identical. Returns the number of rows written.
+    The forward passes take ``EVAL_BATCH`` images at a time over the subsets
+    run end to end, so a batch may span two subsets. Floats are written with
+    repr-exact formatting so re-exports are byte-identical. Returns the
+    number of rows written.
     """
-    tags = list(tags)
-    labels = np.asarray(labels).astype(int)
-    if not (len(images) == len(tags) == len(labels)):
-        raise ValueError("images, tags, and labels must have equal lengths")
-    feats = []
-    for lo in range(0, len(images), batch):
-        feats.append(B.penultimate(model, images[lo:lo + batch]))
-    feats = np.concatenate(feats) if feats else np.zeros((0, model.cfg.embed_dim))
+    images = np.concatenate([ds.images for ds in subsets])
+    feats = np.concatenate([B.penultimate(model, images[lo:lo + EVAL_BATCH])
+                            for lo in range(0, len(images), EVAL_BATCH)])
+    rows = ((ds.subset_tag, int(label)) for ds in subsets for label in ds.labels)
     files.write_csv(path, ["subset_tag", "label"] + [f"f_{i}" for i in range(feats.shape[1])],
                     ([tag, label] + [repr(float(v)) for v in row]
-                     for tag, label, row in zip(tags, labels, feats)))
+                     for (tag, label), row in zip(rows, feats)))
     return len(feats)

@@ -95,7 +95,7 @@ def test_identity_projection_recovers_pixels():
     m.params["pos"].data[...] = 0.0
     rng = SplitMix64(5)
     img = rng.uniform_array((4, 4))
-    tokens = patch_embed(img, cfg, m.params)
+    tokens = patch_embed(img[None], cfg, m.params)
     assert np.array_equal(tokens.data[0, :, 0], img.reshape(-1))
 
 
@@ -105,6 +105,29 @@ def test_overlap_stem_token_count_and_window():
     assert patches.shape == (1, 4, 36)  # (4+2)^2 pixels per token
     # interior window sums full ones; corner window loses the padded rim
     assert patches[0].max() == 1.0
+
+
+def test_three_channel_batches():
+    """A (B, H, W, 3) batch: each patch row is its window read in row, column,
+    channel order, widened by one zero-padded pixel per side under overlap;
+    every family gives finite (B, 2) logits; a single (H, W, 3) image is not
+    a batch."""
+    imgs = SplitMix64(31).uniform_array((2, 8, 8, 3))
+    for overlap in (False, True):
+        cfg = tiny_cfg("vssd", channels=3, overlap=overlap)
+        p, rim = cfg.patch, int(overlap)
+        padded = np.pad(imgs, ((0, 0), (rim, rim), (rim, rim), (0, 0)))
+        loop = [[[padded[b, i * p + r, j * p + c, ch]
+                  for r in range(cfg.window) for c in range(cfg.window) for ch in range(3)]
+                 for i in range(cfg.grid[0]) for j in range(cfg.grid[1])]
+                for b in range(len(imgs))]
+        assert np.array_equal(B.extract_patches(imgs, cfg), np.array(loop))
+    for family in B.FAMILIES:
+        m = build_model(tiny_cfg(family, channels=3), seed=0)
+        logits = forward(m, imgs).data
+        assert logits.shape == (2, 2) and np.isfinite(logits).all()
+        with pytest.raises(T.ShapeError):
+            forward(m, imgs[0])
 
 
 def test_image_extent_mismatch():

@@ -229,6 +229,23 @@ def test_train_missing_data_is_runtime_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault", [TypeError, MemoryError])
+def test_unexpected_failure_is_runtime_error_with_traceback(tiny_data, tmp_path, monkeypatch,
+                                                           capsys, fault):
+    """An exception of a class the library does not raise on purpose, here
+    from building the model, exits 2 with its message and traceback, and
+    --out is not created."""
+    def broken(*args, **kwargs):
+        raise fault("injected fault")
+
+    monkeypatch.setattr(cli.B, "build_model", broken)
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(tiny_data), "--out", str(out)] + TINY_TRAIN) == 2
+    err = capsys.readouterr().err
+    assert "error: injected fault" in err and "Traceback" in err
+    assert not out.exists()
+
+
 def test_no_clobber_refuses_nonempty(tiny_data, tmp_path):
     out = tmp_path / "occupied"
     out.mkdir()
@@ -426,8 +443,7 @@ def test_shared_option_keys_have_one_declaration():
                                                          corpus_defaults["w"].default)
     cross_gen = {opt.key: opt.default for opt in cli.COMMANDS["cross-gen"].options}
     assert cross_gen["families"] == ",".join(B.FAMILIES)
-    for fn in (TR.evaluate, TR.export_features):
-        assert inspect.signature(fn).parameters["batch"].default is TR.EVAL_BATCH, fn
+    assert inspect.signature(TR.evaluate).parameters["batch"].default is TR.EVAL_BATCH
     scan_defaults = inspect.signature(scan2d.make_scan).parameters
     scan_show = {opt.key: opt.default for opt in cli.COMMANDS["scan-show"].options}
     for key in ("win", "stride"):

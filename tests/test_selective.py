@@ -524,7 +524,7 @@ def _backward_twice(length=6):
     return once, [t.grad for t in leaves]
 
 
-def test_workspace_keeps_recorded_states_apart():
+def test_two_live_scan_graphs_over_shared_parameters_keep_their_own_states():
     """Two recorded forwards over shared parameters hold their own states
     until their backward passes: each input's gradients are those of its
     scan recorded and run back alone, bit for bit."""
@@ -540,7 +540,7 @@ def test_workspace_keeps_recorded_states_apart():
             assert np.array_equal(g, ref)
 
 
-def test_workspace_backward_twice_over_one_graph_doubles_the_gradient():
+def test_second_backward_over_one_scan_graph_doubles_the_gradient():
     once, twice = _backward_twice()
     for g1, g2 in zip(once, twice):
         assert np.array_equal(g2, 2.0 * g1)

@@ -350,21 +350,14 @@ def test_export_features_shape_and_determinism(tmp_path):
     ds = bundle.test_subsets[0]
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    n = TR.export_features(model, ds.images, [ds.subset_tag] * len(ds), ds.labels, path_a)
-    TR.export_features(model, ds.images, [ds.subset_tag] * len(ds), ds.labels, path_b)
+    n = TR.export_features(model, [ds], path_a)
+    TR.export_features(model, [ds], path_b)
     assert n == len(ds)
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0].split(",")
     assert header[:2] == ["subset_tag", "label"]
     assert len(header) == 2 + model.cfg.embed_dim
     assert len(path_a.read_text().splitlines()) == 1 + len(ds)
-
-
-def test_export_features_length_mismatch(tmp_path):
-    model = tiny_model()
-    with pytest.raises(ValueError):
-        TR.export_features(model, np.zeros((3, 32, 32)), ["a"], [0, 1, 0],
-                           tmp_path / "x.csv")
 
 
 # -- cross-generator experiment (miniature) -----------------------------------------------
