@@ -5,10 +5,13 @@ Families:
   mambavision  two half-width branches (non-causal conv; one carries a scan)
   vssd         grid conv -> non-causal shared-state core -> FFN, three residuals
 
-Token layout is (..., T, D) with an optional class token at slot 0 (vim and
-mambavision read it out; vssd mean-pools and never carries one). The 2D scan
-strategy from the config reorders patch tokens around each block's sequence
-core; the class token never participates in the reordering.
+Each family's block takes (tokens, params, prefix, scan) and reads its
+parameters under ``prefix``. Token layout is (..., T, D) with an optional
+class token at slot 0 (vim and mambavision read it out; vssd mean-pools and
+never carries one). The 2D scan strategy from the config reorders patch
+tokens around each block's sequence core; the class token never participates
+in the reordering. A sequence that sits on no grid is the raster scan of a
+1 x T grid.
 
 Parameters live in an ordered name -> Tensor dict so checkpoints and the
 optimizer see a stable, seed-independent layout. A built model is immutable
@@ -412,11 +415,8 @@ def merged_update(streams, core_fn, scan, equivariant=False):
     token longer than the scan grid carries a class token at slot 0, pinned
     at slot 0 of every group's index, so it never enters the reordering and
     its updates sum like those of a cell every direction visits. Any other
-    count but the grid's own raises ShapeError. ``scan=None`` runs the core
-    once on streams that sit on no grid.
+    count but the grid's own raises ShapeError.
     """
-    if scan is None:
-        return core_fn(*streams)
     total = streams[0].shape[-2]
     start = total - scan.h * scan.w
     if start not in (0, 1):
@@ -441,20 +441,20 @@ def merged_update(streams, core_fn, scan, equivariant=False):
 # -- block families ----------------------------------------------------------------------
 
 
-def vim_block(tokens, params, prefix="", scan=None, tie_directions=False):
+def vim_block(tokens, params, prefix, scan):
     """Gated bidirectional block.
 
     Both directions share the input and gate projections; the backward path
     runs the same conv+scan core over the reversed sequence and is reversed
     back, and the sum of the two directions is gated once. Directions have
-    independent parameters unless tie_directions (then 'fwd.' weights serve
-    both). Multi-direction scan outputs merge on the grid before the shared
-    output projection.
+    independent parameters when ``params`` holds a ``{prefix}bwd.`` set, and
+    are tied otherwise (the 'fwd.' weights serve both). Multi-direction scan
+    outputs merge on the grid before the shared output projection.
     """
     xh = rms_norm(tokens, params[f"{prefix}norm.scale"])
     xs = T.matmul(xh, params[f"{prefix}w_x"])
     gate = T.silu(T.matmul(xh, params[f"{prefix}w_z"]))
-    back = "fwd." if tie_directions else "bwd."
+    back = "bwd." if f"{prefix}bwd.d" in params else "fwd."
 
     def core(xs_d, gate_d):
         y_f = _scan_path(xs_d, params, f"{prefix}fwd.", causal=True)
@@ -465,7 +465,7 @@ def vim_block(tokens, params, prefix="", scan=None, tie_directions=False):
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))
 
 
-def mamba_vision_mixer(tokens, params, prefix="", scan=None):
+def mamba_vision_mixer(tokens, params, prefix, scan):
     """Two half-width branches with non-causal convolutions.
 
     Branch 1 carries the selective scan; branch 2 is purely convolutional.
@@ -486,8 +486,10 @@ def mamba_vision_mixer(tokens, params, prefix="", scan=None):
     return T.add(tokens, T.matmul(merged, params[f"{prefix}w_out"]))
 
 
-def vssd_block(tokens, params, grid, prefix="", scan=None):
+def vssd_block(tokens, params, prefix, scan):
     """Grid perception, shared-state token mixing, and an FFN; all residual.
+
+    The 3x3 perception conv runs on the scan's (h, w) grid.
 
     The token mixer (norm, ``project_params`` and ``nc_ssd``'s shared state)
     acts on each token alone apart from one sum over all of them, so it is
@@ -500,7 +502,7 @@ def vssd_block(tokens, params, grid, prefix="", scan=None):
     dt_rank 1); gradients differ in the last bits, as their sums over tokens
     run in another order.
     """
-    lpu = conv2d_depthwise3(tokens, grid, params[f"{prefix}lpu.weight"],
+    lpu = conv2d_depthwise3(tokens, (scan.h, scan.w), params[f"{prefix}lpu.weight"],
                             params[f"{prefix}lpu.bias"])
     tokens = T.add(tokens, lpu)
 
@@ -568,24 +570,16 @@ def patch_embed(images, cfg: ModelConfig, weights: dict) -> Tensor:
 # -- full model ---------------------------------------------------------------------------
 
 
-def apply_block(model: Model, tokens, index: int, scan):
-    cfg = model.cfg
-    prefix = f"blocks.{index}."
-    if cfg.family == "vim":
-        return vim_block(tokens, model.params, prefix, scan,
-                         tie_directions=cfg.tie_directions)
-    if cfg.family == "mambavision":
-        return mamba_vision_mixer(tokens, model.params, prefix, scan)
-    return vssd_block(tokens, model.params, cfg.grid, prefix, scan)
-
-
 def features(model: Model, images) -> Tensor:
     """The classification layer's input (B, embed_dim): the normed class token,
     or the mean normed token for families without one."""
+    # looked up per call, so a wrapper set on the module attribute sees every block
+    block = {"vim": vim_block, "mambavision": mamba_vision_mixer,
+             "vssd": vssd_block}[model.cfg.family]
     tokens = patch_embed(images, model.cfg, model.params)
     scan = model.cfg.make_scan()
     for i in range(model.cfg.depth):
-        tokens = apply_block(model, tokens, i, scan)
+        tokens = block(tokens, model.params, f"blocks.{i}.", scan)
     normed = rms_norm(tokens, model.params["final_norm.scale"])
     if model.cfg.use_cls:
         return T.select_index(normed, -2, 0)

@@ -273,8 +273,8 @@ _MANIFEST_KINDS = {
 def load_manifest(path) -> dict:
     """A manifest ``make_dataset`` could have written: exactly the keys and types
     of ``_MANIFEST_KINDS``, the values it always writes and one strength for every
-    generator. ValueError naming the file and key if not; value ranges are left
-    to ``make_dataset``."""
+    generator, and counts, generator and strength that ``make_dataset`` accepts.
+    ValueError naming the file, and the key where one is at fault, if not."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -293,6 +293,9 @@ def load_manifest(path) -> dict:
                  "must equal the sample-index blocks make_dataset draws from")):
             if not ok:
                 raise ValueError(f"manifest key {key!r} {want}, got {manifest[key]!r}")
+        counts = manifest["counts"]
+        check_corpus(counts["train"], counts["val"], counts["test_per_subset"],
+                     manifest["train_generator"], strength)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return manifest

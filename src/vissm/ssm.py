@@ -21,14 +21,14 @@ from .tensor import NumericError, ShapeError
 
 @dataclass
 class SsmParams:
-    """Continuous-time parameters. ``a`` is (d, d), or (d,) when diag=True."""
+    """Continuous-time parameters. ``a`` is (d, d), or (d,) for a diagonal A:
+    a vector A is its diagonal."""
 
     a: np.ndarray
     b: np.ndarray  # (d,)
     c: np.ndarray  # (d,)
     d: float
     delta: float
-    diag: bool = False
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
@@ -37,13 +37,9 @@ class SsmParams:
         self.d = float(self.d)
         self.delta = float(self.delta)
         dim = self.b.shape[0]
-        if self.diag:
-            self.a = self.a.reshape(-1)
-            if self.a.shape[0] != dim:
-                raise ShapeError(f"diagonal a has length {self.a.shape[0]}, b has {dim}")
-        else:
-            if self.a.shape != (dim, dim):
-                raise ShapeError(f"a shape {self.a.shape} does not match state dim {dim}")
+        if self.a.shape not in ((dim,), (dim, dim)):
+            raise ShapeError(f"a has shape {self.a.shape}; b's state dim {dim} needs "
+                             f"({dim},) for a diagonal A or ({dim}, {dim}) for a dense one")
         if self.c.shape[0] != dim:
             raise ShapeError(f"c has length {self.c.shape[0]}, state dim is {dim}")
         if not self.delta > 0:
@@ -56,13 +52,12 @@ class SsmParams:
 
 @dataclass
 class DiscreteSsm:
-    """Discrete-time system. ``a_bar`` is (d, d), or (d,) when diag=True."""
+    """Discrete-time system. ``a_bar`` is (d, d), or (d,) for a diagonal Abar."""
 
     a_bar: np.ndarray
     b_bar: np.ndarray
     c: np.ndarray
     d: float
-    diag: bool = False
 
     @property
     def dim(self) -> int:
@@ -117,24 +112,20 @@ def discretize_zoh(params: SsmParams) -> DiscreteSsm:
     first-order form delta * B."""
     dt = params.delta
     with np.errstate(over="ignore"):  # overflow is caught by the finite check below
-        if params.diag:
-            a_bar = np.exp(dt * params.a)
-        else:
-            a_bar = matrix_exp(dt * params.a)
+        a_bar = np.exp(dt * params.a) if params.a.ndim == 1 else matrix_exp(dt * params.a)
     b_bar = dt * params.b
     if not (np.all(np.isfinite(a_bar)) and np.all(np.isfinite(b_bar))):
         raise NumericError(
             f"discretization overflowed (delta={dt}); check delta * A magnitude"
         )
-    return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=params.c.copy(), d=params.d,
-                       diag=params.diag)
+    return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=params.c.copy(), d=params.d)
 
 
 def run_recurrent(dssm: DiscreteSsm, x) -> np.ndarray:
     """h_t = Abar h_{t-1} + Bbar x_t ; y_t = C h_t + D x_t, t = 1..L, from h_0 = 0."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     h = np.zeros(dssm.dim)
-    step = np.multiply if dssm.diag else np.matmul  # apply Abar to the state
+    step = np.multiply if dssm.a_bar.ndim == 1 else np.matmul  # apply Abar to the state
     y = np.empty_like(x)
     for t in range(len(x)):
         h = step(dssm.a_bar, h) + dssm.b_bar * x[t]
@@ -147,7 +138,7 @@ def conv_kernel(dssm: DiscreteSsm, length: int) -> np.ndarray:
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
     k = np.empty(length)
-    step = np.multiply if dssm.diag else np.matmul  # apply Abar to the state
+    step = np.multiply if dssm.a_bar.ndim == 1 else np.matmul  # apply Abar to the state
     v = dssm.b_bar.copy()
     for t in range(length):
         k[t] = dssm.c @ v
@@ -178,4 +169,4 @@ def random_stable_system(rng, dim: int, diag: bool = False) -> SsmParams:
         raw = rng.normal_array((dim, dim))
         # symmetric negative-definite: guaranteed stable
         a = -(raw @ raw.T) / dim - 0.2 * np.eye(dim)
-    return SsmParams(a=a, b=b, c=c, d=d, delta=delta, diag=diag)
+    return SsmParams(a=a, b=b, c=c, d=d, delta=delta)

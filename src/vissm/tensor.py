@@ -391,13 +391,12 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        # copy: a C-order gradient. np.array in _accumulate keeps a broadcast
+        # view's axis order, and later sums over the gradient would run in
+        # another order, so with other bits
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(out_data, (a,), backward)
 

@@ -104,7 +104,7 @@ def test_criterion_2_selective_consistency():
         for c in range(cch):
             ref = ssm.run_recurrent(ssm.DiscreteSsm(
                 a_bar=np.exp(delta[c] * a.data[c]), b_bar=delta[c] * b_const,
-                c=c_const, d=dvec.data[c], diag=True), x[:, c])
+                c=c_const, d=dvec.data[c]), x[:, c])
             worst_lti = max(worst_lti, np.max(np.abs(y[:, c] - ref)))
     elapsed = time.time() - t0
     assert worst_lti < 1e-10, worst_lti
@@ -298,6 +298,7 @@ def test_criterion_5_gradient_checks():
 def test_criterion_6_block_identities():
     rng = SplitMix64(606)
     x = Tensor(rng.normal_array((2, 16, 8)))
+    scan = scan2d.make_scan("raster", 4, 4)
     for family in ("vim", "mambavision", "vssd"):
         cfg = B.ModelConfig(family=family, image_h=8, image_w=8, patch=2,
                             embed_dim=8, depth=1, state_dim=3)
@@ -305,11 +306,11 @@ def test_criterion_6_block_identities():
         for p in m.params.values():
             p.data[...] = 0.0
         if family == "vim":
-            out = B.vim_block(x, m.params, "blocks.0.")
+            out = B.vim_block(x, m.params, "blocks.0.", scan)
         elif family == "mambavision":
-            out = B.mamba_vision_mixer(x, m.params, "blocks.0.")
+            out = B.mamba_vision_mixer(x, m.params, "blocks.0.", scan)
         else:
-            out = B.vssd_block(x, m.params, (4, 4), "blocks.0.")
+            out = B.vssd_block(x, m.params, "blocks.0.", scan)
         assert np.array_equal(out.data, x.data)
 
     cfg = B.ModelConfig(family="vim", image_h=8, image_w=8, patch=2, embed_dim=8,
@@ -319,9 +320,9 @@ def test_criterion_6_block_identities():
     for p in m.params.values():
         p.data[...] = prng.normal_array(p.data.shape) * 0.3
     seq = prng.normal_array((1, 12, 8))
-    out = B.vim_block(Tensor(seq), m.params, "blocks.0.", tie_directions=True).data
-    out_rev = B.vim_block(Tensor(seq[:, ::-1].copy()), m.params, "blocks.0.",
-                          tie_directions=True).data
+    line = scan2d.make_scan("raster", 1, 12)
+    out = B.vim_block(Tensor(seq), m.params, "blocks.0.", line).data
+    out_rev = B.vim_block(Tensor(seq[:, ::-1].copy()), m.params, "blocks.0.", line).data
     gap = np.max(np.abs(out_rev - out[:, ::-1]))
     assert gap < 1e-12, gap
     report(6, f"zero-parameter residual identity exact for all families; tied "

@@ -368,6 +368,9 @@ NOT_MAKE_DATASETS = {
     "strength-per-generator": lambda m: m["specs"][2].update(artifact_strength=0.5),
     "seed-ranges-edited": lambda m: m["seed_ranges"]["test/real"].reverse(),
     "unknown-key": lambda m: m.update(note="hand edited"),
+    "train-count-zero": lambda m: m["counts"].update(train=0),
+    "val-count-zero": lambda m: m["counts"].update(val=0),
+    "test-count-zero": lambda m: m["counts"].update(test_per_subset=0),
 }
 
 
@@ -879,3 +882,10 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     assert commands == set(cli.COMMANDS)
+
+
+def test_readme_library_block_runs():
+    """README's library example runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

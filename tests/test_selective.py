@@ -111,7 +111,6 @@ def test_lti_reduction_matches_core_recurrence():
                 b_bar=delta[c] * b_const,
                 c=c_const,
                 d=d.data[c],
-                diag=True,
             )
             oracle = run_recurrent(dssm, x[:, c])
             worst = max(worst, np.max(np.abs(y.data[:, c] - oracle)))

@@ -6,7 +6,7 @@ import pytest
 from vissm import ssm
 from vissm.rng import SplitMix64
 from vissm.ssm import DiscreteSsm, SsmParams, conv_kernel, discretize_zoh, run_convolution, run_recurrent
-from vissm.tensor import NumericError
+from vissm.tensor import NumericError, ShapeError
 
 
 # -- discretization ---------------------------------------------------------
@@ -27,11 +27,26 @@ def test_zoh_scalar_exponential():
 
 
 def test_zoh_diagonal_elementwise():
-    p = SsmParams(a=[-1.0, -2.0], b=[1.0, 1.0], c=[1.0, 1.0], d=0.0, delta=0.1, diag=True)
+    p = SsmParams(a=[-1.0, -2.0], b=[1.0, 1.0], c=[1.0, 1.0], d=0.0, delta=0.1)
     d = discretize_zoh(p)
     expected = [math.exp(-0.1), math.exp(-0.2)]
     assert np.allclose(d.a_bar, expected, atol=1e-15)
     assert np.allclose(d.a_bar, [0.904837, 0.818731], atol=1e-6)
+
+
+@pytest.mark.parametrize("kw, error", [
+    (dict(a=np.zeros((2, 3))), ShapeError),
+    (dict(a=np.zeros(3)), ShapeError),
+    (dict(c=np.ones(3)), ShapeError),
+    (dict(delta=0.0), ValueError),
+    (dict(delta=-1.0), ValueError),
+    (dict(delta=float("nan")), ValueError),
+], ids=["a-2x3", "a-length-3", "c-length-3", "delta-0", "delta-negative", "delta-nan"])
+def test_params_rejections(kw, error):
+    args = dict(a=-np.ones(2), b=np.ones(2), c=np.ones(2), d=0.0, delta=0.1)
+    args.update(kw)
+    with pytest.raises(error):
+        SsmParams(**args)
 
 
 def test_zoh_overflow_raises():
@@ -74,7 +89,7 @@ def test_kernel_length_one():
 
 def test_kernel_scalar_powers():
     # oracle: direct scalar powers -> (2*1, 2*0.5, 2*0.25)
-    d = DiscreteSsm(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([2.0]), d=0.0, diag=True)
+    d = DiscreteSsm(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([2.0]), d=0.0)
     k = conv_kernel(d, 3)
     assert np.allclose(k, [2.0, 1.0, 0.5], atol=1e-15)
 
@@ -90,12 +105,20 @@ def test_kernel_matches_matrix_power_oracle():
 
 
 def test_kernel_rejects_bad_length():
-    d = DiscreteSsm(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([1.0]), d=0.0, diag=True)
+    d = DiscreteSsm(a_bar=np.array([0.5]), b_bar=np.array([1.0]), c=np.array([1.0]), d=0.0)
     with pytest.raises(ValueError):
         conv_kernel(d, 0)
 
 
 # -- recurrence and convolution ---------------------------------------------------
+
+
+def test_vector_a_bar_steps_as_its_diagonal():
+    # oracle: per-mode powers, 0.5^t + 0.25^t
+    d = DiscreteSsm(a_bar=np.array([0.5, 0.25]), b_bar=np.ones(2), c=np.ones(2), d=0.0)
+    impulse = [1.0, 0.0, 0.0]
+    assert run_recurrent(d, impulse).tolist() == [2.0, 0.75, 0.3125]
+    assert np.allclose(run_convolution(d, impulse), [2.0, 0.75, 0.3125], atol=1e-12)
 
 
 def test_recurrent_zero_input():
@@ -151,7 +174,7 @@ def test_convolution_small_value():
     expected = direct_conv([1.0, 2.0], [3.0, 4.0])
     assert expected.tolist() == [3.0, 10.0, 8.0]
     d = DiscreteSsm(a_bar=np.array([1.0, 0.0]), b_bar=np.ones(2), c=np.array([4.0, -1.0]),
-                    d=0.0, diag=True)
+                    d=0.0)
     assert conv_kernel(d, 2).tolist() == [3.0, 4.0]
     assert np.allclose(run_convolution(d, [1.0, 2.0]), expected[:2], atol=1e-12)
 
