@@ -5,7 +5,7 @@ Modules:
   ssm        classical LTI state space model (recurrence == FFT convolution)
   selective  input-dependent scans: fused sequential (model path), chunked
              oracle, non-causal
-  scan2d     1D visitation orders over 2D patch grids
+  scan2d     2D scan orders as index arrays: one MultiScan, built by make_scan
   blocks     patch embedding, the three block families, model + checkpoints
   rng        splitmix64 random stream on one (uint64 array) draw path
   data       procedural real-vs-generated image corpus
@@ -29,7 +29,7 @@ from .blocks import (
 )
 from .data import DetectionDataset, SynthGenSpec, make_dataset, synth_fake, synth_real
 from .rng import SplitMix64
-from .scan2d import MultiScan, ScanOrder, make_scan
+from .scan2d import MultiScan, make_scan
 from .selective import (
     SelectiveProjection,
     nc_ssd,

@@ -69,7 +69,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for size in ("patch", "embed_dim", "depth", "state_dim"):
+        for size in ("channels", "patch", "embed_dim", "depth", "state_dim"):
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be >= 1, got {getattr(self, size)}")
         if self.tie_directions and self.family != "vim":

@@ -249,14 +249,14 @@ def cmd_scan_show(opt: dict) -> None:
     for k, order in enumerate(orders):
         if len(orders) > 1:
             print(f"direction {k}:")
-        grid = scan2d.rank_grid(order)
+        grid = scan2d.rank_grid(order, scan.h, scan.w)
         width = max(2, len(str(grid.max())))
         for row in grid:
             print(" ".join(f"{'.' * width}" if v < 0 else f"{v:>{width}d}" for v in row))
         if k + 1 < len(orders):
             print()
     if opt["ppm"]:
-        _ppm_heatmap(scan2d.rank_grid(orders[0]), opt["ppm"])
+        _ppm_heatmap(scan2d.rank_grid(orders[0], scan.h, scan.w), opt["ppm"])
         print(f"wrote {opt['ppm']}")
 
 

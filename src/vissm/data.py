@@ -121,6 +121,11 @@ def _artifact(seeds, h: int, w: int, field: np.ndarray, spec: SynthGenSpec) -> n
     return 0.1 * s * burst * mask
 
 
+def _check_extents(h: int, w: int) -> None:
+    if h < 8 or w < 8:
+        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
+
+
 def _synth(seeds, h: int, w: int, spec: SynthGenSpec | None = None) -> np.ndarray:
     """The images of the sample ``seeds`` (an int, or a uint64 array), shape
     (len, h, w) in [0, 1]: reals for ``spec`` None, else fakes of ``spec``.
@@ -129,8 +134,7 @@ def _synth(seeds, h: int, w: int, spec: SynthGenSpec | None = None) -> np.ndarra
     count, then ``_WAVE_DRAWS`` per wave, then its noise; the streams' closed
     form reads every image's draws at once, at those offsets.
     """
-    if h < 8 or w < 8:
-        raise ValueError(f"image extents must be >= 8, got ({h}, {w})")
+    _check_extents(h, w)
     base = np.reshape(hash_combine_array(seeds, _TAG_BASE), -1)
     draws = stream_u64(base, 1 + _WAVE_DRAWS * _MAX_WAVES)
     n_waves = _MIN_WAVES + below_array(draws[:, 0], _MAX_WAVES - _MIN_WAVES + 1)
@@ -200,11 +204,12 @@ def _gen_block(dataset_seed, split, subset, count, h, w, spec=None):
 
 
 def check_corpus(train_count: int, val_count: int, test_count: int,
-                 train_generator: str, strength: float) -> None:
+                 train_generator: str, strength: float, h: int = 32, w: int = 32) -> None:
     """ValueError for what ``make_dataset`` rejects before drawing any image."""
     if min(train_count, val_count, test_count) < 1:
         raise ValueError("all split counts must be >= 1")
     SynthGenSpec(train_generator, strength)
+    _check_extents(h, w)
 
 
 def _spec_list(strength) -> list:
@@ -225,7 +230,7 @@ def make_dataset(seed: int, train_count: int, val_count: int, test_count: int,
     bundle's manifest holds these arguments, and ``load_manifest`` reads only
     manifests of that form.
     """
-    check_corpus(train_count, val_count, test_count, train_generator, strength)
+    check_corpus(train_count, val_count, test_count, train_generator, strength, h, w)
     manifest = {
         "schema": SCHEMA,
         "seed": seed,
@@ -273,7 +278,8 @@ _MANIFEST_KINDS = {
 def load_manifest(path) -> dict:
     """A manifest ``make_dataset`` could have written: exactly the keys and types
     of ``_MANIFEST_KINDS``, the values it always writes and one strength for every
-    generator, and counts, generator and strength that ``make_dataset`` accepts.
+    generator, and counts, generator, strength and image extents that
+    ``make_dataset`` accepts.
     ValueError naming the file, and the key where one is at fault, if not."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -295,7 +301,7 @@ def load_manifest(path) -> dict:
                 raise ValueError(f"manifest key {key!r} {want}, got {manifest[key]!r}")
         counts = manifest["counts"]
         check_corpus(counts["train"], counts["val"], counts["test_per_subset"],
-                     manifest["train_generator"], strength)
+                     manifest["train_generator"], strength, **manifest["image"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return manifest

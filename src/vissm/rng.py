@@ -158,13 +158,20 @@ class SplitMix64:
 
     # -- bulk draws --------------------------------------------------------
 
+    @staticmethod
+    def _size(shape) -> int:
+        """How many values fill ``shape``, refused before any draw when a
+        dimension is negative."""
+        dims = np.atleast_1d(shape)
+        if np.any(dims < 0):
+            raise ValueError(f"negative dimensions are not allowed, got {shape}")
+        return int(np.prod(dims))
+
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        return uniforms(self._next_u64_array(n), lo, hi).reshape(shape)
+        return uniforms(self._next_u64_array(self._size(shape)), lo, hi).reshape(shape)
 
     def normal_array(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        return normals(self._next_u64_array(2 * n), mean, std).reshape(shape)
+        return normals(self._next_u64_array(2 * self._size(shape)), mean, std).reshape(shape)
 
     # -- state -------------------------------------------------------------
 

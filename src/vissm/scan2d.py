@@ -1,14 +1,14 @@
 """1D visitation orders over a 2D patch grid.
 
-A ScanOrder maps grid cells (flattened row-major) to sequence positions:
-``order[k]`` is the flat raster index of the k-th cell visited. Full orders
-are permutations of 0..h*w-1; a partial order (used by the atrous strategy,
-whose members jointly partition the grid) visits an injective subset.
-``inverse[cell]`` recovers the visitation rank, -1 for unvisited cells.
+An order is a read-only 1-D ``intp`` array: ``order[k]`` is the flat
+raster index of the k-th cell visited. Full orders are permutations of
+0..h*w-1; a partial order (used by the atrous strategy, whose members
+jointly partition the grid) visits an injective subset. ``rank_grid``
+recovers the visitation rank of every cell, -1 for unvisited cells.
 
-A MultiScan bundles one or more orders over the same grid; the models sum
-the per-direction outputs on the grid. ``make_scan`` always returns one, and
-returns the same one for the same arguments, so a model's forwards share it.
+A MultiScan holds one or more orders over one (h, w) grid; the models sum
+the per-direction outputs on the grid. ``make_scan`` is its one builder, and
+returns the same scan for the same arguments, so a model's forwards share it.
 ``MultiScan.groups`` lists what a model runs its core on: each direction, or
 each distinct set of visited cells, for cores whose output does not depend
 on the visiting order. Both lists, and which of their orders is the
@@ -30,60 +30,29 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScanOrder:
+class MultiScan:
     h: int
     w: int
-    order: np.ndarray  # (k,) int, visitation sequence of flat raster indices
-    inverse: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        order = _frozen(np.array(self.order, dtype=np.intp))  # a copy, not the caller's
-        object.__setattr__(self, "order", order)
-        n = self.h * self.w
-        vals = order.tolist()
-        if len(set(vals)) != len(vals) or (vals and (min(vals) < 0 or max(vals) >= n)):
-            raise ValueError(f"order entries must be distinct cells in 0..{n - 1}")
-        inv = np.full(n, -1, dtype=np.intp)
-        inv[order] = np.arange(len(order), dtype=np.intp)
-        object.__setattr__(self, "inverse", _frozen(inv))
-
-    def __len__(self):
-        return len(self.order)
-
-    def reversed_order(self) -> "ScanOrder":
-        return ScanOrder(self.h, self.w, self.order[::-1])
-
-
-@dataclass(frozen=True)
-class MultiScan:
-    directions: tuple
+    directions: tuple  # of (k,) intp orders, each its own read-only copy
     _groups: tuple = field(init=False, repr=False, compare=False)  # (directions, cell sets)
 
     def __post_init__(self):
-        dirs = tuple(self.directions)
+        n = self.h * self.w
+        dirs = tuple(_frozen(np.array(d, dtype=np.intp)) for d in self.directions)
         object.__setattr__(self, "directions", dirs)
         if not dirs:
             raise ValueError("MultiScan needs at least one direction")
-        h, w = dirs[0].h, dirs[0].w
-        if any(d.h != h or d.w != w for d in dirs):
-            raise ValueError("all directions must share the same grid extents")
-        raster = tuple(range(h * w))
         counts: dict = {}
         for d in dirs:
-            key = tuple(sorted(d.order.tolist()))
+            if d.ndim != 1 or np.any((d < 0) | (d >= n)) or len(set(d.tolist())) != len(d):
+                raise ValueError(f"each order must list distinct cells of 0..{n - 1}")
+            key = tuple(sorted(d.tolist()))
             counts[key] = counts.get(key, 0) + 1
+        raster = tuple(range(n))
         object.__setattr__(self, "_groups", (
-            tuple((d.order, 1, tuple(d.order.tolist()) == raster) for d in dirs),
+            tuple((d, 1, tuple(d.tolist()) == raster) for d in dirs),
             tuple((_frozen(np.array(cells, dtype=np.intp)), count, cells == raster)
                   for cells, count in counts.items())))
-
-    @property
-    def h(self):
-        return self.directions[0].h
-
-    @property
-    def w(self):
-        return self.directions[0].w
 
     def groups(self, equivariant: bool = False) -> tuple:
         """(order, count, identity) per run of a sequence core: each direction
@@ -94,79 +63,11 @@ class MultiScan:
         return self._groups[equivariant]
 
 
-def _check_extents(h: int, w: int) -> None:
-    if h < 1 or w < 1:
-        raise ValueError(f"grid extents must be positive, got ({h}, {w})")
-
-
-def raster_scan(h: int, w: int) -> ScanOrder:
-    """Row-major order: the identity permutation."""
-    _check_extents(h, w)
-    return ScanOrder(h, w, np.arange(h * w, dtype=np.intp))
-
-
-def cross_scan(h: int, w: int) -> MultiScan:
-    """Row-major, reversed row-major, column-major, reversed column-major."""
-    _check_extents(h, w)
-    row = raster_scan(h, w)
-    col_order = np.arange(h * w, dtype=np.intp).reshape(h, w).T.reshape(-1)
-    col = ScanOrder(h, w, col_order)
-    return MultiScan((row, row.reversed_order(), col, col.reversed_order()))
-
-
-def zigzag_scan(h: int, w: int) -> ScanOrder:
-    """Serpentine: even rows left-to-right, odd rows right-to-left."""
-    _check_extents(h, w)
-    rows = []
-    for r in range(h):
-        cells = np.arange(r * w, (r + 1) * w, dtype=np.intp)
-        rows.append(cells if r % 2 == 0 else cells[::-1])
-    return ScanOrder(h, w, np.concatenate(rows))
-
-
-def local_scan(h: int, w: int, win: int) -> ScanOrder:
-    """Windows visited row-major; raster order inside each window.
-
-    Extents must be divisible by the window side; padding would break the
-    bijection contract, so it is a hard error instead.
-    """
-    _check_extents(h, w)
-    if win < 1 or h % win != 0 or w % win != 0:
-        raise ValueError(
-            f"window {win} must divide both extents ({h}, {w}); choose a divisor"
-        )
-    order = []
-    for wr in range(h // win):
-        for wc in range(w // win):
-            for r in range(wr * win, (wr + 1) * win):
-                for c in range(wc * win, (wc + 1) * win):
-                    order.append(r * w + c)
-    return ScanOrder(h, w, np.array(order, dtype=np.intp))
-
-
-def efficient_scan(h: int, w: int, stride: int) -> MultiScan:
-    """Atrous decimation: stride^2 partial orders that partition the grid.
-
-    Member (i, j) visits exactly the cells with
-    (row % stride, col % stride) == (i, j), in raster order of the decimated
-    subgrid. With stride 1 this degenerates to a single raster order.
-    """
-    _check_extents(h, w)
-    if stride < 1 or h % stride != 0 or w % stride != 0:
-        raise ValueError(
-            f"stride {stride} must divide both extents ({h}, {w}); choose a divisor"
-        )
-    orders = []
-    for i in range(stride):
-        for j in range(stride):
-            sub = [r * w + c for r in range(i, h, stride) for c in range(j, w, stride)]
-            orders.append(ScanOrder(h, w, np.array(sub, dtype=np.intp)))
-    return MultiScan(tuple(orders))
-
-
-def rank_grid(order: ScanOrder) -> np.ndarray:
+def rank_grid(order: np.ndarray, h: int, w: int) -> np.ndarray:
     """(h, w) array of visitation ranks (-1 where a partial order skips)."""
-    return order.inverse.reshape(order.h, order.w).copy()
+    ranks = np.full(h * w, -1, dtype=np.intp)
+    ranks[order] = np.arange(len(order))
+    return ranks.reshape(h, w)
 
 
 STRATEGIES = ("raster", "bidirectional", "cross", "zigzag", "local", "efficient")
@@ -174,22 +75,37 @@ STRATEGIES = ("raster", "bidirectional", "cross", "zigzag", "local", "efficient"
 
 @lru_cache(maxsize=64)
 def make_scan(strategy: str, h: int, w: int, win: int = 2, stride: int = 2) -> MultiScan:
-    """Build a strategy's directions by name.
+    """A strategy's directions by name, as one MultiScan:
 
-    Single-order strategies come back as one-direction MultiScans. Built
-    scans are kept: a repeated call returns the same (read-only) MultiScan.
+    raster       row-major, the identity permutation;
+    bidirectional  row-major and its reverse;
+    cross        those two, then column-major and its reverse;
+    zigzag       serpentine: even rows left-to-right, odd rows right-to-left;
+    local        ``win`` x ``win`` windows visited row-major, raster order inside;
+    efficient    atrous decimation: member (i, j) visits the cells with
+                 (row % stride, col % stride) == (i, j) in raster order, so the
+                 stride^2 members partition the grid (stride 1: one raster).
+
+    A window or stride must divide both extents; padding would break the
+    bijection contract, so it is a hard error instead. Built scans are kept:
+    a repeated call returns the same (read-only) MultiScan.
     """
-    if strategy == "raster":
-        return MultiScan((raster_scan(h, w),))
-    if strategy == "bidirectional":
-        row = raster_scan(h, w)
-        return MultiScan((row, row.reversed_order()))
-    if strategy == "cross":
-        return cross_scan(h, w)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown scan strategy {strategy!r}; choose one of {STRATEGIES}")
+    if h < 1 or w < 1:
+        raise ValueError(f"grid extents must be positive, got ({h}, {w})")
+    name, k = {"local": ("window", win), "efficient": ("stride", stride)}.get(strategy, ("", 1))
+    if k < 1 or h % k or w % k:
+        raise ValueError(f"{name} {k} must divide both extents ({h}, {w}); choose a divisor")
+    cells = np.arange(h * w).reshape(h, w)
     if strategy == "zigzag":
-        return MultiScan((zigzag_scan(h, w),))
-    if strategy == "local":
-        return MultiScan((local_scan(h, w, win),))
-    if strategy == "efficient":
-        return efficient_scan(h, w, stride)
-    raise ValueError(f"unknown scan strategy {strategy!r}; choose one of {STRATEGIES}")
+        cells[1::2] = cells[1::2, ::-1]
+    elif strategy == "local":
+        cells = cells.reshape(h // k, k, w // k, k).transpose(0, 2, 1, 3)
+    elif strategy == "efficient":
+        return MultiScan(h, w, [cells[i::k, j::k].reshape(-1) for i in range(k) for j in range(k)])
+    row = cells.reshape(-1)
+    if strategy == "cross":
+        col = cells.T.reshape(-1)
+        return MultiScan(h, w, [row, row[::-1], col, col[::-1]])
+    return MultiScan(h, w, [row, row[::-1]] if strategy == "bidirectional" else [row])

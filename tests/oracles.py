@@ -327,19 +327,18 @@ def finite_difference(fn, arrays: list, step: float = 1e-5) -> list:
     return grads
 
 
-def gather(tokens, order):
-    """Select tokens (axis -2, or axis 0 for 1-D input) in a ScanOrder's visitation order."""
+def gather(tokens, order, cells):
+    """Select tokens (axis -2, or axis 0 for 1-D input) of a grid of ``cells``
+    cells in the visitation order ``order``."""
     arr = np.asarray(tokens)
     axis = 0 if arr.ndim == 1 else arr.ndim - 2
-    if arr.shape[axis] != order.h * order.w:
-        raise ValueError(
-            f"token count {arr.shape[axis]} does not match grid size {order.h * order.w}"
-        )
-    return np.take(arr, order.order, axis=axis)
+    if arr.shape[axis] != cells:
+        raise ValueError(f"token count {arr.shape[axis]} does not match grid size {cells}")
+    return np.take(arr, order, axis=axis)
 
 
-def scatter(tokens, order):
-    """Place visitation-ordered tokens back at their grid cells.
+def scatter(tokens, order, cells):
+    """Place visitation-ordered tokens back at their cells of a grid of ``cells``.
 
     For a full order this inverts gather exactly; for a partial order the
     unvisited cells are zero (partition members then sum to the identity).
@@ -351,10 +350,10 @@ def scatter(tokens, order):
             f"token count {arr.shape[axis]} does not match order length {len(order)}"
         )
     shape = list(arr.shape)
-    shape[axis] = order.h * order.w
+    shape[axis] = cells
     out = np.zeros(shape, dtype=arr.dtype)
     key = [slice(None)] * arr.ndim
-    key[axis] = order.order
+    key[axis] = order
     out[tuple(key)] = arr
     return out
 

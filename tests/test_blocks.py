@@ -289,6 +289,8 @@ def test_unknown_preset():
     (dict(state_dim=0), "state_dim must be >= 1"),
     (dict(tie_directions=True), "tie_directions applies to vim only, not vssd"),
     (dict(family="mambavision", tie_directions=True), "applies to vim only, not mambavision"),
+    (dict(channels=0), "channels must be >= 1"),
+    (dict(channels=-1), "channels must be >= 1"),
 ])
 def test_config_that_does_not_fit_is_rejected_at_construction(changes, message):
     with pytest.raises(ValueError, match=message):
@@ -324,28 +326,28 @@ def test_forward_softmax_and_determinism(preset):
 def test_forwards_share_one_scan_built_once(monkeypatch):
     scan2d.make_scan.cache_clear()
     built, returned = [], []
-    cross, make = scan2d.cross_scan, scan2d.make_scan
+    multi, make = scan2d.MultiScan, scan2d.make_scan
 
-    def counted_cross(h, w):
-        built.append((h, w))
-        return cross(h, w)
+    def counted_multi(h, w, directions):
+        built.append((h, w, len(directions)))
+        return multi(h, w, directions)
 
     def counted_make(*args, **kwargs):
         returned.append(make(*args, **kwargs))
         return returned[-1]
 
-    monkeypatch.setattr(scan2d, "cross_scan", counted_cross)
+    monkeypatch.setattr(scan2d, "MultiScan", counted_multi)
     monkeypatch.setattr(scan2d, "make_scan", counted_make)
     m = build_model(config_from_preset("desk-vssd", scan="cross"), seed=12)
     imgs = SplitMix64(27).uniform_array((2, 32, 32))
     with T.no_grad():
         for _ in range(3):
             forward(m, imgs)
-    assert built == [(8, 8)]
+    assert built == [(8, 8, 4)]
     assert len(returned) == 4 and all(s is returned[0] for s in returned)
     order = returned[0].directions[1]
     cells, _, _ = returned[0].groups(equivariant=True)[0]
-    for arr in (order.order, order.inverse, cells):
+    for arr in (order, cells):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
@@ -448,7 +450,7 @@ def test_cross_scan_rotation_invariance_with_lti_core():
             p.data[...] = 0.0
     rng = SplitMix64(31)
     x = rng.normal_array((1, 16, 8))
-    scan = scan2d.cross_scan(4, 4)
+    scan = scan2d.make_scan("cross", 4, 4)
     y = B.mamba_vision_mixer(Tensor(x), m.params, "blocks.0.", scan).data
     rot = x[:, ::-1].copy()  # 180-degree rotation of the 4x4 grid = full reversal
     y_rot = B.mamba_vision_mixer(Tensor(rot), m.params, "blocks.0.", scan).data

@@ -78,6 +78,20 @@ def test_scan_show_divisibility_hint(capsys):
     assert "divide" in capsys.readouterr().err
 
 
+def test_scan_show_efficient_marks_skipped_cells(capsys):
+    assert run(["scan-show", "--strategy", "efficient", "--height", "4", "--width", "4"]) == 0
+    grids = capsys.readouterr().out.strip().split("\n\n")
+    assert [grid.splitlines()[0] for grid in grids] == [f"direction {k}:" for k in range(4)]
+    assert [row.split() for row in grids[0].splitlines()[1:]] == [
+        ["0", "..", "1", ".."], ["..", "..", "..", ".."],
+        ["2", "..", "3", ".."], ["..", "..", "..", ".."]]
+
+
+def test_scan_show_rejects_negative_extents(capsys):
+    assert run(["scan-show", "--height", "-1", "--width", "-1"]) == 1
+    assert "grid extents must be positive, got (-1, -1)" in capsys.readouterr().err
+
+
 def test_scan_show_ppm(tmp_path):
     ppm = tmp_path / "scan.ppm"
     assert run(["scan-show", "--strategy", "zigzag", "--height", "4", "--width", "4",
@@ -371,6 +385,9 @@ NOT_MAKE_DATASETS = {
     "train-count-zero": lambda m: m["counts"].update(train=0),
     "val-count-zero": lambda m: m["counts"].update(val=0),
     "test-count-zero": lambda m: m["counts"].update(test_per_subset=0),
+    "height-zero": lambda m: m["image"].update(h=0),
+    "height-below-8": lambda m: m["image"].update(h=3),
+    "width-negative": lambda m: m["image"].update(w=-4),
 }
 
 

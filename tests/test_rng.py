@@ -171,3 +171,12 @@ def test_below_array_refuses_n_it_cannot_draw_exactly(n):
     with pytest.raises(ValueError, match="1 <= n < 2\\^32"):
         rng.below(n)
     assert rng.get_state() == (3, 0)  # a refused draw leaves the stream where it was
+
+
+@pytest.mark.parametrize("shape", [(-2, 3), (-2, -3)])
+def test_bulk_draw_refuses_a_negative_dimension_before_drawing(shape):
+    rng = SplitMix64(5)
+    for draw in (rng.uniform_array, rng.normal_array):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            draw(shape)
+    assert rng.get_state() == (5, 0)
